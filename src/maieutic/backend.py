@@ -320,7 +320,55 @@ class FixtureBuilder:
         return ScriptedBackend(self.responses, backend_id=backend_id)
 
 
-# --- HTTP backend ---
+# --- HTTP transport and backend ---
+
+def _retry_after(value: Optional[str], timeout: float) -> Optional[float]:
+    """Seconds a ``Retry-After`` header asks for, capped at the client timeout."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None  # absent, or an HTTP date: keep the exponential backoff
+    if not math.isfinite(seconds) or seconds < 0:
+        return None
+    return min(seconds, timeout)
+
+
+def post_json(url: str, body: dict, *, timeout: float, retries: int, backoff: float,
+              headers: Optional[dict] = None) -> dict:
+    """POST a JSON body and return the decoded JSON reply.
+
+    Transport errors, 5xx and 429 are retried within ``retries``
+    attempts, after an exponential backoff or the delay a 429's
+    ``Retry-After`` names; any other status but 200 fails at once with
+    ``BackendUnavailable``, as does running out of attempts.
+    """
+    import requests
+
+    last_error: Optional[Exception] = None
+    delay: Optional[float] = None
+    for attempt in range(retries):
+        if attempt:
+            time.sleep(backoff * (2 ** (attempt - 1)) if delay is None else delay)
+        delay = None
+        try:
+            response = requests.post(url, json=body, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_error = exc
+            continue
+        status = response.status_code
+        if status >= 500 or status == 429:
+            last_error = BackendUnavailable(f"server returned {status}")
+            if status == 429:
+                delay = _retry_after(response.headers.get("Retry-After"), timeout)
+            continue
+        if status != 200:
+            raise BackendUnavailable(f"server returned {status}: {response.text[:200]}")
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise MalformedResponse(f"response body is not JSON: {exc}") from exc
+    raise BackendUnavailable(f"request failed after {retries} attempts: {last_error}")
+
 
 _ANSWER_TRUE, _ANSWER_FALSE = prompt_templates.ANSWER_TOKENS
 
@@ -330,8 +378,7 @@ class HttpLmBackend(LmBackend):
 
     The endpoint and model come from configuration; only the API key
     may fall back to the ``MAIEUTIC_API_KEY`` environment variable.
-    Transient failures are retried with exponential backoff before
-    ``BackendUnavailable`` is raised.
+    Requests go through :func:`post_json`.
     """
 
     def __init__(self, endpoint: str, model: Optional[str] = None,
@@ -348,32 +395,11 @@ class HttpLmBackend(LmBackend):
         self.backend_id = f"http:{self.model or 'default'}"
 
     def _post(self, body: dict) -> dict:
-        import requests
-
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retries):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-            try:
-                response = requests.post(self.endpoint, json=body, headers=headers,
-                                         timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if response.status_code >= 500:
-                last_error = BackendUnavailable(f"server returned {response.status_code}")
-                continue
-            if response.status_code != 200:
-                raise BackendUnavailable(
-                    f"server returned {response.status_code}: {response.text[:200]}")
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise MalformedResponse(f"response body is not JSON: {exc}") from exc
-        raise BackendUnavailable(f"request failed after {self.retries} attempts: {last_error}")
+        return post_json(self.endpoint, body, headers=headers, timeout=self.timeout,
+                         retries=self.retries, backoff=self.backoff)
 
     def _body(self, prompt: str, **extra) -> dict:
         body = {"prompt": prompt}

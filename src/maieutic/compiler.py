@@ -26,10 +26,11 @@ from .core import (
     Proposition,
     WeightedClause,
     WeightedCnf,
+    belief_from_probs,
     tree_leaves,
     variable_map,
 )
-from .errors import DegenerateBelief, EmptyTree
+from .errors import EmptyTree
 
 if TYPE_CHECKING:
     from .verifier import NliVerifier
@@ -42,18 +43,6 @@ class CompileMode(str, Enum):
 
     LIKELIHOOD = "likelihood"
     VERIFIER = "verifier"
-
-
-def belief_from_probs(true_prob: float, neg_true_prob: float) -> float:
-    """Normalized difference of the truth probabilities of a statement and its negation.
-
-    Ranges over [-1, 1]; zero exactly when the two probabilities agree,
-    positive when the statement is favored over its negation.
-    """
-    total = true_prob + neg_true_prob
-    if total <= 0.0:
-        raise DegenerateBelief("both truth probabilities are zero")
-    return (true_prob - neg_true_prob) / total
 
 
 def belief_weight(node: Proposition) -> float:
@@ -136,8 +125,7 @@ def compile_consistency_clauses(tree: MaieuticTree, backend: backend_ops.LmBacke
 def compile(tree: MaieuticTree, mode: CompileMode,
             backend: Optional[backend_ops.LmBackend] = None,
             verifier: Optional["NliVerifier"] = None,
-            prompts: Optional[PromptSet] = None,
-            nli_label_prob_weights: bool = False) -> WeightedCnf:
+            prompts: Optional[PromptSet] = None) -> WeightedCnf:
     """Full clause set for a pruned tree.
 
     Likelihood mode needs the backend and the abductive prompt set for
@@ -158,8 +146,7 @@ def compile(tree: MaieuticTree, mode: CompileMode,
             raise ValueError("verifier mode needs an NLI verifier")
         from .verifier import relation_clauses
 
-        clauses.extend(relation_clauses(tree, verifier,
-                                        label_prob_weights=nli_label_prob_weights))
+        clauses.extend(relation_clauses(tree, verifier))
     return WeightedCnf(variables=variables, clauses=clauses)
 
 

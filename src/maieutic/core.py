@@ -9,9 +9,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
+
+from .errors import DegenerateBelief
 
 ROOT_ID = "root"
 
@@ -57,6 +59,18 @@ class ClauseOrigin(str, Enum):
 def _require_finite(name: str, value: Optional[float]) -> None:
     if value is not None and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def belief_from_probs(true_prob: float, neg_true_prob: float) -> float:
+    """Normalized difference of the truth probabilities of a statement and its negation.
+
+    Ranges over [-1, 1]; zero exactly when the two probabilities agree,
+    positive when the statement is favored over its negation.
+    """
+    total = true_prob + neg_true_prob
+    if total <= 0.0:
+        raise DegenerateBelief("both truth probabilities are zero")
+    return (true_prob - neg_true_prob) / total
 
 
 @dataclass(frozen=True)
@@ -154,41 +168,31 @@ class TreeConfig:
 
     Depth 1 defaults to nucleus sampling with three samples per answer
     label; every deeper level decodes greedily with a single sample.
+    The width of a depth is the sample count of its decoding entry.
     """
 
     depth_limit: int = 2
-    width_schedule: tuple[int, ...] = (3, 1)
     decoding_schedule: tuple[DecodingParams, ...] = field(
         default_factory=_default_decoding_schedule)
     negation_strategy: NegationStrategy = NegationStrategy.PREFIX
 
     def __post_init__(self):
-        object.__setattr__(self, "width_schedule", tuple(self.width_schedule))
         object.__setattr__(self, "decoding_schedule", tuple(self.decoding_schedule))
         if self.depth_limit < 1:
             raise ValueError("depth_limit must be >= 1")
-        if len(self.width_schedule) != self.depth_limit:
-            raise ValueError("width_schedule must list one width per depth")
         if len(self.decoding_schedule) != self.depth_limit:
             raise ValueError("decoding_schedule must list one entry per depth")
-        for depth0, (width, decoding) in enumerate(
-                zip(self.width_schedule, self.decoding_schedule)):
-            if width < 1:
-                raise ValueError("widths must be >= 1")
-            if decoding.sample_count != width:
-                raise ValueError(
-                    f"decoding sample_count at depth {depth0 + 1} must equal the width")
+
+    @property
+    def width_schedule(self) -> tuple[int, ...]:
+        """Samples per answer label at each depth, read off the decoding schedule."""
+        return tuple(decoding.sample_count for decoding in self.decoding_schedule)
 
     def decoding_for(self, depth: int) -> DecodingParams:
         """Decoding parameters for 1-based tree depth."""
         if not 1 <= depth <= self.depth_limit:
             raise ValueError(f"depth {depth} outside 1..{self.depth_limit}")
         return self.decoding_schedule[depth - 1]
-
-    def width_for(self, depth: int) -> int:
-        if not 1 <= depth <= self.depth_limit:
-            raise ValueError(f"depth {depth} outside 1..{self.depth_limit}")
-        return self.width_schedule[depth - 1]
 
     def max_nodes_excluding_root(self) -> int:
         """Upper bound on generated nodes: both labels at every width, every depth."""
@@ -209,17 +213,23 @@ class TreeConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> TreeConfig:
+        """Inverse of :meth:`to_dict`; an explicit ``width_schedule`` must
+        match the decoding schedule's sample counts."""
         kwargs: dict = {}
         if "depth_limit" in data:
             kwargs["depth_limit"] = data["depth_limit"]
-        if "width_schedule" in data:
-            kwargs["width_schedule"] = tuple(data["width_schedule"])
         if "decoding_schedule" in data:
             kwargs["decoding_schedule"] = tuple(
                 DecodingParams.from_dict(d) for d in data["decoding_schedule"])
         if "negation_strategy" in data:
             kwargs["negation_strategy"] = NegationStrategy(data["negation_strategy"])
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if "width_schedule" in data and \
+                tuple(data["width_schedule"]) != config.width_schedule:
+            raise ValueError(
+                f"width_schedule {list(data['width_schedule'])} does not match the "
+                f"decoding sample counts {list(config.width_schedule)}")
+        return config
 
 
 @dataclass(frozen=True)
@@ -229,7 +239,8 @@ class Proposition:
     ``path_label`` records the answer-label branch taken at every depth
     from the root, so its length equals the node's depth. ``true_prob``
     and ``neg_true_prob`` are the renormalized probabilities of the True
-    answer for the statement and for its negation.
+    answer for the statement and for its negation; ``belief`` is derived
+    from them.
     """
 
     id: str
@@ -238,7 +249,6 @@ class Proposition:
     path_label: str = ""
     source_answer: Optional[bool] = None
     integrity: Integrity = Integrity.UNCHECKED
-    belief: Optional[float] = None
     true_prob: Optional[float] = None
     neg_true_prob: Optional[float] = None
 
@@ -249,7 +259,6 @@ class Proposition:
             raise ValueError("checked propositions must carry a negated text")
         if any(ch not in "TF" for ch in self.path_label):
             raise ValueError("path_label may contain only 'T' and 'F'")
-        _require_finite("belief", self.belief)
         _require_finite("true_prob", self.true_prob)
         _require_finite("neg_true_prob", self.neg_true_prob)
         for name in ("true_prob", "neg_true_prob"):
@@ -262,6 +271,17 @@ class Proposition:
         if self.integrity is Integrity.INTEGRAL_FALSE and not (
                 self.belief is not None and self.belief < 0):
             raise ValueError("integral-false propositions require negative belief")
+
+    @property
+    def belief(self) -> Optional[float]:
+        """:func:`belief_from_probs` of the stored probabilities; ``None``
+        when either is missing or both are zero."""
+        if self.true_prob is None or self.neg_true_prob is None:
+            return None
+        try:
+            return belief_from_probs(self.true_prob, self.neg_true_prob)
+        except DegenerateBelief:
+            return None
 
     @property
     def depth(self) -> int:
@@ -289,14 +309,6 @@ class MaieuticTree:
     @property
     def root(self) -> Proposition:
         return self.nodes[self.root_id]
-
-    @property
-    def depth_limit(self) -> int:
-        return self.config.depth_limit
-
-    @property
-    def width_schedule(self) -> tuple[int, ...]:
-        return self.config.width_schedule
 
     def node(self, node_id: str) -> Proposition:
         return self.nodes[node_id]
@@ -426,12 +438,6 @@ class WeightedCnf:
                 if var not in declared:
                     raise ValueError(f"clause references undeclared variable {var}")
 
-    def variable_for_node(self, node_id: str) -> int:
-        for var, nid in self.variables.items():
-            if nid == node_id:
-                return var
-        raise KeyError(node_id)
-
     def total_weight(self) -> float:
         return sum(c.weight for c in self.clauses)
 
@@ -463,7 +469,6 @@ def _proposition_from_dict(data: dict) -> Proposition:
         path_label=data.get("path_label", ""),
         source_answer=data.get("source_answer"),
         integrity=Integrity(data.get("integrity", "unchecked")),
-        belief=data.get("belief"),
         true_prob=data.get("true_prob"),
         neg_true_prob=data.get("neg_true_prob"),
     )
@@ -541,14 +546,6 @@ def tree_from_dot(text: str) -> MaieuticTree:
         if stripped.startswith(_DOT_JSON_MARKER):
             return tree_from_dict(json.loads(stripped[len(_DOT_JSON_MARKER):]))
     raise ValueError("DOT input carries no embedded tree JSON")
-
-
-def replace_node(tree: MaieuticTree, node: Proposition, **changes) -> MaieuticTree:
-    """Copy of the tree with one proposition replaced."""
-    nodes = dict(tree.nodes)
-    nodes[node.id] = replace(node, **changes)
-    return MaieuticTree(nodes=nodes, children={k: list(v) for k, v in tree.children.items()},
-                        config=tree.config, root_id=tree.root_id)
 
 
 def prompt_set_to_dict(prompts: PromptSet) -> dict:

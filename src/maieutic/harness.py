@@ -14,10 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import compiler, prompts as prompt_templates, solver, tree_builder
-from .backend import LmBackend
+from .backend import LmBackend, TruthResponse
 from .compiler import CompileMode
 from .core import (
     MaieuticTree,
@@ -122,20 +122,20 @@ def _qa_pairs_view(prompts: PromptSet) -> PromptSet:
         for ex in prompts.examples))
 
 
+def _answer_or_default(response: TruthResponse) -> tuple[bool, bool]:
+    """(answer, fallback used): an exact tie carries no information, so it
+    answers False with the fallback flag raised."""
+    try:
+        return response.argmax(), False
+    except ArgmaxTie:
+        return False, True
+
+
 def infer_standard(question: str, backend: LmBackend,
                    prompts: PromptSet) -> InferenceResult:
-    """Answer by scoring the two answer tokens directly.
-
-    An exact tie carries no information; the answer defaults to False
-    with the fallback flag raised.
-    """
-    response = backend.true_prob(question, prompts)
-    try:
-        answer = response.argmax()
-        fallback = False
-    except ArgmaxTie:
-        answer = False
-        fallback = True
+    """Answer by scoring the two answer tokens directly; a tie answers False
+    with the fallback flag raised."""
+    answer, fallback = _answer_or_default(backend.true_prob(question, prompts))
     return InferenceResult(question=question, answer=answer,
                            method=Method.STANDARD, fallback_used=fallback)
 
@@ -155,13 +155,8 @@ def infer_explanation_based(question: str, backend: LmBackend,
     except EmptyGeneration:
         direct = infer_standard(question, backend, _qa_pairs_view(prompts))
         return replace(direct, method=Method.EXPLANATION_BASED, fallback_used=True)
-    response = backend.explained_answer_prob(question, explanation, prompts)
-    try:
-        answer = response.argmax()
-        fallback = False
-    except ArgmaxTie:
-        answer = False
-        fallback = True
+    answer, fallback = _answer_or_default(
+        backend.explained_answer_prob(question, explanation, prompts))
     return InferenceResult(question=question, answer=answer,
                            method=Method.EXPLANATION_BASED, fallback_used=fallback,
                            explanation=explanation)
@@ -184,15 +179,11 @@ def infer_maieutic(question: str, engine: Engine) -> InferenceResult:
                            verifier=engine.verifier, prompts=engine.abductive_prompts)
     assignment = solve(cnf)
     by_node = assignment_by_node(cnf, assignment)
-    answer = by_node[pruned.root_id]
     true_propositions = [node.text for node in tree_nodes(pruned)
                          if node.id != pruned.root_id and by_node[node.id]]
-    result = InferenceResult(question=question, answer=answer, method=Method.MAIEUTIC,
-                             tree=pruned, cnf=cnf, assignment=assignment,
-                             true_propositions=true_propositions)
-    if result.answer != by_node[pruned.root_id]:
-        raise AssertionError("answer diverged from the root variable's value")
-    return result
+    return InferenceResult(question=question, answer=by_node[pruned.root_id],
+                           method=Method.MAIEUTIC, tree=pruned, cnf=cnf,
+                           assignment=assignment, true_propositions=true_propositions)
 
 
 def infer(question: str, method: Method, engine: Engine) -> InferenceResult:
@@ -226,48 +217,41 @@ def _parse_label(value, record_id: str) -> bool:
     raise MissingGold(f"record {record_id!r} has no usable gold label ({value!r})")
 
 
-def _adapt_native(data: dict, fallback_id: str) -> DatasetRecord:
-    record_id = str(data.get("id", fallback_id))
-    if "label" not in data:
-        raise MissingGold(f"record {record_id!r} has no gold label")
-    return DatasetRecord(id=record_id, question=str(data["question"]),
-                         gold=_parse_label(data["label"], record_id),
-                         pair_id=None if data.get("pair_id") is None
-                         else str(data["pair_id"]))
+class DatasetFields(NamedTuple):
+    """Where one benchmark's rows keep each value; the first of several
+    candidate fields present in a row wins."""
+
+    ids: tuple[str, ...]
+    question: tuple[str, ...]
+    label: str
+    pair_id: Optional[str]  # None: the benchmark does not pair records
 
 
-def _adapt_com2sense(data: dict, fallback_id: str) -> DatasetRecord:
-    record_id = str(data.get("id", fallback_id))
-    if "label" not in data:
-        raise MissingGold(f"record {record_id!r} has no gold label")
-    return DatasetRecord(id=record_id, question=str(data.get("sent", data.get("sentence"))),
-                         gold=_parse_label(data["label"], record_id),
-                         pair_id=None if data.get("pair_id") is None
-                         else str(data["pair_id"]))
-
-
-def _adapt_csqa2(data: dict, fallback_id: str) -> DatasetRecord:
-    record_id = str(data.get("id", fallback_id))
-    if "answer" not in data:
-        raise MissingGold(f"record {record_id!r} has no gold label")
-    return DatasetRecord(id=record_id, question=str(data["question"]),
-                         gold=_parse_label(data["answer"], record_id))
-
-
-def _adapt_creak(data: dict, fallback_id: str) -> DatasetRecord:
-    record_id = str(data.get("ex_id", data.get("id", fallback_id)))
-    if "label" not in data:
-        raise MissingGold(f"record {record_id!r} has no gold label")
-    return DatasetRecord(id=record_id, question=str(data["sentence"]),
-                         gold=_parse_label(data["label"], record_id))
-
-
-DATASET_ADAPTERS: dict[str, Callable[[dict, str], DatasetRecord]] = {
-    "native": _adapt_native,
-    "com2sense": _adapt_com2sense,
-    "csqa2": _adapt_csqa2,
-    "creak": _adapt_creak,
+DATASET_ADAPTERS: dict[str, DatasetFields] = {
+    "native": DatasetFields(("id",), ("question",), "label", "pair_id"),
+    "com2sense": DatasetFields(("id",), ("sent", "sentence"), "label", "pair_id"),
+    "csqa2": DatasetFields(("id",), ("question",), "answer", None),
+    "creak": DatasetFields(("ex_id", "id"), ("sentence",), "label", None),
 }
+
+
+def _first_present(data: dict, names: Sequence[str], default=None):
+    return next((data[name] for name in names if name in data), default)
+
+
+def _adapt(data: dict, fields: DatasetFields, path: Union[str, Path],
+           line_no: int) -> DatasetRecord:
+    record_id = str(_first_present(data, fields.ids, f"r{line_no}"))
+    if fields.label not in data:
+        raise MissingGold(f"record {record_id!r} has no gold label")
+    gold = _parse_label(data[fields.label], record_id)
+    question = _first_present(data, fields.question)
+    if question is None or not str(question).strip():
+        names = " or ".join(repr(name) for name in fields.question)
+        raise ValueError(f"{path}: line {line_no}: no question text in {names}")
+    pair_id = data.get(fields.pair_id) if fields.pair_id else None
+    return DatasetRecord(id=record_id, question=str(question), gold=gold,
+                         pair_id=None if pair_id is None else str(pair_id))
 
 
 def load_dataset(path: Union[str, Path], adapter: str = "native") -> list[DatasetRecord]:
@@ -275,7 +259,7 @@ def load_dataset(path: Union[str, Path], adapter: str = "native") -> list[Datase
     if adapter not in DATASET_ADAPTERS:
         raise ValueError(f"unknown adapter {adapter!r}; "
                          f"available: {', '.join(sorted(DATASET_ADAPTERS))}")
-    adapt = DATASET_ADAPTERS[adapter]
+    fields = DATASET_ADAPTERS[adapter]
     records: list[DatasetRecord] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -285,7 +269,9 @@ def load_dataset(path: Union[str, Path], adapter: str = "native") -> list[Datase
                 data = json.loads(line)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: not valid JSON: {exc}") from exc
-            records.append(adapt(data, f"r{line_no}"))
+            if not isinstance(data, dict):
+                raise ValueError(f"{path}: line {line_no}: not a JSON object")
+            records.append(_adapt(data, fields, path, line_no))
     return records
 
 

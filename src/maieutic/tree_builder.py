@@ -25,7 +25,7 @@ from .core import (
     TreeConfig,
     child_id,
 )
-from .errors import EmptyGeneration
+from .errors import ArgmaxTie, EmptyGeneration
 from .prompts import normalize_statement
 
 
@@ -36,7 +36,13 @@ class IntegrityCheck:
     integrity: Integrity
     true_prob: float
     neg_true_prob: float
-    belief: Optional[float]
+
+
+def _committed_answer(response: backend_ops.TruthResponse) -> Optional[bool]:
+    try:
+        return response.argmax()
+    except ArgmaxTie:
+        return None
 
 
 def check_integrity(statement: str, negated: str, backend: backend_ops.LmBackend,
@@ -48,31 +54,19 @@ def check_integrity(statement: str, negated: str, backend: backend_ops.LmBackend
     False/True yields ``INTEGRAL_FALSE``. Agreement on both, or an
     exact tie on either query, is ``NOT_INTEGRAL`` (a tie expresses no
     preference, so it cannot witness a committed answer). The belief
-    ratio is computed here from the same two queries; no further calls
-    are needed later.
+    ratio is later derived from the same two probabilities.
     """
     direct = backend.true_prob(statement, prompts)
     negated_response = backend.true_prob(negated, prompts)
-    p_direct = direct.true_prob
-    p_negated = negated_response.true_prob
-
-    tie = direct.true_prob == direct.false_prob \
-        or negated_response.true_prob == negated_response.false_prob
-    if tie:
-        integrity = Integrity.NOT_INTEGRAL
-    elif direct.true_prob > direct.false_prob and \
-            negated_response.true_prob < negated_response.false_prob:
+    answers = (_committed_answer(direct), _committed_answer(negated_response))
+    if answers == (True, False):
         integrity = Integrity.INTEGRAL_TRUE
-    elif direct.true_prob < direct.false_prob and \
-            negated_response.true_prob > negated_response.false_prob:
+    elif answers == (False, True):
         integrity = Integrity.INTEGRAL_FALSE
     else:
         integrity = Integrity.NOT_INTEGRAL
-
-    total = p_direct + p_negated
-    belief = (p_direct - p_negated) / total if total > 0 else None
-    return IntegrityCheck(integrity=integrity, true_prob=p_direct,
-                          neg_true_prob=p_negated, belief=belief)
+    return IntegrityCheck(integrity=integrity, true_prob=direct.true_prob,
+                          neg_true_prob=negated_response.true_prob)
 
 
 def abduction(question: str, config: TreeConfig, depth: int,
@@ -112,7 +106,6 @@ def _checked_proposition(node_id: str, text: str, path_label: str,
         path_label=path_label,
         source_answer=source_answer,
         integrity=check.integrity,
-        belief=check.belief,
         true_prob=check.true_prob,
         neg_true_prob=check.neg_true_prob,
     )

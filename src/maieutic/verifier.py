@@ -4,23 +4,21 @@ the conversion of pairwise NLI judgments into implication clauses.
 Each ordered pair of distinct tree nodes (the root included) is judged
 as entailment, contradiction or neutral. Entailment compiles to
 premise implies hypothesis, contradiction to premise implies
-not-hypothesis, neutral to nothing. Clause weights default to the
-constant 1; weighting by the judged label's probability is available
-but off by default.
+not-hypothesis, neutral to nothing. Every clause weighs 1.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
+from .backend import post_json
 from .core import ClauseOrigin, MaieuticTree, WeightedClause, tree_nodes, variable_map
-from .errors import BackendUnavailable, MalformedResponse, MissingFixture
+from .errors import MalformedResponse, MissingFixture
 
 PROB_ORDER = ("entail", "contradict", "neutral")
 
@@ -128,8 +126,7 @@ class HttpNliVerifier(NliVerifier):
     """Client for an NLI service: POST {premise, hypothesis} -> {label, probs}.
 
     The endpoint may come from the ``MAIEUTIC_NLI_ENDPOINT``
-    environment variable; transient failures retry with exponential
-    backoff.
+    environment variable; requests go through :func:`~maieutic.backend.post_json`.
     """
 
     def __init__(self, endpoint: Optional[str] = None, timeout: float = 30.0,
@@ -143,42 +140,20 @@ class HttpNliVerifier(NliVerifier):
         self.verifier_id = f"http-nli:{self.endpoint}"
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
-        import requests
-
         if not premise.strip() or not hypothesis.strip():
             raise ValueError("premise and hypothesis must be non-empty")
-        body = {"premise": premise, "hypothesis": hypothesis}
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retries):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-            try:
-                response = requests.post(self.endpoint, json=body, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if response.status_code >= 500:
-                last_error = BackendUnavailable(f"server returned {response.status_code}")
-                continue
-            if response.status_code != 200:
-                raise BackendUnavailable(
-                    f"server returned {response.status_code}: {response.text[:200]}")
-            try:
-                payload = response.json()
-            except ValueError as exc:
-                raise MalformedResponse(f"response body is not JSON: {exc}") from exc
-            return _judgment_from_record(premise, hypothesis, payload)
-        raise BackendUnavailable(f"request failed after {self.retries} attempts: {last_error}")
+        payload = post_json(self.endpoint, {"premise": premise, "hypothesis": hypothesis},
+                            timeout=self.timeout, retries=self.retries,
+                            backoff=self.backoff)
+        return _judgment_from_record(premise, hypothesis, payload)
 
 
-def relation_clauses(tree: MaieuticTree, verifier: NliVerifier,
-                     label_prob_weights: bool = False) -> list[WeightedClause]:
-    """Implication clauses from NLI judgments over all ordered node pairs.
+def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[WeightedClause]:
+    """Implication clauses of weight 1 from NLI judgments over all ordered node pairs.
 
     Pairs are visited in pre-order; clauses with an identical literal
     set (for instance a contradiction judged in both orders) merge into
-    one, keeping the first. Weights are 1 unless ``label_prob_weights``
-    substitutes the judged label's probability.
+    one, keeping the first.
     """
     variables = {node_id: var for var, node_id in variable_map(tree).items()}
     ordered = tree_nodes(tree)
@@ -196,7 +171,6 @@ def relation_clauses(tree: MaieuticTree, verifier: NliVerifier,
             key = frozenset(literals)
             if key in merged:
                 continue
-            weight = judgment.label_prob() if label_prob_weights else 1.0
-            merged[key] = WeightedClause(literals=literals, weight=weight,
+            merged[key] = WeightedClause(literals=literals, weight=1.0,
                                          origin=ClauseOrigin.NLI)
     return list(merged.values())

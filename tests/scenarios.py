@@ -35,8 +35,7 @@ EXPLANATION_PROMPTS = default_prompt_set(PromptMode.QA_EXPLANATION_TRIPLES)
 
 GREEDY = DecodingParams(DecodingStrategy.GREEDY)
 
-NARROW_CONFIG = TreeConfig(depth_limit=2, width_schedule=(1, 1),
-                           decoding_schedule=(GREEDY, GREEDY))
+NARROW_CONFIG = TreeConfig(depth_limit=2, decoding_schedule=(GREEDY, GREEDY))
 
 
 @dataclass
@@ -133,7 +132,7 @@ def random_world(seed: int, question: str | None = None,
         for parent_text in frontier:
             if parent_text != root_text and world.is_integral(parent_text):
                 continue
-            width = world.config.width_for(depth)
+            width = world.config.decoding_for(depth).sample_count
             by_label = (completions(parent_text, width),
                         completions(parent_text, width))
             world.children(parent_text, depth, by_label[0], by_label[1])
@@ -208,10 +207,6 @@ def war_world(include_logprobs: bool = False) -> ScenarioWorld:
     return world
 
 
-def _belief(true_prob: float, neg_prob: float) -> float:
-    return (true_prob - neg_prob) / (true_prob + neg_prob)
-
-
 def _war_node(node_id: str, text: str, path_label: str,
               source_answer: bool | None, integrity: Integrity) -> Proposition:
     true_prob, neg_prob = WAR_PROBS[text]
@@ -222,7 +217,6 @@ def _war_node(node_id: str, text: str, path_label: str,
         path_label=path_label,
         source_answer=source_answer,
         integrity=integrity,
-        belief=_belief(true_prob, neg_prob),
         true_prob=true_prob,
         neg_true_prob=neg_prob,
     )

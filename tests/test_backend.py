@@ -3,11 +3,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import maieutic
+from maieutic import backend as backend_module
 from maieutic.backend import (
     CachedBackend,
     FixtureBuilder,
@@ -308,13 +314,15 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.server.requests.append(
             {"body": body, "auth": self.headers.get("Authorization")})
         if self.server.script:
-            status, payload = self.server.script.pop(0)
+            status, payload, *extra = self.server.script.pop(0)
         else:
-            status, payload = 200, {"choices": [{"text": " ok"}]}
+            status, payload, extra = 200, {"choices": [{"text": " ok"}]}, []
         blob = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(blob)
 
@@ -324,7 +332,8 @@ def stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.requests = []
     server.script = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     server.endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
     try:
@@ -398,6 +407,37 @@ def test_http_gives_up_after_retry_budget(stub):
     assert len(stub.requests) == 3
 
 
+def test_http_retries_on_rate_limit(stub):
+    stub.script.append((429, {}, {"Retry-After": "0"}))
+    stub.script.append((200, {"choices": [{"logprobs": {"top_logprobs": [
+        {" True": -0.5, " False": -1.5}]}}]}))
+    response = _client(stub).true_prob("Ice floats on water", TRUTH_PROMPTS)
+    assert 0.0 < response.true_prob < 1.0
+    assert len(stub.requests) == 2
+
+
+def test_http_rate_limit_spends_the_retry_budget(stub):
+    stub.script.extend([(429, {})] * 3)
+    with pytest.raises(BackendUnavailable):
+        _client(stub, retries=3).true_prob("Ice floats on water", TRUTH_PROMPTS)
+    assert len(stub.requests) == 3
+
+
+def test_http_retry_after_waits_at_most_the_timeout(stub, monkeypatch):
+    slept = []
+    monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+    stub.script.extend([(429, {}, {"Retry-After": "120"}),
+                        (429, {}, {"Retry-After": "0.25"}),
+                        (429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                        (503, {}, {"Retry-After": "7"}),
+                        (503, {})])
+    with pytest.raises(BackendUnavailable):
+        _client(stub, retries=5, timeout=2.0, backoff=0.01).true_prob(
+            "Ice floats on water", TRUTH_PROMPTS)
+    # capped at the timeout, honoured, a date (backoff), ignored on a 503 (backoff)
+    assert slept == [2.0, 0.25, 0.04, 0.08]
+
+
 def test_http_client_errors_do_not_retry(stub):
     stub.script.append((403, {"error": "forbidden"}))
     with pytest.raises(BackendUnavailable):
@@ -441,3 +481,13 @@ def test_http_api_key_from_environment(stub, monkeypatch):
 def test_http_requires_endpoint():
     with pytest.raises(ValueError):
         HttpLmBackend("")
+
+
+def test_importing_the_package_leaves_requests_unloaded():
+    # requests is imported on the first HTTP call only, which keeps
+    # start-up fast for scripted and cached runs
+    src = str(Path(maieutic.__file__).resolve().parents[1])
+    probe = "import sys, maieutic; print('requests' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"

@@ -126,7 +126,7 @@ def test_belief_clause_polarity_follows_integrity():
     doubter = Proposition(id="F.0", text="a refuting fact",
                           negated_text="not a refuting fact",
                           path_label="F", source_answer=False,
-                          integrity=Integrity.INTEGRAL_FALSE, belief=-0.5,
+                          integrity=Integrity.INTEGRAL_FALSE,
                           true_prob=0.25, neg_true_prob=0.75)
     tree = MaieuticTree(nodes={"root": root, "F.0": doubter},
                         children={"root": [(False, "F.0")]},
@@ -158,7 +158,6 @@ def test_negligible_belief_clauses_are_dropped():
                         negated_text="its negation",
                         path_label="T", source_answer=True,
                         integrity=Integrity.INTEGRAL_TRUE,
-                        belief=2 * epsilon,
                         true_prob=0.5 + epsilon, neg_true_prob=0.5 - epsilon)
     tree = MaieuticTree(nodes={"root": root, "T.0": faint},
                         children={"root": [(True, "T.0")]},
@@ -227,28 +226,6 @@ def test_every_node_owns_a_variable():
                                                strict=False))
     assert cnf.variables == {1: "root", 2: "T.0", 3: "T.0.T.0",
                              4: "T.0.F.0", 5: "F.0"}
-
-
-def test_nli_label_probability_weighting():
-    records = [{"premise": "A cold fact.", "hypothesis": "The question",
-                "label": "entail", "probs": [0.7, 0.1, 0.2]}]
-    root = Proposition(id="root", text="The question")
-    leaf = Proposition(id="T.0", text="A cold fact.",
-                       negated_text="Not a cold fact.", path_label="T",
-                       source_answer=True, integrity=Integrity.INTEGRAL_TRUE,
-                       belief=0.4, true_prob=0.7, neg_true_prob=0.3)
-    tree = MaieuticTree(nodes={"root": root, "T.0": leaf},
-                        children={"root": [(True, "T.0")]},
-                        config=NARROW_CONFIG)
-    verifier = ScriptedNliVerifier(fixtures=records, strict=False)
-    weighted = compile(tree, CompileMode.VERIFIER, verifier=verifier,
-                       nli_label_prob_weights=True)
-    flat = compile(tree, CompileMode.VERIFIER, verifier=verifier)
-    nli_weights = [c.weight for c in weighted.clauses
-                   if c.origin is ClauseOrigin.NLI]
-    assert nli_weights == [pytest.approx(0.7)]
-    assert [c.weight for c in flat.clauses
-            if c.origin is ClauseOrigin.NLI] == [1.0]
 
 
 def test_cnf_json_round_trips_through_the_dict_form():

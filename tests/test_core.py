@@ -20,7 +20,6 @@ from maieutic.core import (
     WeightedCnf,
     child_id,
     label_word,
-    replace_node,
     tree_from_dict,
     tree_from_dot,
     tree_from_json,
@@ -58,9 +57,20 @@ def test_checked_proposition_needs_negation():
     (Integrity.INTEGRAL_FALSE, 0.2),
 ])
 def test_integrity_requires_matching_belief_sign(integrity, belief):
+    # probabilities whose belief ratio is exactly the given belief
+    probs = {} if belief is None else {"true_prob": (1 + belief) / 2,
+                                       "neg_true_prob": (1 - belief) / 2}
     with pytest.raises(ValueError):
         Proposition(id="x", text="a claim", negated_text="not a claim",
-                    path_label="T", integrity=integrity, belief=belief)
+                    path_label="T", integrity=integrity, **probs)
+
+
+def test_belief_is_derived_from_the_stored_probabilities():
+    node = Proposition(id="x", text="a claim", true_prob=0.9, neg_true_prob=0.15)
+    assert node.belief == (0.9 - 0.15) / (0.9 + 0.15)
+    assert Proposition(id="x", text="a claim", true_prob=0.9).belief is None
+    assert Proposition(id="x", text="a claim", true_prob=0.0,
+                       neg_true_prob=0.0).belief is None
 
 
 def test_proposition_depth_follows_path_label():
@@ -111,19 +121,23 @@ def test_decoding_params_dict_round_trip():
 
 def test_tree_config_schedule_lengths_must_match():
     with pytest.raises(ValueError):
-        TreeConfig(depth_limit=2, width_schedule=(3,))
+        TreeConfig(depth_limit=1)  # the default decoding schedule lists two depths
     with pytest.raises(ValueError):
-        TreeConfig(depth_limit=1, width_schedule=(2,),
-                   decoding_schedule=(DecodingParams(DecodingStrategy.GREEDY),))
+        TreeConfig.from_dict({"depth_limit": 2, "width_schedule": [3]})
+    greedy = DecodingParams(DecodingStrategy.GREEDY).to_dict()
+    with pytest.raises(ValueError):
+        TreeConfig.from_dict({"depth_limit": 1, "width_schedule": [2],
+                              "decoding_schedule": [greedy]})
+    accepted = TreeConfig.from_dict({"depth_limit": 1, "width_schedule": [1],
+                                     "decoding_schedule": [greedy]})
+    assert accepted.width_schedule == (1,)
 
 
 def test_tree_config_depth_lookup_bounds():
     config = TreeConfig()
     with pytest.raises(ValueError):
         config.decoding_for(0)
-    with pytest.raises(ValueError):
-        config.width_for(3)
-    assert config.width_for(1) == 3
+    assert config.width_schedule == (3, 1)
     assert config.decoding_for(2).strategy is DecodingStrategy.GREEDY
 
 
@@ -209,7 +223,6 @@ def test_validate_rejects_disconnected_node():
 
 def test_validate_rejects_path_label_mismatch():
     tree = fixed_tree()
-    bad_child = replace_node(tree, tree.node("F.0"))
     nodes = dict(tree.nodes)
     nodes["F.0"] = Proposition(id="F.0", text="claim", negated_text="not claim",
                                path_label="T", integrity=Integrity.NOT_INTEGRAL)
@@ -217,7 +230,6 @@ def test_validate_rejects_path_label_mismatch():
                           config=tree.config)
     with pytest.raises(ValueError, match="path label"):
         broken.validate()
-    del bad_child
 
 
 def test_validate_rejects_root_as_child():
@@ -262,14 +274,6 @@ def test_tree_from_dot_requires_embedded_payload():
         tree_from_dot("digraph g { a -> b }")
 
 
-def test_replace_node_swaps_one_proposition():
-    tree = fixed_tree()
-    swapped = replace_node(tree, tree.node("T.0.T.0"), true_prob=0.8)
-    assert swapped.node("T.0.T.0").true_prob == 0.8
-    assert tree.node("T.0.T.0").true_prob == 0.9
-    assert swapped.node("F.0") == tree.node("F.0")
-
-
 def test_weighted_clause_validation():
     with pytest.raises(ValueError):
         WeightedClause(literals=((1, True),), weight=0.0,
@@ -291,10 +295,7 @@ def test_weighted_cnf_lookup_and_total():
                            origin=ClauseOrigin.CONSISTENCY),
         ],
     )
-    assert cnf.variable_for_node("T.0") == 2
     assert cnf.total_weight() == 1.25
-    with pytest.raises(KeyError):
-        cnf.variable_for_node("missing")
 
 
 def test_tree_json_is_stable_across_calls():

@@ -246,6 +246,31 @@ def test_malformed_jsonl_reports_the_line(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("adapter,row", [
+    ("native", {"id": "n1", "label": True}),
+    ("native", {"id": "n1", "question": "  ", "label": True}),
+    ("com2sense", {"id": "c1", "label": "True"}),
+    ("csqa2", {"id": "q1", "answer": "yes"}),
+    ("creak", {"ex_id": "k1", "label": "true"}),
+])
+def test_records_without_question_text_name_the_line(tmp_path, adapter, row):
+    path = tmp_path / "missing.jsonl"
+    good = {"native": {"question": "a?", "label": True},
+            "com2sense": {"sent": "a.", "label": "True"},
+            "csqa2": {"question": "a?", "answer": "no"},
+            "creak": {"sentence": "a.", "label": "false"}}[adapter]
+    path.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: no question text"):
+        load_dataset(path, adapter)
+
+
+def test_non_object_rows_name_the_line(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text('["a?", true]\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: not a JSON object"):
+        load_dataset(path)
+
+
 def test_unknown_adapter_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown adapter"):
         load_dataset(tmp_path / "x.jsonl", adapter="nope")

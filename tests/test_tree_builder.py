@@ -9,6 +9,7 @@ from maieutic.core import (
     DecodingParams,
     DecodingStrategy,
     Integrity,
+    Proposition,
     TreeConfig,
     tree_nodes,
     tree_to_dict,
@@ -54,12 +55,20 @@ def test_check_integrity_classification(true_prob, neg_prob, expected):
     assert check.neg_true_prob == pytest.approx(neg_prob)
 
 
+def _built(statement, check):
+    """The proposition the tree builder stores for one integrity check."""
+    return Proposition(id="T.0", text=statement,
+                       negated_text=prefix_negation(statement), path_label="T",
+                       integrity=check.integrity, true_prob=check.true_prob,
+                       neg_true_prob=check.neg_true_prob)
+
+
 def test_check_integrity_belief_ratio():
     statement = "Glass is made mostly of sand"
     backend = _truth_backend(statement, 0.9, 0.15)
     check = check_integrity(statement, prefix_negation(statement), backend,
                             TRUTH_PROMPTS)
-    assert check.belief == pytest.approx((0.9 - 0.15) / (0.9 + 0.15))
+    assert _built(statement, check).belief == pytest.approx((0.9 - 0.15) / (0.9 + 0.15))
 
 
 def test_check_integrity_degenerate_probabilities():
@@ -69,15 +78,14 @@ def test_check_integrity_degenerate_probabilities():
     backend = _truth_backend(statement, 0.0, 0.0)
     check = check_integrity(statement, prefix_negation(statement), backend,
                             TRUTH_PROMPTS)
-    assert check.belief is None
+    assert _built(statement, check).belief is None
     assert check.integrity is Integrity.NOT_INTEGRAL
 
 
 def test_abduction_deduplicates_in_order():
     # four samples requested, two distinct; dedup keeps first occurrences
     decoding = DecodingParams(DecodingStrategy.NUCLEUS, sample_count=4)
-    config = TreeConfig(depth_limit=1, width_schedule=(4,),
-                        decoding_schedule=(decoding,))
+    config = TreeConfig(depth_limit=1, decoding_schedule=(decoding,))
     builder = FixtureBuilder()
     builder.abductive("Glass is made mostly of sand", True, ABDUCTIVE_PROMPTS,
                       decoding, ["first reason", "second reason",

@@ -24,7 +24,7 @@ def _pair_tree():
     leaf = Proposition(id="T.0", text="A supporting fact.",
                        negated_text="Not a supporting fact.", path_label="T",
                        source_answer=True, integrity=Integrity.INTEGRAL_TRUE,
-                       belief=0.5, true_prob=0.75, neg_true_prob=0.25)
+                       true_prob=0.75, neg_true_prob=0.25)
     return MaieuticTree(nodes={"root": root, "T.0": leaf},
                         children={"root": [(True, "T.0")]},
                         config=NARROW_CONFIG)
@@ -157,13 +157,15 @@ class _NliHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length)) if length else {}
         self.server.requests.append(body)
         if self.server.script:
-            status, payload = self.server.script.pop(0)
+            status, payload, *extra = self.server.script.pop(0)
         else:
-            status, payload = 200, {"label": "neutral"}
+            status, payload, extra = 200, {"label": "neutral"}, []
         blob = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(blob)
 
@@ -173,7 +175,8 @@ def nli_stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _NliHandler)
     server.requests = []
     server.script = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     server.endpoint = f"http://127.0.0.1:{server.server_address[1]}/nli"
     try:
@@ -206,6 +209,30 @@ def test_http_verifier_gives_up(nli_stub):
     verifier = HttpNliVerifier(nli_stub.endpoint, retries=3, backoff=0.01)
     with pytest.raises(BackendUnavailable):
         verifier.nli("a", "b")
+
+
+def test_http_verifier_retries_on_rate_limit(nli_stub):
+    nli_stub.script.extend([(429, {}, {"Retry-After": "0"}),
+                            (200, {"label": "entail"})])
+    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    assert verifier.nli("a", "b").label is NliLabel.ENTAIL
+    assert len(nli_stub.requests) == 2
+
+
+def test_http_verifier_rate_limit_spends_the_retry_budget(nli_stub):
+    nli_stub.script.extend([(429, {})] * 3)
+    verifier = HttpNliVerifier(nli_stub.endpoint, retries=3, backoff=0.01)
+    with pytest.raises(BackendUnavailable):
+        verifier.nli("a", "b")
+    assert len(nli_stub.requests) == 3
+
+
+def test_http_verifier_client_errors_do_not_retry(nli_stub):
+    nli_stub.script.append((404, {"error": "no such model"}))
+    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    with pytest.raises(BackendUnavailable):
+        verifier.nli("a", "b")
+    assert len(nli_stub.requests) == 1
 
 
 def test_http_verifier_malformed_label(nli_stub):

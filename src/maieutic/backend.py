@@ -10,6 +10,7 @@ backend and the basis of the cache key.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -17,9 +18,11 @@ import os
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
 from .core import DecodingParams, DecodingStrategy, NegationStrategy, PromptMode, PromptSet
@@ -87,7 +90,13 @@ class TruthResponse:
 
 
 class LmBackend:
-    """Query interface over a completion-style language model."""
+    """Query interface over a completion-style language model.
+
+    The operations a question issues in rounds (truth scores,
+    abductions, log-likelihoods, negations) take many queries and send
+    them as one batch of independent requests; answers come back in
+    request order. Their single forms are batches of one.
+    """
 
     backend_id: str = "lm"
 
@@ -103,57 +112,93 @@ class LmBackend:
     def _completion_logprob(self, prompt: str, completion: str) -> float:
         raise NotImplementedError
 
+    def _batch(self, calls: Sequence[Callable[[], Any]]) -> list:
+        """Answers of independent primitive calls, in request order.
+
+        A plain loop in the calling thread that stops at the first
+        failure; a remote backend sends the calls concurrently instead.
+        """
+        return [call() for call in calls]
+
+    def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
+        """One primitive (named by its method) over many argument tuples, as one batch."""
+        call = getattr(self, primitive)
+        return self._batch([functools.partial(call, *args) for args in arguments])
+
     # --- public operations ---
 
-    def true_prob(self, statement: str, prompts: PromptSet) -> TruthResponse:
-        """Probability of the True answer token for a bare statement."""
-        if not statement.strip():
+    def true_probs(self, statements: Sequence[str],
+                   prompts: PromptSet) -> list[TruthResponse]:
+        """Probability of the True answer token for each bare statement."""
+        if not all(statement.strip() for statement in statements):
             raise ValueError("statement must be non-empty")
-        prompt = prompt_templates.render_truth_prompt(statement, prompts)
-        return self._normalized(self._score_answer(prompt))
+        rendered = [prompt_templates.render_truth_prompt(statement, prompts)
+                    for statement in statements]
+        return [self._normalized(raw)
+                for raw in self._requests("_score_answer", [(p,) for p in rendered])]
+
+    def true_prob(self, statement: str, prompts: PromptSet) -> TruthResponse:
+        return self.true_probs([statement], prompts)[0]
 
     def explained_answer_prob(self, question: str, explanation: str,
                               prompts: PromptSet) -> TruthResponse:
         """Answer probability conditioned on the question plus a sampled explanation."""
         prompt = prompt_templates.render_explained_answer_prompt(
             question, explanation, prompts)
-        return self._normalized(self._score_answer(prompt))
+        return self._normalized(self._requests("_score_answer", [(prompt,)])[0])
 
-    def sample_abductive(self, question: str, label: bool, prompts: PromptSet,
-                         decoding: DecodingParams) -> list[str]:
-        """Explanations rationalizing the given answer label.
+    def abductive_samples(self, queries: Sequence[tuple[str, bool]], prompts: PromptSet,
+                          decoding: DecodingParams) -> list[list[str]]:
+        """Explanations rationalizing each (question, answer label) query.
 
         Whitespace-only completions are dropped, so fewer than
-        ``decoding.sample_count`` strings may come back; duplicates are
-        kept.
+        ``decoding.sample_count`` strings may come back, none at all
+        when every completion was blank; duplicates are kept.
         """
         if prompts.mode is not PromptMode.ABDUCTIVE_TRIPLES:
             raise ValueError("abductive sampling requires abductive_triples prompts")
-        prompt = prompt_templates.render_abductive_prompt(question, label, prompts)
-        return self._cleaned_completions(prompt, decoding)
+        rendered = [prompt_templates.render_abductive_prompt(question, label, prompts)
+                    for question, label in queries]
+        return self._cleaned_completions(rendered, decoding)
+
+    def sample_abductive(self, question: str, label: bool, prompts: PromptSet,
+                         decoding: DecodingParams) -> list[str]:
+        """One query of :meth:`abductive_samples`; raises ``EmptyGeneration``
+        when every completion was blank."""
+        return _nonempty(self.abductive_samples([(question, label)], prompts, decoding)[0])
 
     def sample_explanations(self, question: str, prompts: PromptSet,
                             decoding: DecodingParams = DEFAULT_EXPLANATION_DECODING,
                             ) -> list[str]:
         """Explanations sampled before any answer label is fixed."""
         prompt = prompt_templates.render_explanation_prompt(question, prompts)
-        return self._cleaned_completions(prompt, decoding)
+        return _nonempty(self._cleaned_completions([prompt], decoding)[0])
+
+    def sequence_logprobs(self, queries: Sequence[tuple[str, str, bool]],
+                          prompts: PromptSet) -> list[float]:
+        """Total log-likelihood of each (explanation, question, label) query's
+        explanation under the abductive prompt."""
+        if not all(explanation.strip() for explanation, _, _ in queries):
+            raise ValueError("explanation must be non-empty")
+        arguments = [(prompt_templates.render_abductive_prompt(question, label, prompts),
+                      explanation) for explanation, question, label in queries]
+        values = self._requests("_completion_logprob", arguments)
+        for value in values:
+            if not math.isfinite(value) or value > 0.0:
+                raise MalformedResponse(
+                    f"log-likelihood {value!r} is not a finite value <= 0")
+        return values
 
     def sequence_logprob(self, explanation: str, question: str, label: bool,
                          prompts: PromptSet) -> float:
-        """Total log-likelihood of the explanation under the abductive prompt."""
-        if not explanation.strip():
-            raise ValueError("explanation must be non-empty")
-        prompt = prompt_templates.render_abductive_prompt(question, label, prompts)
-        value = self._completion_logprob(prompt, explanation)
-        if not math.isfinite(value) or value > 0.0:
-            raise MalformedResponse(f"log-likelihood {value!r} is not a finite value <= 0")
-        return value
+        return self.sequence_logprobs([(explanation, question, label)], prompts)[0]
 
-    def negate_with_lm(self, statement: str) -> str:
-        prompt = prompt_templates.render_negation_prompt(statement)
-        completions = self._cleaned_completions(prompt, DEFAULT_NEGATION_DECODING)
-        return completions[0]
+    def lm_negations(self, statements: Sequence[str]) -> list[str]:
+        """The model's negation of each statement."""
+        rendered = [prompt_templates.render_negation_prompt(statement)
+                    for statement in statements]
+        return [_nonempty(kept)[0] for kept in
+                self._cleaned_completions(rendered, DEFAULT_NEGATION_DECODING)]
 
     # --- shared validation ---
 
@@ -168,29 +213,39 @@ class LmBackend:
             raise MalformedResponse("both answer tokens carry zero probability")
         return TruthResponse(true_prob=p_true / total, false_prob=p_false / total)
 
-    def _cleaned_completions(self, prompt: str, decoding: DecodingParams) -> list[str]:
-        raw = self._complete(prompt, decoding)
-        kept = [text.strip() for text in raw if text and text.strip()]
-        if not kept:
-            raise EmptyGeneration("every completion was empty")
-        return kept[: decoding.sample_count]
+    def _cleaned_completions(self, prompts: Sequence[str],
+                             decoding: DecodingParams) -> list[list[str]]:
+        raws = self._requests("_complete", [(prompt, decoding) for prompt in prompts])
+        return [[text.strip() for text in raw if text and text.strip()][: decoding.sample_count]
+                for raw in raws]
 
 
-def negate(statement: str, strategy: NegationStrategy,
-           backend: Optional[LmBackend] = None) -> str:
-    """Produce the negated surface form of a statement.
+def _nonempty(kept: list[str]) -> list[str]:
+    if not kept:
+        raise EmptyGeneration("every completion was empty")
+    return kept
+
+
+def negate_all(statements: Sequence[str], strategy: NegationStrategy,
+               backend: Optional[LmBackend] = None) -> list[str]:
+    """Produce the negated surface form of each statement.
 
     The engine stores each statement together with its negation once
     and treats the pair as an involution; this function is only the
     forward step and must not be applied to an already negated text.
     """
-    if not statement.strip():
+    if not all(statement.strip() for statement in statements):
         raise ValueError("statement must be non-empty")
     if strategy is NegationStrategy.PREFIX:
-        return prompt_templates.prefix_negation(statement)
+        return [prompt_templates.prefix_negation(statement) for statement in statements]
     if backend is None:
         raise ValueError("lm_generated negation requires a backend")
-    return backend.negate_with_lm(statement)
+    return backend.lm_negations(statements)
+
+
+def negate(statement: str, strategy: NegationStrategy,
+           backend: Optional[LmBackend] = None) -> str:
+    return negate_all([statement], strategy, backend)[0]
 
 
 # --- scripted backend ---
@@ -333,6 +388,108 @@ def _retry_after(value: Optional[str], timeout: float) -> Optional[float]:
     return min(seconds, timeout)
 
 
+# Requests this process keeps in flight at most, over every HTTP client.
+MAX_IN_FLIGHT = 12
+
+_fan_out_executor: Optional[ThreadPoolExecutor] = None
+_fan_out_lock = threading.Lock()
+
+
+def fan_out(calls: Sequence[Callable[[], Any]]) -> list:
+    """Run independent calls on the shared HTTP executor; answers in request order.
+
+    Every call of the batch finishes before the first failure in
+    request order is raised. The executor's ``MAX_IN_FLIGHT`` threads
+    are shared by all HTTP clients, so that bound holds however many
+    threads issue batches.
+    """
+    global _fan_out_executor
+    if not calls:
+        return []
+    with _fan_out_lock:
+        if _fan_out_executor is None:
+            _fan_out_executor = ThreadPoolExecutor(MAX_IN_FLIGHT,
+                                                   thread_name_prefix="maieutic-http")
+    futures = [_fan_out_executor.submit(call) for call in calls]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
+class _ConnectionPool:
+    """Kept-alive HTTP connections; idle ones are kept per (scheme, host, port)."""
+
+    def __init__(self):
+        self._idle: dict[tuple, list] = {}
+        self._lock = threading.Lock()
+
+    def take(self, url: SplitResult, timeout: float):
+        """(connection, reused): an idle connection to the URL's host, or a new one."""
+        key = (url.scheme, url.hostname, url.port)
+        with self._lock:
+            idle = self._idle.get(key)
+            connection = idle.pop() if idle else None
+        if connection is None:
+            return self.connect(url, timeout), False
+        connection.timeout = timeout
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout)
+        return connection, True
+
+    @staticmethod
+    def connect(url: SplitResult, timeout: float):
+        import http.client
+
+        if url.scheme == "https":
+            return http.client.HTTPSConnection(url.hostname, url.port, timeout=timeout)
+        if url.scheme == "http":
+            return http.client.HTTPConnection(url.hostname, url.port, timeout=timeout)
+        raise ValueError(f"unsupported URL scheme {url.scheme!r}")
+
+    def give_back(self, url: SplitResult, connection) -> None:
+        key = (url.scheme, url.hostname, url.port)
+        with self._lock:
+            idle = self._idle.setdefault(key, [])
+            if len(idle) < MAX_IN_FLIGHT:
+                idle.append(connection)
+                return
+        connection.close()
+
+
+_connections = _ConnectionPool()
+
+
+def _exchange(url: SplitResult, blob: bytes, headers: dict,
+              timeout: float) -> tuple[int, Optional[str], bytes]:
+    """POST once on a pooled connection: (status, Retry-After, body).
+
+    A reused connection that the server closed while it sat idle fails
+    before any response arrives; it is replaced and the request sent
+    again once.
+    """
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    connection, reused = _connections.take(url, timeout)
+    try:
+        try:
+            connection.request("POST", target, blob, headers)
+            response = connection.getresponse()
+        except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected too
+            if not reused:
+                raise
+            connection.close()
+            connection = _connections.connect(url, timeout)
+            connection.request("POST", target, blob, headers)
+            response = connection.getresponse()
+        body = response.read()
+    except BaseException:
+        connection.close()
+        raise
+    if response.will_close:
+        connection.close()
+    else:
+        _connections.give_back(url, connection)
+    return response.status, response.getheader("Retry-After"), body
+
+
 def post_json(url: str, body: dict, *, timeout: float, retries: int, backoff: float,
               headers: Optional[dict] = None) -> dict:
     """POST a JSON body and return the decoded JSON reply.
@@ -341,9 +498,13 @@ def post_json(url: str, body: dict, *, timeout: float, retries: int, backoff: fl
     attempts, after an exponential backoff or the delay a 429's
     ``Retry-After`` names; any other status but 200 fails at once with
     ``BackendUnavailable``, as does running out of attempts.
+    Connections are kept alive and reused (see :func:`_exchange`).
     """
-    import requests
+    import http.client
 
+    parts = urlsplit(url)
+    blob = json.dumps(body).encode("utf-8")
+    headers = {"Content-Type": "application/json", **(headers or {})}
     last_error: Optional[Exception] = None
     delay: Optional[float] = None
     for attempt in range(retries):
@@ -351,20 +512,20 @@ def post_json(url: str, body: dict, *, timeout: float, retries: int, backoff: fl
             time.sleep(backoff * (2 ** (attempt - 1)) if delay is None else delay)
         delay = None
         try:
-            response = requests.post(url, json=body, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            status, retry_after, raw = _exchange(parts, blob, headers, timeout)
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
-        status = response.status_code
         if status >= 500 or status == 429:
             last_error = BackendUnavailable(f"server returned {status}")
             if status == 429:
-                delay = _retry_after(response.headers.get("Retry-After"), timeout)
+                delay = _retry_after(retry_after, timeout)
             continue
         if status != 200:
-            raise BackendUnavailable(f"server returned {status}: {response.text[:200]}")
+            text = raw.decode("utf-8", errors="replace")
+            raise BackendUnavailable(f"server returned {status}: {text[:200]}")
         try:
-            return response.json()
+            return json.loads(raw)
         except ValueError as exc:
             raise MalformedResponse(f"response body is not JSON: {exc}") from exc
     raise BackendUnavailable(f"request failed after {retries} attempts: {last_error}")
@@ -378,7 +539,8 @@ class HttpLmBackend(LmBackend):
 
     The endpoint and model come from configuration; only the API key
     may fall back to the ``MAIEUTIC_API_KEY`` environment variable.
-    Requests go through :func:`post_json`.
+    Requests go through :func:`post_json`; a batch is sent through
+    :func:`fan_out`.
     """
 
     def __init__(self, endpoint: str, model: Optional[str] = None,
@@ -394,10 +556,11 @@ class HttpLmBackend(LmBackend):
         self.backoff = backoff
         self.backend_id = f"http:{self.model or 'default'}"
 
+    def _batch(self, calls: Sequence[Callable[[], Any]]) -> list:
+        return fan_out(calls)
+
     def _post(self, body: dict) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
         return post_json(self.endpoint, body, headers=headers, timeout=self.timeout,
                          retries=self.retries, backoff=self.backoff)
 
@@ -524,6 +687,21 @@ def read_trace(path: Union[str, Path]) -> list[dict]:
     return records
 
 
+# Per primitive: its request, and its answer as stored in the cache and back.
+_CACHE_FORMS: dict[str, tuple[Callable[..., dict], Callable[[Any], dict],
+                              Callable[[dict], Any]]] = {
+    "_score_answer": (truth_request,
+                      lambda raw: dict(zip(("true_prob", "false_prob"), raw)),
+                      lambda stored: (stored["true_prob"], stored["false_prob"])),
+    "_complete": (completion_request,
+                  lambda raw: {"completions": raw},
+                  lambda stored: list(stored["completions"])),
+    "_completion_logprob": (logprob_request,
+                            lambda raw: {"logprob": raw},
+                            lambda stored: stored["logprob"]),
+}
+
+
 class CachedBackend(LmBackend):
     """Caching wrapper around another backend.
 
@@ -541,43 +719,57 @@ class CachedBackend(LmBackend):
         self.trace = trace or TraceRecorder()
         self.backend_id = inner.backend_id
 
-    def _through_cache(self, request: dict, cacheable: bool, seed: Optional[int], call):
-        digest = request_digest(request)
-        key = cache_key(self.backend_id, request, seed)
-        cacheable = cacheable and self.cache is not None
-        if cacheable:
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.trace.record(digest, request["kind"], 0.0, cache_hit=True)
-                return cached
-        started = time.monotonic()
-        response = call()
-        self.trace.record(digest, request["kind"], time.monotonic() - started,
-                          cache_hit=False)
-        if cacheable:
-            self.cache.put(key, response)
-        return response
+    def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
+        """Answer hits from the cache and send the misses on as one batch.
 
-    def _score_answer(self, prompt: str) -> tuple[float, float]:
-        request = truth_request(prompt)
-        response = self._through_cache(
-            request, cacheable=True, seed=None,
-            call=lambda: dict(zip(("true_prob", "false_prob"),
-                                  self.inner._score_answer(prompt))))
-        return response["true_prob"], response["false_prob"]
+        A request repeating an earlier miss of the same batch is a hit
+        on that miss's answer, as it would be when asked after it. Trace
+        and cache entries are written in request order, up to the first
+        request that failed.
+        """
+        build, stored_form, answer_form = _CACHE_FORMS[primitive]
+        call = getattr(self.inner, primitive)
+        requests = [build(*args) for args in arguments]
+        stored: list[Optional[dict]] = [None] * len(requests)
+        # None for a cache hit, else the index of the miss that asks the model
+        answered_by: list[Optional[int]] = [None] * len(requests)
+        keys: list[Optional[str]] = [None] * len(requests)
+        first_miss: dict[str, int] = {}
+        misses = []
+        for index, (request, args) in enumerate(zip(requests, arguments)):
+            stochastic = (primitive == "_complete"
+                          and args[1].strategy is DecodingStrategy.NUCLEUS)
+            if self.cache is not None and (not stochastic or self.seed is not None):
+                key = keys[index] = cache_key(self.backend_id, request,
+                                              self.seed if stochastic else None)
+                stored[index] = self.cache.get(key)
+                if stored[index] is not None:
+                    continue
+                if key in first_miss:
+                    answered_by[index] = first_miss[key]
+                    continue
+                first_miss[key] = index
+            answered_by[index] = index
+            misses.append((index, args))
+        latency = [0.0] * len(requests)
 
-    def _complete(self, prompt: str, decoding: DecodingParams) -> list[str]:
-        request = completion_request(prompt, decoding)
-        stochastic = decoding.strategy is DecodingStrategy.NUCLEUS
-        cacheable = not stochastic or self.seed is not None
-        response = self._through_cache(
-            request, cacheable=cacheable, seed=self.seed if stochastic else None,
-            call=lambda: {"completions": self.inner._complete(prompt, decoding)})
-        return list(response["completions"])
+        def ask(index: int, args: tuple) -> None:
+            started = time.monotonic()
+            answer = stored_form(call(*args))
+            latency[index] = time.monotonic() - started
+            stored[index] = answer
 
-    def _completion_logprob(self, prompt: str, completion: str) -> float:
-        request = logprob_request(prompt, completion)
-        response = self._through_cache(
-            request, cacheable=True, seed=None,
-            call=lambda: {"logprob": self.inner._completion_logprob(prompt, completion)})
-        return response["logprob"]
+        try:
+            self.inner._batch([functools.partial(ask, index, args)
+                               for index, args in misses])
+        finally:
+            for index, (request, origin) in enumerate(zip(requests, answered_by)):
+                if origin is not None and stored[origin] is None:
+                    break  # this request, or the miss it repeats, failed
+                own = origin == index
+                self.trace.record(request_digest(request), request["kind"],
+                                  latency[index], cache_hit=not own)
+                if own and keys[index] is not None:
+                    self.cache.put(keys[index], stored[index])
+        return [answer_form(stored[index if origin is None else origin])
+                for index, origin in enumerate(answered_by)]

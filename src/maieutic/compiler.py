@@ -67,9 +67,14 @@ def consistency_weight(child: Proposition, parent: Proposition, label: bool,
     log-likelihood difference, so long explanations cannot underflow.
     Swapping the label yields the complement.
     """
-    own = backend.sequence_logprob(child.text, parent.text, label, prompts)
-    other = backend.sequence_logprob(child.text, parent.text, not label, prompts)
+    own, other = backend.sequence_logprobs(_edge_queries(child, parent, label), prompts)
     return _sigmoid(own - other)
+
+
+def _edge_queries(child: Proposition, parent: Proposition,
+                  label: bool) -> list[tuple[str, str, bool]]:
+    """The child explanation under its own label, then under the other one."""
+    return [(child.text, parent.text, label), (child.text, parent.text, not label)]
 
 
 def _sorted_literals(*literals: tuple[int, bool]) -> tuple[tuple[int, bool], ...]:
@@ -106,13 +111,18 @@ def compile_consistency_clauses(tree: MaieuticTree, backend: backend_ops.LmBacke
 
     A True-labeled edge compiles child implies parent, a False-labeled
     edge compiles child implies not-parent; in clause form the child
-    literal is negative and the parent literal carries the label.
+    literal is negative and the parent literal carries the label. The
+    log-likelihoods of every edge are asked as one batch.
     """
     variables = {node_id: var for var, node_id in variable_map(tree).items()}
+    edges = list(tree.edges())
+    logprobs = backend.sequence_logprobs(
+        [query for parent_id, label, child_id in edges
+         for query in _edge_queries(tree.node(child_id), tree.node(parent_id), label)],
+        prompts)
     clauses: list[WeightedClause] = []
-    for parent_id, label, child_id in tree.edges():
-        weight = consistency_weight(tree.node(child_id), tree.node(parent_id),
-                                    label, backend, prompts)
+    for index, (parent_id, label, child_id) in enumerate(edges):
+        weight = _sigmoid(logprobs[2 * index] - logprobs[2 * index + 1])
         if weight < MIN_CLAUSE_WEIGHT:
             continue
         literals = _sorted_literals((variables[child_id], False),

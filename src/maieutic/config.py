@@ -148,7 +148,11 @@ def build_engine(config: EngineConfig):
                 config.verifier.get("fixtures") or (),
                 strict=bool(config.verifier.get("strict", True)))
         elif verifier_kind == "http":
-            verifier = HttpNliVerifier(endpoint=config.verifier.get("endpoint"))
+            verifier = HttpNliVerifier(
+                endpoint=config.verifier.get("endpoint"),
+                timeout=float(config.verifier.get("timeout", 30.0)),
+                retries=int(config.verifier.get("retries", 3)),
+            )
         else:
             raise ValueError(f"unknown verifier kind {verifier_kind!r}")
     if config.mode is CompileMode.VERIFIER and verifier is None:

@@ -16,6 +16,7 @@ from typing import Optional
 from . import backend as backend_ops
 from .core import (
     ROOT_ID,
+    DecodingParams,
     Edge,
     Integrity,
     MaieuticTree,
@@ -25,7 +26,7 @@ from .core import (
     TreeConfig,
     child_id,
 )
-from .errors import ArgmaxTie, EmptyGeneration
+from .errors import ArgmaxTie
 from .prompts import normalize_statement
 
 
@@ -45,6 +46,19 @@ def _committed_answer(response: backend_ops.TruthResponse) -> Optional[bool]:
         return None
 
 
+def _integrity_check(direct: backend_ops.TruthResponse,
+                     negated: backend_ops.TruthResponse) -> IntegrityCheck:
+    answers = (_committed_answer(direct), _committed_answer(negated))
+    if answers == (True, False):
+        integrity = Integrity.INTEGRAL_TRUE
+    elif answers == (False, True):
+        integrity = Integrity.INTEGRAL_FALSE
+    else:
+        integrity = Integrity.NOT_INTEGRAL
+    return IntegrityCheck(integrity=integrity, true_prob=direct.true_prob,
+                          neg_true_prob=negated.true_prob)
+
+
 def check_integrity(statement: str, negated: str, backend: backend_ops.LmBackend,
                     prompts: PromptSet) -> IntegrityCheck:
     """Score a statement and its negation; classify the answer pattern.
@@ -56,17 +70,18 @@ def check_integrity(statement: str, negated: str, backend: backend_ops.LmBackend
     preference, so it cannot witness a committed answer). The belief
     ratio is later derived from the same two probabilities.
     """
-    direct = backend.true_prob(statement, prompts)
-    negated_response = backend.true_prob(negated, prompts)
-    answers = (_committed_answer(direct), _committed_answer(negated_response))
-    if answers == (True, False):
-        integrity = Integrity.INTEGRAL_TRUE
-    elif answers == (False, True):
-        integrity = Integrity.INTEGRAL_FALSE
-    else:
-        integrity = Integrity.NOT_INTEGRAL
-    return IntegrityCheck(integrity=integrity, true_prob=direct.true_prob,
-                          neg_true_prob=negated_response.true_prob)
+    return _integrity_check(*backend.true_probs([statement, negated], prompts))
+
+
+def _abductions(questions: list[str], decoding: DecodingParams,
+                backend: backend_ops.LmBackend,
+                prompts: PromptSet) -> list[tuple[list[str], list[str]]]:
+    """Deduplicated explanations for both labels of each question, as one batch."""
+    samples = backend.abductive_samples(
+        [(question, label) for question in questions for label in (True, False)],
+        prompts, decoding)
+    unique = [list(dict.fromkeys(texts)) for texts in samples]
+    return list(zip(unique[0::2], unique[1::2]))
 
 
 def abduction(question: str, config: TreeConfig, depth: int,
@@ -78,37 +93,44 @@ def abduction(question: str, config: TreeConfig, depth: int,
     label. A label whose samples are all empty contributes an empty
     list rather than failing the build; the other branch proceeds.
     """
-    decoding = config.decoding_for(depth)
-    results: list[list[str]] = []
-    for label in (True, False):
-        try:
-            samples = backend.sample_abductive(question, label, prompts, decoding)
-        except EmptyGeneration:
-            samples = []
-        unique: list[str] = []
-        for text in samples:
-            if text not in unique:
-                unique.append(text)
-        results.append(unique)
-    return results[0], results[1]
+    return _abductions([question], config.decoding_for(depth), backend, prompts)[0]
 
 
-def _checked_proposition(node_id: str, text: str, path_label: str,
-                         source_answer: Optional[bool], config: TreeConfig,
-                         backend: backend_ops.LmBackend,
-                         truth_prompts: PromptSet) -> Proposition:
-    negated = backend_ops.negate(text, config.negation_strategy, backend)
-    check = check_integrity(text, negated, backend, truth_prompts)
-    return Proposition(
-        id=node_id,
-        text=text,
-        negated_text=negated,
-        path_label=path_label,
-        source_answer=source_answer,
-        integrity=check.integrity,
-        true_prob=check.true_prob,
-        neg_true_prob=check.neg_true_prob,
-    )
+@dataclass(frozen=True)
+class _Pending:
+    """A node whose text is known and whose integrity is still to be checked."""
+
+    id: str
+    text: str
+    path_label: str
+    source_answer: Optional[bool]
+
+
+def _checked_propositions(pending: list[_Pending], config: TreeConfig,
+                          backend: backend_ops.LmBackend,
+                          truth_prompts: PromptSet) -> list[Proposition]:
+    """Negate every pending node, then score each statement and its
+    negation; each step is one batch."""
+    if not pending:
+        return []
+    texts = [node.text for node in pending]
+    negations = backend_ops.negate_all(texts, config.negation_strategy, backend)
+    responses = backend.true_probs(
+        [text for pair in zip(texts, negations) for text in pair], truth_prompts)
+    propositions = []
+    for index, (node, negated) in enumerate(zip(pending, negations)):
+        check = _integrity_check(responses[2 * index], responses[2 * index + 1])
+        propositions.append(Proposition(
+            id=node.id,
+            text=node.text,
+            negated_text=negated,
+            path_label=node.path_label,
+            source_answer=node.source_answer,
+            integrity=check.integrity,
+            true_prob=check.true_prob,
+            neg_true_prob=check.neg_true_prob,
+        ))
+    return propositions
 
 
 def build_tree(question: str, config: TreeConfig, backend: backend_ops.LmBackend,
@@ -119,39 +141,38 @@ def build_tree(question: str, config: TreeConfig, backend: backend_ops.LmBackend
     question is the inference target rather than evidence. Deeper
     nodes expand only while not integral. Children equal to their
     parent's text are discarded as degenerate echoes.
+
+    Each depth is grown in dependent rounds, each one batch of
+    requests: the abductions of every expanding parent, then (with
+    ``lm_generated`` negation) the children's negations, then the truth
+    checks of every child and its negation.
     """
     if truth_prompts.mode is not PromptMode.QA_PAIRS:
         raise ValueError("integrity checking requires qa_pairs prompts")
     if abductive_prompts.mode is not PromptMode.ABDUCTIVE_TRIPLES:
         raise ValueError("tree growth requires abductive_triples prompts")
-    root_text = normalize_statement(question)
+    root = _Pending(ROOT_ID, normalize_statement(question), "", None)
     nodes: dict[str, Proposition] = {
-        ROOT_ID: _checked_proposition(ROOT_ID, root_text, "", None, config,
-                                      backend, truth_prompts)
-    }
+        ROOT_ID: _checked_propositions([root], config, backend, truth_prompts)[0]}
     children: dict[str, list[Edge]] = {}
     frontier = [ROOT_ID]
     for depth in range(1, config.depth_limit + 1):
-        next_frontier: list[str] = []
-        for parent_id in frontier:
-            parent = nodes[parent_id]
-            if parent_id != ROOT_ID and parent.integrity.is_integral:
-                continue
-            for_true, for_false = abduction(parent.text, config, depth,
-                                            backend, abductive_prompts)
-            for label, texts in ((True, for_true), (False, for_false)):
-                index = 0
-                for text in texts:
-                    if text == parent.text:
-                        continue
-                    node_id = child_id(parent_id, label, index)
+        parents = [nodes[parent_id] for parent_id in frontier
+                   if parent_id == ROOT_ID or not nodes[parent_id].integrity.is_integral]
+        explained = _abductions([parent.text for parent in parents],
+                                config.decoding_for(depth), backend, abductive_prompts)
+        pending: list[_Pending] = []
+        for parent, by_label in zip(parents, explained):
+            for label, texts in zip((True, False), by_label):
+                kept = [text for text in texts if text != parent.text]
+                for index, text in enumerate(kept):
+                    node_id = child_id(parent.id, label, index)
                     path = parent.path_label + ("T" if label else "F")
-                    nodes[node_id] = _checked_proposition(
-                        node_id, text, path, label, config, backend, truth_prompts)
-                    children.setdefault(parent_id, []).append((label, node_id))
-                    next_frontier.append(node_id)
-                    index += 1
-        frontier = next_frontier
+                    pending.append(_Pending(node_id, text, path, label))
+                    children.setdefault(parent.id, []).append((label, node_id))
+        for proposition in _checked_propositions(pending, config, backend, truth_prompts):
+            nodes[proposition.id] = proposition
+        frontier = [node.id for node in pending]
     tree = MaieuticTree(nodes=nodes, children=children, config=config)
     tree.validate()
     return tree

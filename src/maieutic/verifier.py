@@ -8,15 +8,16 @@ not-hypothesis, neutral to nothing. Every clause weighs 1.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .backend import post_json
+from .backend import fan_out, post_json
 from .core import ClauseOrigin, MaieuticTree, WeightedClause, tree_nodes, variable_map
 from .errors import MalformedResponse, MissingFixture
 
@@ -64,12 +65,17 @@ class NliJudgment:
 
 
 class NliVerifier:
-    """Interface: judge one ordered (premise, hypothesis) pair."""
+    """Interface: judge one ordered (premise, hypothesis) pair, or many."""
 
     verifier_id: str = "nli"
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
         raise NotImplementedError
+
+    def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
+        """Judgments of independent pairs in request order; a plain loop
+        that stops at the first failure."""
+        return [self.nli(premise, hypothesis) for premise, hypothesis in pairs]
 
 
 def _judgment_from_record(premise: str, hypothesis: str, record: Mapping) -> NliJudgment:
@@ -126,7 +132,8 @@ class HttpNliVerifier(NliVerifier):
     """Client for an NLI service: POST {premise, hypothesis} -> {label, probs}.
 
     The endpoint may come from the ``MAIEUTIC_NLI_ENDPOINT``
-    environment variable; requests go through :func:`~maieutic.backend.post_json`.
+    environment variable; requests go through :func:`~maieutic.backend.post_json`,
+    a batch through :func:`~maieutic.backend.fan_out`.
     """
 
     def __init__(self, endpoint: Optional[str] = None, timeout: float = 30.0,
@@ -147,30 +154,33 @@ class HttpNliVerifier(NliVerifier):
                             backoff=self.backoff)
         return _judgment_from_record(premise, hypothesis, payload)
 
+    def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
+        return fan_out([functools.partial(self.nli, premise, hypothesis)
+                        for premise, hypothesis in pairs])
+
 
 def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[WeightedClause]:
     """Implication clauses of weight 1 from NLI judgments over all ordered node pairs.
 
-    Pairs are visited in pre-order; clauses with an identical literal
-    set (for instance a contradiction judged in both orders) merge into
-    one, keeping the first.
+    All pairs are judged as one batch and visited in pre-order; clauses
+    with an identical literal set (for instance a contradiction judged
+    in both orders) merge into one, keeping the first.
     """
     variables = {node_id: var for var, node_id in variable_map(tree).items()}
     ordered = tree_nodes(tree)
+    pairs = [(first, second) for first in ordered for second in ordered
+             if first.id != second.id]
+    judgments = verifier.nli_batch([(first.text, second.text) for first, second in pairs])
     merged: dict[frozenset, WeightedClause] = {}
-    for first in ordered:
-        for second in ordered:
-            if first.id == second.id:
-                continue
-            judgment = verifier.nli(first.text, second.text)
-            if judgment.label is NliLabel.NEUTRAL:
-                continue
-            hypothesis_polarity = judgment.label is NliLabel.ENTAIL
-            literals = tuple(sorted(((variables[first.id], False),
-                                     (variables[second.id], hypothesis_polarity))))
-            key = frozenset(literals)
-            if key in merged:
-                continue
-            merged[key] = WeightedClause(literals=literals, weight=1.0,
-                                         origin=ClauseOrigin.NLI)
+    for (first, second), judgment in zip(pairs, judgments):
+        if judgment.label is NliLabel.NEUTRAL:
+            continue
+        hypothesis_polarity = judgment.label is NliLabel.ENTAIL
+        literals = tuple(sorted(((variables[first.id], False),
+                                 (variables[second.id], hypothesis_polarity))))
+        key = frozenset(literals)
+        if key in merged:
+            continue
+        merged[key] = WeightedClause(literals=literals, weight=1.0,
+                                     origin=ClauseOrigin.NLI)
     return list(merged.values())

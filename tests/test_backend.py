@@ -483,11 +483,62 @@ def test_http_requires_endpoint():
         HttpLmBackend("")
 
 
-def test_importing_the_package_leaves_requests_unloaded():
-    # requests is imported on the first HTTP call only, which keeps
-    # start-up fast for scripted and cached runs
+class _IdleDroppingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # replies leave the connection open...
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.request_count += 1
+        blob = json.dumps({"choices": [{"logprobs": {"top_logprobs": [
+            {" True": math.log(0.8), " False": math.log(0.2)}]}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(blob)))
+        self.end_headers()
+        self.wfile.write(blob)
+        self.close_connection = True  # ...but the server drops it once idle
+
+
+class _IdleDroppingServer(ThreadingHTTPServer):
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.dropped.release()
+
+
+def test_http_resends_once_on_a_connection_dropped_while_idle(monkeypatch):
+    slept = []
+    monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+    server = _IdleDroppingServer(("127.0.0.1", 0), _IdleDroppingHandler)
+    server.request_count = 0
+    server.dropped = threading.Semaphore(0)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        # a single attempt: a resend that spent one would fail the call
+        client = HttpLmBackend(f"http://127.0.0.1:{server.server_address[1]}/v1",
+                               retries=1)
+        for _ in range(3):
+            response = client.true_prob("Ice floats on water", TRUTH_PROMPTS)
+            assert response.true_prob == pytest.approx(0.8)
+            assert server.dropped.acquire(timeout=5)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert server.request_count == 3
+    assert slept == []
+
+
+def test_importing_the_package_leaves_http_client_unloaded():
+    # http.client (with ssl and email) is imported on the first HTTP
+    # call only, which keeps start-up fast for scripted and cached runs
     src = str(Path(maieutic.__file__).resolve().parents[1])
-    probe = "import sys, maieutic; print('requests' in sys.modules)"
+    probe = "import sys, maieutic; print('http.client' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "False"

@@ -19,7 +19,7 @@ from maieutic.core import (
 )
 from maieutic.prompts import default_prompt_set
 from maieutic.solver import import_wcnf
-from maieutic.verifier import NliLabel, ScriptedNliVerifier
+from maieutic.verifier import HttpNliVerifier, NliLabel, ScriptedNliVerifier
 from scenarios import (
     EVAL_ROWS,
     WAR_NLI_RECORDS,
@@ -169,6 +169,18 @@ def test_build_engine_wires_a_scripted_verifier(tmp_path, eval_fixture_file):
     engine = build_engine(config)
     assert isinstance(engine.verifier, ScriptedNliVerifier)
     assert engine.verifier.nli("unseen", "pair").label is NliLabel.NEUTRAL
+
+
+def test_build_engine_passes_http_verifier_timeout_and_retries(eval_fixture_file,
+                                                              monkeypatch):
+    monkeypatch.setenv("MAIEUTIC_NLI_ENDPOINT", "http://127.0.0.1:9/nli")
+    config = EngineConfig.from_dict({
+        "backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},
+        "verifier": {"kind": "http", "retries": 5, "timeout": 2},
+    })
+    verifier = build_engine(config).verifier
+    assert isinstance(verifier, HttpNliVerifier)
+    assert (verifier.retries, verifier.timeout) == (5, 2.0)
 
 
 def test_build_engine_verifier_mode_needs_a_verifier(eval_fixture_file):

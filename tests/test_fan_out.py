@@ -1,0 +1,250 @@
+"""Batched requests over HTTP: answers, clauses, cache and trace come out in
+request order whatever order the replies arrive in, and the shared
+executor never has more requests in flight than its cap."""
+from __future__ import annotations
+
+import json
+import math
+import random
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+import pytest
+
+from maieutic import harness
+from maieutic.backend import (
+    MAX_IN_FLIGHT,
+    CachedBackend,
+    FixtureBuilder,
+    HttpLmBackend,
+    ResponseCache,
+    ScriptedBackend,
+    TraceRecorder,
+)
+from maieutic.compiler import CompileMode, cnf_to_json
+from maieutic.errors import BackendUnavailable, MissingFixture
+from maieutic.verifier import HttpNliVerifier, ScriptedNliVerifier
+from scenarios import TRUTH_PROMPTS, random_world
+
+
+class _Tables:
+    """Wire-keyed answers to the requests a ``FixtureBuilder`` recorded."""
+
+    def __init__(self, builder: FixtureBuilder, nli_records=()):
+        self.truth, self.completion, self.logprob = {}, {}, {}
+        for digest, request in builder.sidecar.items():
+            response = builder.responses[digest]
+            prompt = request["prompt"]
+            if request["kind"] == "truth":
+                self.truth[prompt] = response
+            elif request["kind"] == "completion":
+                samples = request["decoding"]["sample_count"]
+                self.completion[(prompt, samples)] = response["completions"]
+            else:
+                self.logprob[f"{prompt} {request['completion']}"] = (len(prompt),
+                                                                      response["logprob"])
+        self.nli = {(r["premise"], r["hypothesis"]): r["label"] for r in nli_records}
+
+    def answer(self, path: str, body: dict) -> dict:
+        if path.endswith("/nli"):
+            pair = (body["premise"], body["hypothesis"])
+            same = pair[0] == pair[1]
+            return {"label": self.nli.get(pair, "entail" if same else "neutral")}
+        prompt = body["prompt"]
+        if body.get("echo"):
+            boundary, value = self.logprob[prompt]
+            return {"choices": [{"logprobs": {"text_offset": [0, boundary],
+                                              "token_logprobs": [None, value]}}]}
+        if body.get("max_tokens") == 1:
+            probs = self.truth[prompt]
+            top = {token: math.log(probs[key]) for token, key in
+                   ((" True", "true_prob"), (" False", "false_prob")) if probs[key] > 0}
+            return {"choices": [{"logprobs": {"top_logprobs": [top]}}]}
+        return {"choices": [{"text": text}
+                            for text in self.completion[(prompt, body["n"])]]}
+
+
+def _as_seen_over_http(builder: FixtureBuilder) -> ScriptedBackend:
+    """The scripted backend answering exactly what the HTTP client reads:
+    truth probabilities travel as log-probabilities."""
+    table = {}
+    for digest, response in builder.responses.items():
+        if "true_prob" in response:
+            response = {key: math.exp(math.log(value)) if value > 0 else 0.0
+                        for key, value in response.items()}
+        table[digest] = response
+    return ScriptedBackend(table, backend_id="http:default")
+
+
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # kept-alive connections
+    timeout = 2  # idle connections are dropped after this many seconds
+    disable_nagle_algorithm = True  # the body is a second write after the headers
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            arrival = server.arrivals
+            server.arrivals += 1
+            server.in_flight += 1
+            server.peak = max(server.peak, server.in_flight)
+        try:
+            delay, status, payload = server.respond(self.path, body, arrival)
+        except KeyError:
+            delay, status, payload = 0.0, 404, {"error": "unknown request"}
+        time.sleep(delay)
+        blob = json.dumps(payload).encode("utf-8")
+        with server.lock:
+            server.in_flight -= 1
+            server.replies.append(arrival)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(blob)))
+        self.end_headers()
+        self.wfile.write(blob)
+
+
+@pytest.fixture()
+def stub():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.lock = threading.Lock()
+    server.arrivals = server.in_flight = server.peak = 0
+    server.replies = []
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    server.base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _worlds(seeds) -> tuple[FixtureBuilder, list[str], list[dict]]:
+    """Random scenarios: merged fixtures, questions, and NLI records that
+    label one in five ordered statement pairs of each scenario."""
+    merged, questions, nli_records = FixtureBuilder(), [], []
+    rng = random.Random(11)
+    for seed in seeds:
+        world, question = random_world(seed)
+        merged.merge(world.builder)
+        questions.append(question)
+        nli_records += [{"premise": first, "hypothesis": second,
+                         "label": rng.choice(["entail", "contradict"])}
+                        for first in world.probs for second in world.probs
+                        if first != second and rng.random() < 0.2]
+    return merged, questions, nli_records
+
+
+def _cache_files(directory: Path) -> list[tuple[str, bytes]]:
+    return [(path.name, path.read_bytes()) for path in sorted(directory.iterdir())]
+
+
+@pytest.mark.parametrize("mode", [CompileMode.LIKELIHOOD, CompileMode.VERIFIER])
+def test_fan_out_answers_byte_identical_to_the_scripted_backend(stub, tmp_path, mode):
+    merged, questions, nli_records = _worlds(range(300, 308))
+    tables = _Tables(merged, nli_records)
+    delays = [0.0, 0.001, 0.002, 0.004, 0.006, 0.008]
+    random.Random(5).shuffle(delays)
+    stub.respond = lambda path, body, arrival: (
+        delays[arrival % len(delays)], 200, tables.answer(path, body))
+
+    def run(backend, verifier, tag):
+        trace = TraceRecorder()
+        engine = harness.Engine(
+            backend=CachedBackend(backend, ResponseCache(tmp_path / tag), seed=0,
+                                  trace=trace),
+            mode=mode, verifier=verifier)
+        results = [harness.infer(question, harness.Method.MAIEUTIC, engine)
+                   for question in questions]
+        records = [(entry["digest"], entry["purpose"], entry["cache_hit"])
+                   for entry in trace.records]
+        return ([harness.result_to_json(result) for result in results],
+                [cnf_to_json(result.cnf) for result in results if result.cnf is not None],
+                records, _cache_files(tmp_path / tag))
+
+    over_http = run(HttpLmBackend(stub.base + "/v1/completions", backoff=0.01),
+                    HttpNliVerifier(stub.base + "/nli", backoff=0.01), "http")
+    scripted = run(_as_seen_over_http(merged),
+                   ScriptedNliVerifier(nli_records, strict=False), "scripted")
+    assert over_http == scripted
+    unwrapped = harness.Engine(
+        backend=HttpLmBackend(stub.base + "/v1/completions", backoff=0.01),
+        mode=mode, verifier=HttpNliVerifier(stub.base + "/nli", backoff=0.01))
+    assert [harness.result_to_json(harness.infer(question, harness.Method.MAIEUTIC,
+                                                 unwrapped))
+            for question in questions] == scripted[0]
+    assert len(over_http[1]) >= 4  # most questions reach the solver
+    if mode is CompileMode.VERIFIER:
+        assert any('"origin": "nli"' in dump for dump in over_http[1])
+    assert stub.replies != sorted(stub.replies)  # replies did arrive out of order
+    assert stub.peak > 1
+
+
+def test_a_failed_batch_raises_its_first_failure_in_request_order(stub):
+    def respond(path, body, arrival):
+        if body["premise"] == "first bad":
+            return 0.05, 400, {"error": "first"}  # fails last in time
+        if body["premise"] == "second bad":
+            return 0.0, 400, {"error": "second"}
+        return 0.0, 200, {"label": "neutral"}
+
+    stub.respond = respond
+    verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
+    pairs = [("fine", "x"), ("first bad", "x"), ("second bad", "x"), ("also fine", "x")]
+    with pytest.raises(BackendUnavailable, match="first"):
+        verifier.nli_batch(pairs)
+    assert stub.arrivals == 4  # every request of the batch was sent
+
+
+def test_a_failed_batch_traces_and_caches_the_requests_before_the_failure(tmp_path):
+    builder = FixtureBuilder()
+    builder.truth("Ice floats on water", TRUTH_PROMPTS, 0.8, 0.2)
+    builder.truth("Copper conducts electricity", TRUTH_PROMPTS, 0.9, 0.1)
+    trace = TraceRecorder()
+    backend = CachedBackend(builder.backend(), ResponseCache(tmp_path), trace=trace)
+    with pytest.raises(MissingFixture):
+        backend.true_probs(["Ice floats on water", "Nothing answers this",
+                            "Copper conducts electricity"], TRUTH_PROMPTS)
+    assert [entry["cache_hit"] for entry in trace.records] == [False]
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_a_repeat_within_one_batch_is_a_hit_on_the_first(tmp_path):
+    builder = FixtureBuilder()
+    builder.truth("Ice floats on water", TRUTH_PROMPTS, 0.8, 0.2)
+    trace = TraceRecorder()
+    backend = CachedBackend(builder.backend(), ResponseCache(tmp_path), trace=trace)
+    first, again = backend.true_probs(["Ice floats on water"] * 2, TRUTH_PROMPTS)
+    assert first == again
+    assert [entry["cache_hit"] for entry in trace.records] == [False, True]
+
+
+def test_requests_in_flight_never_exceed_the_cap_under_evaluate(stub):
+    merged, questions, _ = _worlds(range(320, 332))
+    tables = _Tables(merged)
+    stub.respond = lambda path, body, arrival: (0.003, 200, tables.answer(path, body))
+    records = [harness.DatasetRecord(id=f"r{index}", question=question, gold=True)
+               for index, question in enumerate(questions)]
+    over_http = harness.Engine(backend=HttpLmBackend(stub.base + "/v1/completions",
+                                                     backoff=0.01))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
+    try:
+        report = harness.evaluate(records, harness.Method.MAIEUTIC, over_http, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    scripted = harness.Engine(backend=_as_seen_over_http(merged))
+    expected = harness.evaluate(records, harness.Method.MAIEUTIC, scripted, workers=4)
+    assert report.results == expected.results
+    assert 1 < stub.peak <= MAX_IN_FLIGHT

@@ -4,11 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from maieutic.backend import FixtureBuilder
+from maieutic.backend import CachedBackend, FixtureBuilder, TraceRecorder
 from maieutic.core import (
     DecodingParams,
     DecodingStrategy,
     Integrity,
+    NegationStrategy,
     Proposition,
     TreeConfig,
     tree_nodes,
@@ -110,6 +111,30 @@ def test_build_tree_fixed_scenario_shape():
     assert tree.node("T.0.F.0").path_label == "TF"
     # the integral False-branch child was not expanded further
     assert tree.children_of("F.0") == []
+
+
+def test_build_tree_negates_with_the_model_in_rounds():
+    greedy = DecodingParams(DecodingStrategy.GREEDY)
+    config = TreeConfig(depth_limit=1, decoding_schedule=(greedy,),
+                        negation_strategy=NegationStrategy.LM_GENERATED)
+    root, for_true, for_false = ("Copper conducts electricity", "Copper has free electrons.",
+                                 "Copper is a ceramic.")
+    builder = FixtureBuilder()
+    builder.abductive(root, True, ABDUCTIVE_PROMPTS, greedy, [for_true])
+    builder.abductive(root, False, ABDUCTIVE_PROMPTS, greedy, [for_false])
+    for text in (root, for_true, for_false):
+        builder.negation(text, f"It is false that {text}")
+        builder.truth(text, TRUTH_PROMPTS, 0.8, 0.2)
+        builder.truth(f"It is false that {text}", TRUTH_PROMPTS, 0.3, 0.7)
+    trace = TraceRecorder()
+    tree = build_tree(root + "?", config, CachedBackend(builder.backend(), None, trace=trace),
+                      TRUTH_PROMPTS, ABDUCTIVE_PROMPTS)
+    assert tree.node("F.0").negated_text == f"It is false that {for_false}"
+    assert tree.node("F.0").integrity is Integrity.INTEGRAL_TRUE
+    # root negation, root truth pair, both abductions, both children's
+    # negations, then both children's truth pairs
+    assert [entry["purpose"] for entry in trace.records] == (
+        ["completion"] + ["truth"] * 2 + ["completion"] * 4 + ["truth"] * 4)
 
 
 def test_root_expands_even_when_integral():

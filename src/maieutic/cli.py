@@ -68,6 +68,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    if report.error_count:
+        print(f"error: {report.error_count} of {report.record_count} records failed; "
+              "their rows in the results carry the error", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -285,6 +285,7 @@ class MetricsReport:
     correct_count: int
     pair_count: int
     pair_correct_count: int
+    error_count: int
     warnings: list[str] = field(default_factory=list)
     results: list[dict] = field(default_factory=list)
 
@@ -296,6 +297,7 @@ class MetricsReport:
             "correct_count": self.correct_count,
             "pair_count": self.pair_count,
             "pair_correct_count": self.pair_correct_count,
+            "error_count": self.error_count,
             "warnings": list(self.warnings),
         }
 
@@ -349,6 +351,11 @@ def _result_line(record: DatasetRecord, result: InferenceResult) -> dict:
     }
 
 
+def _error_line(record: DatasetRecord, exc: Exception) -> dict:
+    return {"id": record.id, "correct": False,
+            "error": type(exc).__name__, "message": str(exc)}
+
+
 def _config_hash(engine: Engine, method: Method) -> str:
     payload = {
         "method": method.value,
@@ -386,18 +393,26 @@ def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
 
     Records are processed by a thread pool but reported strictly in
     input order, so two runs over the same fixtures produce identical
-    JSONL bytes. Pairwise accuracy credits a pair only when both
-    members are answered correctly.
+    JSONL bytes. A record whose inference raises gets an error row
+    (its id, the error class and message) instead of a result row,
+    counts as answered wrongly and is counted in ``error_count``; the
+    other records are unaffected. Pairwise accuracy credits a pair
+    only when both members are answered correctly.
     """
     if not records:
         raise ValueError("empty dataset")
     identifiers = [record.id for record in records]
     if len(set(identifiers)) != len(identifiers):
         raise ValueError("duplicate record ids in dataset")
+
+    def attempt(record: DatasetRecord) -> dict:
+        try:
+            return _result_line(record, infer(record.question, method, engine))
+        except Exception as exc:  # one failed record must not end the run
+            return _error_line(record, exc)
+
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        outcomes = list(pool.map(
-            lambda record: infer(record.question, method, engine), records))
-    lines = [_result_line(record, result) for record, result in zip(records, outcomes)]
+        lines = list(pool.map(attempt, records))
     warnings: list[str] = []
     correct_by_id = {line["id"]: line["correct"] for line in lines}
     correct = sum(1 for line in lines if line["correct"])
@@ -409,6 +424,7 @@ def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
         correct_count=correct,
         pair_count=pair_count,
         pair_correct_count=pair_correct,
+        error_count=sum(1 for line in lines if "error" in line),
         warnings=warnings,
         results=lines,
     )

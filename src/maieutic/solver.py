@@ -1,30 +1,29 @@
 """Weighted MAX-SAT: an exhaustive oracle, an exact branch-and-bound
 solver, and DIMACS WCNF import/export.
 
-Both solvers share one tie-breaking contract: among all optima they
-return the lexicographically smallest value vector over variables in
-ascending id order, with False ordered before True. The brute-force
-oracle gets this by enumerating assignments as integers (first
-variable in the high bit); the branch-and-bound solver first
-establishes the optimal weight, then fixes variables one at a time,
-keeping False whenever the optimum stays reachable.
+Both solvers are exact at every weight scale: they compare assignments
+by integer weights in exact proportion to the clause weights. They
+share one tie-breaking contract: among all optima they return the
+lexicographically smallest value vector over variables in ascending id
+order, with False ordered before True. The brute-force oracle gets
+this by enumerating assignments as integers (first variable in the
+high bit) and keeping the first exact best; the branch-and-bound
+solver adds a soft unit clause ¬x_i of weight 2**(n-1-i) for the i-th
+of n variables, under weights shifted left by n bits, so that the
+smallest optimum is the only one.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 from .core import ClauseOrigin, Literal, WeightedClause, WeightedCnf
 from .errors import ParseError, TooManyVariables, UnassignedVariable, WeightOverflow
 
 MAX_BRUTE_VARIABLES = 24
 _CHUNK = 1 << 20
-_EPS = 1e-9
 
 WCNF_SCALE = 10 ** 6
 _MAX_WCNF_WEIGHT = 2 ** 63 - 1
@@ -71,12 +70,28 @@ def _finish(cnf: WeightedCnf, values: dict[int, bool]) -> Assignment:
     return Assignment(values=values, satisfied_weight=satisfied, violated=violated)
 
 
+def _integer_weights(cnf: WeightedCnf) -> list[int]:
+    """Clause weights as integers in exact proportion to the float weights.
+
+    Every finite float is a dyadic rational, so scaling each by the
+    largest denominator among them loses nothing.
+    """
+    ratios = [clause.weight.as_integer_ratio() for clause in cnf.clauses]
+    scale = max((denominator for _, denominator in ratios), default=1)
+    return [numerator * (scale // denominator) for numerator, denominator in ratios]
+
+
 def solve_brute(cnf: WeightedCnf) -> Assignment:
     """Exhaustive optimum over all assignments; the testing oracle.
 
     Restricted to ``MAX_BRUTE_VARIABLES`` variables. Candidate
-    assignments are scored in blocks so memory stays bounded.
+    assignments are scored in blocks with float sums, so memory stays
+    bounded; the candidates within the float error bound of a block's
+    best are rescored exactly with the integer weights :func:`solve`
+    uses, and the first exact best wins.
     """
+    import numpy as np  # only the oracle needs it; ``import maieutic`` stays without
+
     ids = sorted(cnf.variables)
     count = len(ids)
     if count > MAX_BRUTE_VARIABLES:
@@ -85,35 +100,44 @@ def solve_brute(cnf: WeightedCnf) -> Assignment:
     if count == 0:
         return _finish(cnf, {})
     shift = {var: count - 1 - pos for pos, var in enumerate(ids)}
-    best_weight = -math.inf
-    best_index = 0
+
+    def satisfied(literals: Sequence[Literal], candidates: np.ndarray) -> np.ndarray:
+        hit = np.zeros(len(candidates), dtype=bool)
+        for var, polarity in literals:
+            hit |= ((candidates >> shift[var]) & 1) == polarity
+        return hit
+
+    weights = _integer_weights(cnf)
+    # a float sum of m positive weights is off by under m * 2**-53 of their
+    # total, so an exact best's float score is within twice that of the top
+    slack = (len(cnf.clauses) + 1) * 2.0 ** -52 * cnf.total_weight()
+    best_weight, best_index = -1, 0
     for start in range(0, 1 << count, _CHUNK):
-        stop = min(start + _CHUNK, 1 << count)
-        candidates = np.arange(start, stop, dtype=np.int64)
-        scores = np.zeros(stop - start)
-        for clause in cnf.clauses:
-            satisfied = np.zeros(stop - start, dtype=bool)
-            for var, polarity in clause.literals:
-                bits = (candidates >> shift[var]) & 1
-                satisfied |= bits == (1 if polarity else 0)
-            scores[satisfied] += clause.weight
-        local = int(np.argmax(scores))
-        if scores[local] > best_weight:
-            best_weight = float(scores[local])
-            best_index = start + local
+        shortlist = np.arange(start, min(start + _CHUNK, 1 << count), dtype=np.int64)
+        if np.isfinite(slack):  # else float sums overflow: rescore every candidate
+            scores = np.zeros(len(shortlist))
+            for clause in cnf.clauses:
+                scores[satisfied(clause.literals, shortlist)] += clause.weight
+            shortlist = shortlist[scores >= scores.max() - slack]
+        exact = np.zeros(len(shortlist), dtype=object)
+        for clause, weight in zip(cnf.clauses, weights):
+            exact[satisfied(clause.literals, shortlist)] += weight
+        local = int(np.argmax(exact))  # the first maximum: the smallest assignment
+        if exact[local] > best_weight:
+            best_weight, best_index = exact[local], int(shortlist[local])
     values = {var: bool((best_index >> shift[var]) & 1) for var in ids}
     return _finish(cnf, values)
 
 
 # --- branch and bound ---
 
-_SearchClause = tuple[tuple[Literal, ...], float]
+_SearchClause = tuple[tuple[Literal, ...], int]
 
 
 def _simplify(clauses: list[_SearchClause], var: int,
-              value: bool) -> tuple[list[_SearchClause], float]:
+              value: bool) -> tuple[list[_SearchClause], int]:
     """Apply one assignment; returns the reduced clause list and the weight it satisfies."""
-    satisfied = 0.0
+    satisfied = 0
     out: list[_SearchClause] = []
     for literals, weight in clauses:
         if (var, value) in literals:
@@ -129,112 +153,103 @@ def _simplify(clauses: list[_SearchClause], var: int,
     return out, satisfied
 
 
-def _propagate(clauses: list[_SearchClause], banked: float) -> tuple[list[_SearchClause], float]:
-    """Weight-safe forced assignments: pure literals and dominant unit clauses.
+def _propagate(clauses: list[_SearchClause], banked: int,
+               values: dict[int, bool]) -> tuple[list[_SearchClause], int]:
+    """Forced assignments, recorded in ``values``.
 
-    A pure literal satisfies every clause it touches at no cost. A unit
-    clause forces its literal once its weight covers the combined weight
-    of every clause holding the opposite literal: flipping toward the
-    unit then never loses weight.
+    A literal is forced once the unit clauses on it weigh at least as
+    much as every clause holding the opposite literal together; a pure
+    literal is the case with nothing against it. Flipping toward a
+    forced literal never loses weight, and because the optimum is
+    unique (see :func:`solve`) it already holds every forced literal.
+    Forcing one literal keeps the others forced, so each round applies
+    all it finds.
     """
     while True:
-        polarity_seen: dict[int, set[bool]] = {}
-        for literals, _ in clauses:
-            for var, value in literals:
-                polarity_seen.setdefault(var, set()).add(value)
-        pures = [(var, next(iter(seen))) for var, seen in polarity_seen.items()
-                 if len(seen) == 1]
-        if pures:
-            for var, value in pures:
-                clauses, gained = _simplify(clauses, var, value)
-                banked += gained
-            continue
-        incident: dict[Literal, float] = {}
+        incident: dict[Literal, int] = {}
+        unit: dict[Literal, int] = {}
         for literals, weight in clauses:
             for lit in literals:
-                incident[lit] = incident.get(lit, 0.0) + weight
-        forced = None
-        for literals, weight in clauses:
+                incident[lit] = incident.get(lit, 0) + weight
             if len(literals) == 1:
-                (var, value), = literals
-                if weight >= incident.get((var, not value), 0.0):
-                    forced = (var, value)
-                    break
-        if forced is None:
+                unit[literals[0]] = unit.get(literals[0], 0) + weight
+        forced = [(var, value) for var, value in incident
+                  if unit.get((var, value), 0) >= incident.get((var, not value), 0)]
+        if not forced:
             return clauses, banked
-        clauses, gained = _simplify(clauses, *forced)
-        banked += gained
+        for var, value in forced:
+            values[var] = value
+            clauses, gained = _simplify(clauses, var, value)
+            banked += gained
 
 
 def _branch_variable(clauses: list[_SearchClause]) -> int:
-    incident: dict[int, float] = {}
+    incident: dict[int, int] = {}
     for literals, weight in clauses:
         for var, _ in literals:
-            incident[var] = incident.get(var, 0.0) + weight
+            incident[var] = incident.get(var, 0) + weight
     return max(incident, key=lambda var: (incident[var], -var))
 
 
-def _optimize(clauses: list[_SearchClause], banked: float, state: dict) -> None:
-    """Raise ``state['best']`` to the subproblem optimum; stops early at the target."""
-    target = state["target"]
-    if target is not None and state["best"] >= target:
-        return
-    clauses, banked = _propagate(clauses, banked)
+def _heavier_value(clauses: list[_SearchClause], var: int) -> bool:
+    gain_true = sum(w for lits, w in clauses if (var, True) in lits)
+    gain_false = sum(w for lits, w in clauses if (var, False) in lits)
+    return gain_true > gain_false
+
+
+def _optimize(clauses: list[_SearchClause], banked: int, values: dict[int, bool],
+              state: dict) -> None:
+    """Record in ``state`` the subproblem's best leaf if it beats the incumbent."""
+    values = dict(values)
+    clauses, banked = _propagate(clauses, banked, values)
     if not clauses:
         if banked > state["best"]:
-            state["best"] = banked
+            state["best"], state["values"] = banked, values
         return
     if banked + sum(weight for _, weight in clauses) <= state["best"]:
         return
     var = _branch_variable(clauses)
-    gain_true = sum(w for lits, w in clauses if (var, True) in lits)
-    gain_false = sum(w for lits, w in clauses if (var, False) in lits)
-    for value in ((True, False) if gain_true > gain_false else (False, True)):
+    first = _heavier_value(clauses, var)
+    for value in (first, not first):
         reduced, gained = _simplify(clauses, var, value)
-        _optimize(reduced, banked + gained, state)
+        values[var] = value
+        _optimize(reduced, banked + gained, values, state)
 
 
-def _greedy_seed(clauses: list[_SearchClause], ids: Sequence[int]) -> float:
-    banked = 0.0
+def _greedy_seed(clauses: list[_SearchClause], ids: Sequence[int]) -> dict:
+    """An incumbent: each variable in id order takes its heavier polarity."""
+    banked = 0
+    values: dict[int, bool] = {}
     for var in ids:
-        gain_true = sum(w for lits, w in clauses if (var, True) in lits)
-        gain_false = sum(w for lits, w in clauses if (var, False) in lits)
-        clauses, gained = _simplify(clauses, var, gain_true > gain_false)
+        values[var] = _heavier_value(clauses, var)
+        clauses, gained = _simplify(clauses, var, values[var])
         banked += gained
-    return banked
+    return {"best": banked, "values": values}
 
 
 def solve(cnf: WeightedCnf) -> Assignment:
-    """Exact optimum by branch and bound, then lexicographic reconstruction.
+    """Exact optimum by branch and bound over integer weights.
 
-    Phase one finds the optimal satisfied weight (propagation, a
-    remaining-weight upper bound, branching on the variable with the
-    most incident weight, heavier polarity first). Phase two walks the
-    variables in id order and keeps False wherever the optimum remains
-    reachable, so the returned assignment matches ``solve_brute``.
+    Clause weights become exact integers (:func:`_integer_weights`),
+    shifted left by n bits for n variables. The tie rule then joins
+    the objective as a soft unit clause ¬x_i of weight 2**(n-1-i) for
+    the i-th variable in id order: together these weigh less than one
+    unit of a shifted weight, so they only decide between optima, and
+    they decide for the lexicographically smallest one, which makes the
+    optimum unique. One search (propagation, a remaining-weight upper
+    bound, branching on the variable with the most incident weight,
+    heavier polarity first) from a greedy incumbent records the values
+    of its best leaf, which therefore match ``solve_brute``.
     """
     ids = sorted(cnf.variables)
-    clauses: list[_SearchClause] = [(clause.literals, clause.weight)
-                                    for clause in cnf.clauses]
-    state = {"best": _greedy_seed(clauses, ids), "target": None}
-    _optimize(clauses, 0.0, state)
-    threshold = state["best"] - _EPS
-
-    values: dict[int, bool] = {}
-    active = clauses
-    banked = 0.0
-    for var in ids:
-        reduced, gained = _simplify(active, var, False)
-        probe = {"best": -math.inf, "target": threshold}
-        _optimize(reduced, banked + gained, probe)
-        if probe["best"] >= threshold:
-            values[var] = False
-        else:
-            values[var] = True
-            reduced, gained = _simplify(active, var, True)
-        active = reduced
-        banked += gained
-    return _finish(cnf, values)
+    count = len(ids)
+    clauses: list[_SearchClause] = [
+        (clause.literals, weight << count)
+        for clause, weight in zip(cnf.clauses, _integer_weights(cnf))]
+    clauses += [(((var, False),), 1 << (count - 1 - pos)) for pos, var in enumerate(ids)]
+    state = _greedy_seed(clauses, ids)
+    _optimize(clauses, 0, {}, state)
+    return _finish(cnf, {var: state["values"][var] for var in ids})
 
 
 def assignment_by_node(cnf: WeightedCnf, assignment: Assignment) -> dict[str, bool]:

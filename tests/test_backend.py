@@ -542,3 +542,12 @@ def test_importing_the_package_leaves_http_client_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy serves only the exhaustive test oracle, which imports it itself
+    src = str(Path(maieutic.__file__).resolve().parents[1])
+    probe = "import sys, maieutic; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"

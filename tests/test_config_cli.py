@@ -277,6 +277,32 @@ def test_cli_eval_prints_the_report(capsys, tmp_path, eval_fixture_file,
     assert (tmp_path / "results.jsonl.manifest.json").exists()
 
 
+def test_cli_eval_isolates_a_failing_record(capsys, tmp_path, eval_fixture_file):
+    dataset = tmp_path / "mixed.jsonl"
+    dataset.write_text(
+        '{"id": "known", "question": "Trains run on rails?", "label": true}\n'
+        '{"id": "unknown", "question": "Is the moon made of cheese?", "label": false}\n',
+        encoding="utf-8")
+    results = tmp_path / "results.jsonl"
+    rc = cli.main(["eval", str(dataset), "--method", "standard",
+                   "--backend", str(eval_fixture_file), "--results", str(results)])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert "1 of 2 records failed" in captured.err
+    report = json.loads(captured.out)
+    assert report["error_count"] == 1
+    assert report["correct_count"] == 1 and report["record_count"] == 2
+    rows = [json.loads(line) for line in results.read_text(encoding="utf-8").splitlines()]
+    assert rows[0] == {"id": "known", "question": "Trains run on rails?", "gold": True,
+                       "pair_id": None, "answer": True, "correct": True,
+                       "method": "standard", "fallback_used": False,
+                       "true_propositions": [], "satisfied_weight": None}
+    assert rows[1]["id"] == "unknown" and rows[1]["correct"] is False
+    assert rows[1]["error"] == "MissingFixture"
+    assert rows[1]["message"]
+    assert set(rows[1]) == {"id", "correct", "error", "message"}
+
+
 def test_cli_tree_converts_both_ways(capsys, tmp_path):
     source = tmp_path / "tree.json"
     source.write_text(tree_to_json(fixed_tree()), encoding="utf-8")

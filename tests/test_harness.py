@@ -316,6 +316,7 @@ def test_evaluate_matches_hand_counts(data_dir, tmp_path):
     assert report.correct_count == 9 and report.record_count == 12
     assert report.pair_count == 6 and report.pair_correct_count == 4
     assert report.pairwise_accuracy == 4 / 6
+    assert report.error_count == 0
     assert report.warnings == []
     assert report.to_dict()["accuracy"] == 0.75
 

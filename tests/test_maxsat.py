@@ -106,6 +106,28 @@ def test_solvers_agree_on_random_instances():
         assert fast.violated == brute.violated
 
 
+def test_large_weights_still_break_ties_exactly(tmp_path):
+    # one ulp at 2.7e8 is about 6e-8, so an absolute tolerance on float
+    # sums cannot tell these optima apart
+    path = tmp_path / "scales.wcnf"
+    path.write_text("p wcnf 3 4 268435456100002\n"
+                    "1000000 1 -2 -3 0\n"
+                    "1 -1 0\n"
+                    "100000 -1 -2 0\n"
+                    "268435455000000 -1 0\n", encoding="utf-8")
+    cnf = import_wcnf(path)
+    fast = solve(cnf)
+    brute = solve_brute(cnf)
+    assert fast.values == brute.values == {1: False, 2: False, 3: False}
+    assert fast.satisfied_weight == brute.satisfied_weight
+
+
+def test_solvers_agree_when_float_sums_overflow():
+    cnf = _cnf([([(1, True)], 1e308), ([(2, True)], 1e308), ([(1, False)], 1.0)],
+               n_vars=2)
+    assert solve(cnf).values == solve_brute(cnf).values == {1: True, 2: True}
+
+
 def test_solve_is_deterministic():
     rng = np.random.default_rng(7)
     cnf = random_cnf(rng, max_vars=15, max_clauses=50)

@@ -1,0 +1,124 @@
+"""Property-based checks of the core invariants: the solver equals the
+exhaustive oracle at every weight scale, pruning is idempotent, and
+the WCNF exchange format round-trips."""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maieutic.core import (
+    ROOT_ID,
+    ClauseOrigin,
+    Integrity,
+    MaieuticTree,
+    Proposition,
+    WeightedClause,
+    WeightedCnf,
+    tree_nodes,
+    tree_to_dict,
+)
+from maieutic.solver import export_wcnf, import_wcnf, solve, solve_brute
+from maieutic.tree_builder import prune
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+# plain draws from the range, and draws spread evenly over its decades
+WEIGHTS = st.one_of(st.floats(min_value=1e-6, max_value=1e9),
+                    st.floats(min_value=-6.0, max_value=9.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def mixed_scale_cnfs(draw, max_vars: int = 8, max_clauses: int = 12) -> WeightedCnf:
+    count = draw(st.integers(1, max_vars))
+    clauses = []
+    for _ in range(draw(st.integers(1, max_clauses))):
+        chosen = draw(st.lists(st.integers(1, count), min_size=1,
+                               max_size=min(3, count), unique=True))
+        clauses.append(WeightedClause(
+            literals=tuple((var, draw(st.booleans())) for var in sorted(chosen)),
+            weight=draw(WEIGHTS), origin=draw(st.sampled_from(list(ClauseOrigin)))))
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=count,
+                          max_size=count))
+    return WeightedCnf(variables=dict(enumerate(names, start=1)), clauses=clauses)
+
+
+@PROPERTY
+@given(cnf=mixed_scale_cnfs())
+def test_solve_matches_the_oracle_at_mixed_weight_scales(cnf):
+    assert solve(cnf) == solve_brute(cnf)
+
+
+@PROPERTY
+@given(cnf=mixed_scale_cnfs(), hard=st.sets(st.integers(0, 11)))
+def test_solve_matches_the_oracle_on_imported_hard_clauses(tmp_path_factory, cnf, hard):
+    path = export_wcnf(cnf, tmp_path_factory.mktemp("wcnf") / "instance.wcnf")
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    top = header.split()[-1]
+    # a clause at the header's top weight is hard in the format; import
+    # keeps it as a very heavy soft clause
+    body = [top + line[line.index(" "):] if index in hard else line
+            for index, line in enumerate(body)]
+    path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+    back = import_wcnf(path)
+    assert solve(back) == solve_brute(back)
+
+
+@PROPERTY
+@given(cnf=mixed_scale_cnfs())
+def test_wcnf_export_and_import_round_trip(tmp_path_factory, cnf):
+    directory = tmp_path_factory.mktemp("wcnf")
+    path = export_wcnf(cnf, directory / "first.wcnf")
+    back = import_wcnf(path)
+    assert back.variables == cnf.variables
+    assert [c.literals for c in back.clauses] == [c.literals for c in cnf.clauses]
+    assert [c.origin for c in back.clauses] == [c.origin for c in cnf.clauses]
+    for restored, original in zip(back.clauses, cnf.clauses):
+        assert abs(restored.weight - original.weight) <= 1e-6
+    again = export_wcnf(back, directory / "second.wcnf")
+    assert again.read_bytes() == path.read_bytes()
+    assert (directory / "second.wcnf.map.json").read_bytes() == \
+        (directory / "first.wcnf.map.json").read_bytes()
+
+
+# (true_prob, neg_true_prob) consistent with each checked integrity
+PROBABILITIES = {Integrity.INTEGRAL_TRUE: (0.9, 0.1), Integrity.INTEGRAL_FALSE: (0.1, 0.9),
+                 Integrity.NOT_INTEGRAL: (0.6, 0.6)}
+
+
+@st.composite
+def trees(draw) -> MaieuticTree:
+    """Trees within the default shape: up to three children per label at
+    the root, one per label below it, two levels deep."""
+    nodes: dict[str, Proposition] = {}
+    children: dict[str, list] = {}
+
+    def grow(node_id: str, path: str, answer, width: int) -> None:
+        integrity = draw(st.sampled_from(list(PROBABILITIES)))
+        true_prob, neg_true_prob = PROBABILITIES[integrity]
+        nodes[node_id] = Proposition(
+            id=node_id, text=f"Statement {node_id}.", negated_text=f"Not {node_id}.",
+            path_label=path, source_answer=answer, integrity=integrity,
+            true_prob=true_prob, neg_true_prob=neg_true_prob)
+        if width == 0:
+            return
+        stem = "" if node_id == ROOT_ID else node_id + "."
+        for label, letter in ((True, "T"), (False, "F")):
+            for index in range(draw(st.integers(0, width))):
+                child = f"{stem}{letter}.{index}"
+                children.setdefault(node_id, []).append((label, child))
+                grow(child, path + letter, label, 1 if width > 1 else 0)
+
+    grow(ROOT_ID, "", None, 3)
+    tree = MaieuticTree(nodes=nodes, children=children)
+    tree.validate()
+    return tree
+
+
+@PROPERTY
+@given(tree=trees())
+def test_prune_is_idempotent(tree):
+    pruned = prune(tree)
+    assert tree_to_dict(prune(pruned)) == tree_to_dict(pruned)
+    for node in tree_nodes(pruned):
+        if node.id != pruned.root_id and not pruned.children_of(node.id):
+            assert node.integrity.is_integral

@@ -6,16 +6,17 @@ completion, completion log-likelihood); the public query operations
 render prompts, delegate to the primitives and validate what comes
 back. Requests are identified by a digest over the rendered prompt and
 decoding parameters, which is also the fixture key of the scripted
-backend and the basis of the cache key.
+backend. The caching wrapper digests each request once and derives its
+cache key from that digest.
 """
 from __future__ import annotations
 
+import atexit
 import functools
 import hashlib
 import json
 import math
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -42,10 +43,6 @@ DEFAULT_EXPLANATION_DECODING = DecodingParams(
     stop_sequences=prompt_templates.EXPLANATION_STOP_SEQUENCES)
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -64,15 +61,16 @@ def logprob_request(prompt: str, completion: str) -> dict:
 
 def request_digest(request: dict) -> str:
     """Stable identifier of one backend request."""
-    return _sha256(_canonical(request))
+    return _sha256(json.dumps(request, sort_keys=True, separators=(",", ":")))
 
 
-def cache_key(backend_id: str, request: dict, seed: Optional[int] = None) -> str:
-    """Digest of (backend id, rendered request); stochastic requests add the run seed."""
-    payload = {"backend": backend_id, "request": request}
-    if seed is not None:
-        payload["seed"] = seed
-    return _sha256(_canonical(payload))
+def cache_key(backend_id: str, digest: str, seed: Optional[int] = None) -> str:
+    """Hash of (backend id, request digest); stochastic requests add the run seed.
+
+    The digest has a fixed length and the seed no newline, so the joined
+    text splits back into its three parts in one way only.
+    """
+    return _sha256(f"{backend_id}\n{digest}\n{seed}")
 
 
 @dataclass(frozen=True)
@@ -454,8 +452,17 @@ class _ConnectionPool:
                 return
         connection.close()
 
+    def close_idle(self) -> None:
+        """Close every idle connection; registered to run at interpreter exit."""
+        with self._lock:
+            idle = [connection for kept in self._idle.values() for connection in kept]
+            self._idle.clear()
+        for connection in idle:
+            connection.close()
+
 
 _connections = _ConnectionPool()
+atexit.register(_connections.close_idle)
 
 
 def _exchange(url: SplitResult, blob: bytes, headers: dict,
@@ -621,56 +628,74 @@ class HttpLmBackend(LmBackend):
 
 # --- response cache and call trace ---
 
+def _append(path: Path, lines: Sequence[str]) -> None:
+    """Append lines in one ``O_APPEND`` write, which other appends never split."""
+    blob = "".join(lines).encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        if os.write(fd, blob) != len(blob):
+            raise OSError(f"short write to {path}")
+    finally:
+        os.close(fd)
+
+
 class ResponseCache:
-    """One JSON file per cache key; writes are atomic and serialized."""
+    """Model answers by cache key, in one append-only ``responses.jsonl``.
+
+    Each line is one entry, ``{"key": ..., "response": ...}``; a later
+    line for a key wins. The file is read into memory on open, so ``get``
+    is a dictionary lookup, and ``put`` appends a batch of entries in one
+    write. A last line without its newline was torn by a writer that
+    stopped mid-write: it is cut off on open, so the next append starts
+    a line of its own. Any other line that is not an entry raises
+    ``CacheCorrupt``.
+    """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / "responses.jsonl"
+        self._entries: dict[str, dict] = {}
         self._lock = threading.Lock()
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+        blob = self.path.read_bytes() if self.path.exists() else b""
+        end = blob.rfind(b"\n") + 1
+        if end < len(blob):
+            os.truncate(self.path, end)
+        for number, line in enumerate(blob[:end].split(b"\n")[:-1], 1):
+            try:
+                entry = json.loads(line)
+                self._entries[entry["key"]] = entry["response"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CacheCorrupt(f"{self.path} line {number} is not a cache entry") from exc
 
     def get(self, key: str) -> Optional[dict]:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        with open(path, "r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-        if entry.get("key") != key:
-            raise CacheCorrupt(f"cache file {path.name} stores key {entry.get('key')!r}")
-        return entry["response"]
+        """The stored answer, shared with later calls: callers must not change it."""
+        return self._entries.get(key)
 
-    def put(self, key: str, response: dict) -> None:
-        blob = json.dumps({"key": key, "response": response}, sort_keys=True, indent=2)
+    def put(self, entries: Mapping[str, dict]) -> None:
+        """Store a batch of answers by key; their lines go out in one append."""
+        lines = [json.dumps({"key": key, "response": response}, sort_keys=True) + "\n"
+                 for key, response in entries.items()]
         with self._lock:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(blob + "\n")
-                os.replace(tmp, self._path(key))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            _append(self.path, lines)
+            self._entries.update(entries)
 
 
 class TraceRecorder:
-    """Append-only JSONL audit log of backend requests."""
+    """Audit log of backend requests; with a path, also a JSONL file."""
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = Path(path) if path is not None else None
         self.records: list[dict] = []
         self._lock = threading.Lock()
 
-    def record(self, digest: str, purpose: str, latency_s: float, cache_hit: bool) -> None:
-        entry = {"digest": digest, "purpose": purpose,
-                 "latency_s": round(latency_s, 6), "cache_hit": cache_hit}
+    def record(self, entries: Sequence[dict]) -> None:
+        """Keep a batch of records; with a path, append them in one write."""
         with self._lock:
-            self.records.append(entry)
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            self.records.extend(entries)
+            if self.path is not None and entries:
+                _append(self.path, [json.dumps(entry, sort_keys=True) + "\n"
+                                    for entry in entries])
 
     def backend_call_count(self) -> int:
         """Requests that actually reached the wrapped backend."""
@@ -708,7 +733,8 @@ class CachedBackend(LmBackend):
     Truth and log-likelihood queries and greedy completions are always
     cached; stochastic completions are cached only when a run seed is
     provided, since without one two runs are not expected to agree.
-    With ``cache=None`` the wrapper only records the call trace.
+    With ``cache=None`` the wrapper only records the call trace. An NLI
+    verifier shares both through :meth:`served` (``CachedVerifier``).
     """
 
     def __init__(self, inner: LmBackend, cache: Optional[ResponseCache],
@@ -720,27 +746,43 @@ class CachedBackend(LmBackend):
         self.backend_id = inner.backend_id
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
-        """Answer hits from the cache and send the misses on as one batch.
-
-        A request repeating an earlier miss of the same batch is a hit
-        on that miss's answer, as it would be when asked after it. Trace
-        and cache entries are written in request order, up to the first
-        request that failed.
-        """
         build, stored_form, answer_form = _CACHE_FORMS[primitive]
         call = getattr(self.inner, primitive)
-        requests = [build(*args) for args in arguments]
+
+        def ask(args: tuple) -> dict:
+            return stored_form(call(*args))
+
+        stored = self.served(self.backend_id, [build(*args) for args in arguments],
+                             [functools.partial(ask, args) for args in arguments],
+                             self.inner._batch)
+        return [answer_form(answer) for answer in stored]
+
+    def served(self, owner_id: str, requests: Sequence[dict],
+               asks: Sequence[Callable[[], dict]],
+               batch: Callable[[Sequence[Callable[[], Any]]], list]) -> list[dict]:
+        """Answers (in stored form) of one batch of requests, in request order.
+
+        Hits come from the cache; the misses go to ``batch`` together,
+        where ``asks[i]`` sends request i on. Each request is digested
+        once: the digest keys the trace, and with ``owner_id`` (and the
+        seed, for a stochastic completion) the cache. A request
+        repeating an earlier miss of the same batch is a hit on that
+        miss's answer, as it would be when asked after it. Trace and
+        cache entries are made in request order, up to the first request
+        that failed, and each goes out in one append per batch.
+        """
+        digests = [request_digest(request) for request in requests]
         stored: list[Optional[dict]] = [None] * len(requests)
         # None for a cache hit, else the index of the miss that asks the model
         answered_by: list[Optional[int]] = [None] * len(requests)
         keys: list[Optional[str]] = [None] * len(requests)
         first_miss: dict[str, int] = {}
         misses = []
-        for index, (request, args) in enumerate(zip(requests, arguments)):
-            stochastic = (primitive == "_complete"
-                          and args[1].strategy is DecodingStrategy.NUCLEUS)
+        for index, (request, digest) in enumerate(zip(requests, digests)):
+            stochastic = (request.get("decoding", {}).get("strategy")
+                          == DecodingStrategy.NUCLEUS.value)
             if self.cache is not None and (not stochastic or self.seed is not None):
-                key = keys[index] = cache_key(self.backend_id, request,
+                key = keys[index] = cache_key(owner_id, digest,
                                               self.seed if stochastic else None)
                 stored[index] = self.cache.get(key)
                 if stored[index] is not None:
@@ -750,26 +792,29 @@ class CachedBackend(LmBackend):
                     continue
                 first_miss[key] = index
             answered_by[index] = index
-            misses.append((index, args))
+            misses.append(index)
         latency = [0.0] * len(requests)
 
-        def ask(index: int, args: tuple) -> None:
+        def timed(index: int) -> None:
             started = time.monotonic()
-            answer = stored_form(call(*args))
+            answer = asks[index]()
             latency[index] = time.monotonic() - started
             stored[index] = answer
 
         try:
-            self.inner._batch([functools.partial(ask, index, args)
-                               for index, args in misses])
+            batch([functools.partial(timed, index) for index in misses])
         finally:
-            for index, (request, origin) in enumerate(zip(requests, answered_by)):
+            records, fresh = [], {}
+            for index, origin in enumerate(answered_by):
                 if origin is not None and stored[origin] is None:
                     break  # this request, or the miss it repeats, failed
-                own = origin == index
-                self.trace.record(request_digest(request), request["kind"],
-                                  latency[index], cache_hit=not own)
-                if own and keys[index] is not None:
-                    self.cache.put(keys[index], stored[index])
-        return [answer_form(stored[index if origin is None else origin])
+                records.append({"digest": digests[index], "purpose": requests[index]["kind"],
+                                "latency_s": round(latency[index], 6),
+                                "cache_hit": origin != index})
+                if origin == index and keys[index] is not None:
+                    fresh[keys[index]] = stored[index]
+            self.trace.record(records)
+            if fresh:
+                self.cache.put(fresh)
+        return [stored[index if origin is None else origin]
                 for index, origin in enumerate(answered_by)]

@@ -115,7 +115,7 @@ def build_engine(config: EngineConfig):
         TraceRecorder,
     )
     from .prompts import load_or_default
-    from .verifier import HttpNliVerifier, ScriptedNliVerifier
+    from .verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
 
     kind = config.backend.get("kind", "scripted")
     if kind == "scripted":
@@ -155,6 +155,8 @@ def build_engine(config: EngineConfig):
             )
         else:
             raise ValueError(f"unknown verifier kind {verifier_kind!r}")
+    if verifier is not None and backend is not inner:
+        verifier = CachedVerifier(verifier, backend)
     if config.mode is CompileMode.VERIFIER and verifier is None:
         raise ValueError("verifier mode needs a verifier section in the config")
 

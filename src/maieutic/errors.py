@@ -28,7 +28,7 @@ class NotSupported(MaieuticError):
 
 
 class CacheCorrupt(MaieuticError):
-    """A cache file's stored digest does not match the requested key."""
+    """A line of the response cache's file is not a cache entry."""
 
 
 # --- tree building ---

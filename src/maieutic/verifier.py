@@ -15,9 +15,9 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .backend import fan_out, post_json
+from .backend import CachedBackend, fan_out, post_json
 from .core import ClauseOrigin, MaieuticTree, WeightedClause, tree_nodes, variable_map
 from .errors import MalformedResponse, MissingFixture
 
@@ -73,9 +73,13 @@ class NliVerifier:
         raise NotImplementedError
 
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
-        """Judgments of independent pairs in request order; a plain loop
-        that stops at the first failure."""
-        return [self.nli(premise, hypothesis) for premise, hypothesis in pairs]
+        """Judgments of independent pairs in request order, as one :meth:`_batch`."""
+        return self._batch([functools.partial(self.nli, premise, hypothesis)
+                            for premise, hypothesis in pairs])
+
+    def _batch(self, calls: Sequence[Callable[[], Any]]) -> list:
+        """A plain loop in the calling thread that stops at the first failure."""
+        return [call() for call in calls]
 
 
 def _judgment_from_record(premise: str, hypothesis: str, record: Mapping) -> NliJudgment:
@@ -154,9 +158,34 @@ class HttpNliVerifier(NliVerifier):
                             backoff=self.backoff)
         return _judgment_from_record(premise, hypothesis, payload)
 
+    def _batch(self, calls: Sequence[Callable[[], Any]]) -> list:
+        return fan_out(calls)
+
+
+class CachedVerifier(NliVerifier):
+    """A verifier behind a :class:`~maieutic.backend.CachedBackend`'s
+    response cache and call trace; its entries are keyed by ``verifier_id``."""
+
+    def __init__(self, inner: NliVerifier, cached: CachedBackend):
+        self.inner = inner
+        self.cached = cached
+        self.verifier_id = inner.verifier_id
+
+    def nli(self, premise: str, hypothesis: str) -> NliJudgment:
+        return self.nli_batch([(premise, hypothesis)])[0]
+
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
-        return fan_out([functools.partial(self.nli, premise, hypothesis)
-                        for premise, hypothesis in pairs])
+        requests = [{"kind": "nli", "premise": premise, "hypothesis": hypothesis}
+                    for premise, hypothesis in pairs]
+        asks = [functools.partial(self._ask, premise, hypothesis)
+                for premise, hypothesis in pairs]
+        stored = self.cached.served(self.verifier_id, requests, asks, self.inner._batch)
+        return [_judgment_from_record(premise, hypothesis, record)
+                for (premise, hypothesis), record in zip(pairs, stored)]
+
+    def _ask(self, premise: str, hypothesis: str) -> dict:
+        judgment = self.inner.nli(premise, hypothesis)
+        return {"label": judgment.label.value, "probs": list(judgment.label_probs)}
 
 
 def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[WeightedClause]:

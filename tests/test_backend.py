@@ -64,8 +64,10 @@ def test_completion_digest_depends_on_decoding():
 
 
 def test_cache_key_scopes_backend_and_seed():
-    request = truth_request("Water is wet? ...")
+    request = request_digest(truth_request("Water is wet? ..."))
+    other = request_digest(truth_request("Water is dry? ..."))
     assert cache_key("a", request) == cache_key("a", request)
+    assert cache_key("a", request) != cache_key("a", other)
     assert cache_key("a", request) != cache_key("b", request)
     assert cache_key("a", request) != cache_key("a", request, seed=3)
     assert cache_key("a", request, seed=3) != cache_key("a", request, seed=4)
@@ -201,22 +203,93 @@ def test_fixture_builder_merge():
 
 # --- response cache ---
 
+def _store_lines(directory: Path) -> list[dict]:
+    return [json.loads(line) for line in
+            (directory / "responses.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
 def test_response_cache_round_trip(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     assert cache.get("k1") is None
-    cache.put("k1", {"true_prob": 0.5, "false_prob": 0.5})
+    cache.put({"k1": {"true_prob": 0.5, "false_prob": 0.5}})
     assert cache.get("k1") == {"true_prob": 0.5, "false_prob": 0.5}
-    cache.put("k1", {"true_prob": 0.9, "false_prob": 0.1})
+    cache.put({"k1": {"true_prob": 0.9, "false_prob": 0.1}})
     assert cache.get("k1")["true_prob"] == 0.9
+    assert ResponseCache(tmp_path / "cache").get("k1")["true_prob"] == 0.9
+    assert [path.name for path in (tmp_path / "cache").iterdir()] == ["responses.jsonl"]
 
 
 def test_response_cache_detects_key_mismatch(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
-    cache.put("k1", {"logprob": -1.0})
-    (tmp_path / "cache" / "k2.json").write_text(
-        (tmp_path / "cache" / "k1.json").read_text())
-    with pytest.raises(CacheCorrupt):
-        cache.get("k2")
+    cache.put({"k1": {"logprob": -1.0}})
+    with open(tmp_path / "cache" / "responses.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"response": {"logprob": -2.0}}) + "\n")  # no key
+    with pytest.raises(CacheCorrupt, match="line 2"):
+        ResponseCache(tmp_path / "cache")
+
+
+def test_response_cache_drops_a_torn_last_line(tmp_path):
+    ResponseCache(tmp_path).put({"k1": {"logprob": -1.0}})
+    with open(tmp_path / "responses.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"key": "k2", "response": {"logp')  # a writer stopped here
+    reopened = ResponseCache(tmp_path)
+    assert reopened.get("k1") == {"logprob": -1.0}
+    assert reopened.get("k2") is None
+    reopened.put({"k3": {"logprob": -3.0}})
+    assert _store_lines(tmp_path) == [{"key": "k1", "response": {"logprob": -1.0}},
+                                      {"key": "k3", "response": {"logprob": -3.0}}]
+    assert ResponseCache(tmp_path).get("k3") == {"logprob": -3.0}
+
+
+@pytest.mark.parametrize("line", ["not json", "", "[1, 2]", '{"key": "k9"}'])
+def test_response_cache_names_an_unparsable_line(tmp_path, line):
+    ResponseCache(tmp_path).put({"k1": {"logprob": -1.0}})
+    with open(tmp_path / "responses.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(line + "\n" + json.dumps({"key": "k2", "response": {}}) + "\n")
+    with pytest.raises(CacheCorrupt, match="line 2 "):
+        ResponseCache(tmp_path)
+
+
+def test_two_caches_on_one_directory_both_append(tmp_path):
+    first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+    first.put({"a": {"logprob": -1.0}, "shared": {"logprob": -1.5}})
+    second.put({"b": {"logprob": -2.0}})
+    second.put({"shared": {"logprob": -2.5}})
+    first.put({"c": {"logprob": -3.0}})
+    assert second.get("a") is None  # each instance reads the file once, on open
+    later = ResponseCache(tmp_path)
+    assert {key: later.get(key)["logprob"] for key in ("a", "b", "c", "shared")} == {
+        "a": -1.0, "b": -2.0, "c": -3.0, "shared": -2.5}
+    assert len(_store_lines(tmp_path)) == 5
+
+
+def test_threads_sharing_one_cache_and_trace_lose_no_line(tmp_path):
+    cache, trace = ResponseCache(tmp_path), TraceRecorder(tmp_path / "trace.jsonl")
+
+    def work(worker: int) -> None:
+        for batch in range(20):
+            keys = [f"{worker}.{batch}.{index}" for index in range(3)]
+            cache.put({key: {"logprob": -float(worker)} for key in keys})
+            trace.record([{"digest": key, "purpose": "logprob", "latency_s": 0.0,
+                           "cache_hit": False} for key in keys])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(_store_lines(tmp_path)) == 6 * 20 * 3
+    reopened = ResponseCache(tmp_path)
+    assert all(reopened.get(f"{worker}.19.2") == {"logprob": -float(worker)}
+               for worker in range(6))
+    assert read_trace(tmp_path / "trace.jsonl") == trace.records
+    assert len(trace.records) == 6 * 20 * 3
 
 
 # --- cached backend ---
@@ -300,6 +373,23 @@ def test_trace_only_wrapper_never_caches(tmp_path):
     replayed = read_trace(tmp_path / "trace.jsonl")
     assert replayed == trace.records
     assert {entry["purpose"] for entry in replayed} == {"truth"}
+
+
+def test_the_connection_pool_closes_its_idle_connections_at_exit():
+    src = str(Path(maieutic.__file__).resolve().parents[1])
+    probe = ("import atexit\n"
+             "from urllib.parse import urlsplit\n"
+             "from maieutic import backend\n"
+             "class Idle:\n"
+             "    closed = False\n"
+             "    def close(self):\n"
+             "        Idle.closed = True\n"
+             "backend._connections.give_back(urlsplit('http://127.0.0.1:9/'), Idle())\n"
+             "atexit._run_exitfuncs()\n"
+             "print(Idle.closed)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "True"
 
 
 # --- HTTP client against a local stub ---

@@ -19,7 +19,8 @@ from maieutic.core import (
 )
 from maieutic.prompts import default_prompt_set
 from maieutic.solver import import_wcnf
-from maieutic.verifier import HttpNliVerifier, NliLabel, ScriptedNliVerifier
+from maieutic.harness import Method, evaluate, load_dataset
+from maieutic.verifier import CachedVerifier, HttpNliVerifier, NliLabel, ScriptedNliVerifier
 from scenarios import (
     EVAL_ROWS,
     WAR_NLI_RECORDS,
@@ -30,6 +31,7 @@ from scenarios import (
     eval_backend,
     war_world,
     fixed_tree,
+    random_world,
 )
 
 
@@ -154,7 +156,49 @@ def test_build_engine_wraps_caching_and_tracing(tmp_path, eval_fixture_file):
     assert isinstance(engine.backend, CachedBackend)
     engine.backend.true_prob("Trains run on rails?", engine.truth_prompts)
     assert (tmp_path / "trace.jsonl").exists()
-    assert list((tmp_path / "cache").glob("*.json"))
+    assert (tmp_path / "cache" / "responses.jsonl").read_text(encoding="utf-8").strip()
+
+
+def test_a_cached_verifier_rerun_sends_no_nli_requests(tmp_path, data_dir):
+    records = load_dataset(data_dir / "eval_records.jsonl")
+    merged, nli_records = FixtureBuilder(), []
+    for index, record in enumerate(records):
+        world, _ = random_world(900 + index, question=record.question)
+        merged.merge(world.builder)
+        nli_records += [{"premise": first, "hypothesis": second, "label": "contradict"}
+                        for first in world.probs for second in world.probs
+                        if first < second and len(first) % 3 == 0]
+    nli_path = tmp_path / "nli.json"
+    nli_path.write_text(json.dumps(nli_records), encoding="utf-8")
+    config = EngineConfig.from_dict({
+        "backend": {"kind": "scripted", "fixtures": str(merged.write(tmp_path / "lm.json"))},
+        "verifier": {"kind": "scripted", "fixtures": str(nli_path), "strict": False},
+        "mode": "verifier", "seed": 0,
+        "cache_dir": str(tmp_path / "cache"), "trace_path": str(tmp_path / "trace.jsonl"),
+    })
+
+    def run(tag: str) -> tuple[bytes, int, int, dict]:
+        engine = build_engine(config)
+        assert isinstance(engine.verifier, CachedVerifier)
+        sent = []
+        inner = engine.verifier.inner
+        original = inner.nli
+        inner.nli = lambda *pair: sent.append(pair) or original(*pair)
+        path, manifest = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.manifest.json"
+        evaluate(records, Method.MAIEUTIC, engine, workers=4, results_path=path,
+                 manifest_path=manifest)
+        hits = sum(1 for entry in engine.backend.trace.records
+                   if entry["purpose"] == "nli" and entry["cache_hit"])
+        return (path.read_bytes(), len(sent), hits,
+                json.loads(manifest.read_text(encoding="utf-8"))["backend_ids"])
+
+    first_bytes, first_sent, _, first_ids = run("first")
+    second_bytes, second_sent, second_hits, second_ids = run("second")
+    assert first_bytes == second_bytes
+    assert first_sent > 0
+    assert second_sent == 0
+    assert second_hits >= first_sent
+    assert first_ids == second_ids == ["scripted", "scripted-nli"]
 
 
 def test_build_engine_wires_a_scripted_verifier(tmp_path, eval_fixture_file):

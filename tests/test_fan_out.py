@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from maieutic import backend as backend_module
 from maieutic import harness
 from maieutic.backend import (
     MAX_IN_FLIGHT,
@@ -217,7 +218,7 @@ def test_a_failed_batch_traces_and_caches_the_requests_before_the_failure(tmp_pa
         backend.true_probs(["Ice floats on water", "Nothing answers this",
                             "Copper conducts electricity"], TRUTH_PROMPTS)
     assert [entry["cache_hit"] for entry in trace.records] == [False]
-    assert len(list(tmp_path.iterdir())) == 1
+    assert len((tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()) == 1
 
 
 def test_a_repeat_within_one_batch_is_a_hit_on_the_first(tmp_path):
@@ -248,3 +249,16 @@ def test_requests_in_flight_never_exceed_the_cap_under_evaluate(stub):
     expected = harness.evaluate(records, harness.Method.MAIEUTIC, scripted, workers=4)
     assert report.results == expected.results
     assert 1 < stub.peak <= MAX_IN_FLIGHT
+
+
+def test_close_idle_closes_every_pooled_connection(stub):
+    stub.respond = lambda path, body, arrival: (0.002, 200, {"label": "neutral"})
+    pool = backend_module._connections
+    pool.close_idle()
+    verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
+    verifier.nli_batch([("a", "b"), ("b", "a"), ("a", "c")])
+    idle = [connection for kept in pool._idle.values() for connection in kept]
+    assert idle and all(connection.sock is not None for connection in idle)
+    pool.close_idle()
+    assert all(connection.sock is None for connection in idle)
+    assert not any(pool._idle.values())

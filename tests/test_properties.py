@@ -1,11 +1,13 @@
 """Property-based checks of the core invariants: the solver equals the
-exhaustive oracle at every weight scale, pruning is idempotent, and
-the WCNF exchange format round-trips."""
+exhaustive oracle at every weight scale, pruning is idempotent, the
+WCNF exchange format round-trips, and the response cache reads back
+what it stored."""
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maieutic.backend import ResponseCache
 from maieutic.core import (
     ROOT_ID,
     ClauseOrigin,
@@ -122,3 +124,25 @@ def test_prune_is_idempotent(tree):
     for node in tree_nodes(pruned):
         if node.id != pruned.root_id and not pruned.children_of(node.id):
             assert node.integrity.is_integral
+
+
+RESPONSES = st.one_of(
+    st.builds(lambda value: {"logprob": value}, st.floats(allow_nan=False)),
+    st.builds(lambda texts: {"completions": texts}, st.lists(st.text(max_size=8))),
+    st.fixed_dictionaries({"label": st.sampled_from(["entail", "neutral"]),
+                           "probs": st.lists(st.floats(0.0, 1.0), max_size=3)}))
+
+
+@PROPERTY
+@given(batches=st.lists(st.dictionaries(st.text(max_size=4), RESPONSES, max_size=4),
+                        max_size=6))
+def test_a_reopened_cache_reads_back_every_put(tmp_path_factory, batches):
+    directory = tmp_path_factory.mktemp("cache")
+    cache, latest = ResponseCache(directory), {}
+    for batch in batches:
+        if batch:
+            cache.put(batch)
+            latest.update(batch)
+    reopened = ResponseCache(directory)
+    for key in set(latest) | {"never stored"}:
+        assert reopened.get(key) == cache.get(key) == latest.get(key)

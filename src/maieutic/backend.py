@@ -555,6 +555,8 @@ class HttpLmBackend(LmBackend):
                  retries: int = 3, backoff: float = 1.0):
         if not endpoint:
             raise ValueError("no endpoint configured")
+        if retries < 1:
+            raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key or os.environ.get("MAIEUTIC_API_KEY")

@@ -11,9 +11,17 @@ high bit) and keeping the first exact best; the branch-and-bound
 solver adds a soft unit clause ¬x_i of weight 2**(n-1-i) for the i-th
 of n variables, under weights shifted left by n bits, so that the
 smallest optimum is the only one.
+
+The branch-and-bound state is incremental. Each literal has an
+occurrence list of the clauses that hold it, and running totals keep
+each literal's incident and unit weight, the weight still undecided
+and the weight already banked. Assigning a variable updates only the
+clauses on its two occurrence lists, and the test for a forced literal
+is two lookups per unassigned variable, not a scan of the clauses.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -131,100 +139,114 @@ def solve_brute(cnf: WeightedCnf) -> Assignment:
 
 # --- branch and bound ---
 
-_SearchClause = tuple[tuple[Literal, ...], int]
+class _Search:
+    """The search state, updated in place one assignment at a time.
 
-
-def _simplify(clauses: list[_SearchClause], var: int,
-              value: bool) -> tuple[list[_SearchClause], int]:
-    """Apply one assignment; returns the reduced clause list and the weight it satisfies."""
-    satisfied = 0
-    out: list[_SearchClause] = []
-    for literals, weight in clauses:
-        if (var, value) in literals:
-            satisfied += weight
-            continue
-        if (var, not value) in literals:
-            rest = tuple(lit for lit in literals if lit[0] != var)
-            if rest:
-                out.append((rest, weight))
-            # an emptied clause is falsified and simply drops out
-            continue
-        out.append((literals, weight))
-    return out, satisfied
-
-
-def _propagate(clauses: list[_SearchClause], banked: int,
-               values: dict[int, bool]) -> tuple[list[_SearchClause], int]:
-    """Forced assignments, recorded in ``values``.
-
-    A literal is forced once the unit clauses on it weigh at least as
-    much as every clause holding the opposite literal together; a pure
-    literal is the case with nothing against it. Flipping toward a
-    forced literal never loses weight, and because the optimum is
-    unique (see :func:`solve`) it already holds every forced literal.
-    Forcing one literal keeps the others forced, so each round applies
-    all it finds.
+    Literal ``2 * pos + value`` is the variable at position ``pos`` in
+    id order with polarity ``value``, and ``lit ^ 1`` is its opposite;
+    ``occurs[lit]`` lists the clauses holding it. ``left`` counts each
+    clause's unassigned literals, 0 once the clause is closed: satisfied,
+    or falsified by its last literal. The running totals are the open
+    weight holding each literal (``incident``) and holding it as the
+    last unassigned literal (``unit``), the open weight (``undecided``)
+    and the satisfied weight (``banked``). Only the literals of
+    unassigned variables are ever read, so assigning a variable leaves
+    its own two totals stale.
     """
-    while True:
-        incident: dict[Literal, int] = {}
-        unit: dict[Literal, int] = {}
-        for literals, weight in clauses:
+
+    def __init__(self, clauses: list[tuple[tuple[int, ...], int]], count: int):
+        self.clauses = clauses
+        self.occurs: list[list[int]] = [[] for _ in range(2 * count)]
+        self.incident = [0] * (2 * count)
+        self.unit = [0] * (2 * count)
+        for index, (literals, weight) in enumerate(clauses):
             for lit in literals:
-                incident[lit] = incident.get(lit, 0) + weight
+                self.occurs[lit].append(index)
+                self.incident[lit] += weight
             if len(literals) == 1:
-                unit[literals[0]] = unit.get(literals[0], 0) + weight
-        forced = [(var, value) for var, value in incident
-                  if unit.get((var, value), 0) >= incident.get((var, not value), 0)]
-        if not forced:
-            return clauses, banked
-        for var, value in forced:
-            values[var] = value
-            clauses, gained = _simplify(clauses, var, value)
-            banked += gained
+                self.unit[literals[0]] += weight
+        self.left = [len(literals) for literals, _ in clauses]
+        self.values: list[Optional[bool]] = [None] * count
+        self.banked = 0
+        self.undecided = sum(weight for _, weight in clauses)
+
+    def branch(self) -> _Search:
+        """A copy to search one branch in; the clauses and occurrence lists stay shared."""
+        other = copy.copy(self)
+        other.incident, other.unit = self.incident[:], self.unit[:]
+        other.left, other.values = self.left[:], self.values[:]
+        return other
+
+    def assign(self, pos: int, value: bool) -> None:
+        """Set one variable, visiting only the clauses on its two occurrence lists."""
+        clauses, left, incident, unit, values = (
+            self.clauses, self.left, self.incident, self.unit, self.values)
+        values[pos] = value
+        satisfied = emptied = 0
+        for index in self.occurs[2 * pos + value]:
+            if left[index]:
+                literals, weight = clauses[index]
+                left[index] = 0
+                satisfied += weight
+                for lit in literals:
+                    if values[lit >> 1] is None:
+                        incident[lit] -= weight
+        for index in self.occurs[2 * pos + (not value)]:
+            if left[index]:
+                literals, weight = clauses[index]
+                left[index] -= 1
+                if not left[index]:  # falsified, it simply drops out
+                    emptied += weight
+                elif left[index] == 1:
+                    for lit in literals:
+                        if values[lit >> 1] is None:
+                            unit[lit] += weight
+                            break
+        self.banked += satisfied
+        self.undecided -= satisfied + emptied
+
+    def propagate(self) -> None:
+        """Assign every forced literal.
+
+        A literal is forced once the unit clauses on it weigh at least as
+        much as every clause holding the opposite literal together; a pure
+        literal is the case with nothing against it. Flipping toward a
+        forced literal never loses weight, and because the optimum is
+        unique (see :func:`solve`) it already holds every forced literal.
+        Forcing one literal keeps the others forced, so the order in
+        which they are found does not change the result.
+        """
+        incident, unit, values = self.incident, self.unit, self.values
+        forced = True
+        while forced:
+            forced = False
+            for pos in range(len(values)):
+                if values[pos] is None:
+                    if unit[2 * pos + 1] >= incident[2 * pos]:
+                        self.assign(pos, True)
+                        forced = True
+                    elif unit[2 * pos] >= incident[2 * pos + 1]:
+                        self.assign(pos, False)
+                        forced = True
 
 
-def _branch_variable(clauses: list[_SearchClause]) -> int:
-    incident: dict[int, int] = {}
-    for literals, weight in clauses:
-        for var, _ in literals:
-            incident[var] = incident.get(var, 0) + weight
-    return max(incident, key=lambda var: (incident[var], -var))
-
-
-def _heavier_value(clauses: list[_SearchClause], var: int) -> bool:
-    gain_true = sum(w for lits, w in clauses if (var, True) in lits)
-    gain_false = sum(w for lits, w in clauses if (var, False) in lits)
-    return gain_true > gain_false
-
-
-def _optimize(clauses: list[_SearchClause], banked: int, values: dict[int, bool],
-              state: dict) -> None:
-    """Record in ``state`` the subproblem's best leaf if it beats the incumbent."""
-    values = dict(values)
-    clauses, banked = _propagate(clauses, banked, values)
-    if not clauses:
-        if banked > state["best"]:
-            state["best"], state["values"] = banked, values
+def _optimize(search: _Search, best: dict) -> None:
+    """Record in ``best`` the subproblem's best leaf if it beats the incumbent."""
+    search.propagate()
+    if not search.undecided:
+        if search.banked > best["weight"]:
+            best["weight"], best["values"] = search.banked, search.values
         return
-    if banked + sum(weight for _, weight in clauses) <= state["best"]:
+    if search.banked + search.undecided <= best["weight"]:
         return
-    var = _branch_variable(clauses)
-    first = _heavier_value(clauses, var)
-    for value in (first, not first):
-        reduced, gained = _simplify(clauses, var, value)
-        values[var] = value
-        _optimize(reduced, banked + gained, values, state)
-
-
-def _greedy_seed(clauses: list[_SearchClause], ids: Sequence[int]) -> dict:
-    """An incumbent: each variable in id order takes its heavier polarity."""
-    banked = 0
-    values: dict[int, bool] = {}
-    for var in ids:
-        values[var] = _heavier_value(clauses, var)
-        clauses, gained = _simplify(clauses, var, values[var])
-        banked += gained
-    return {"best": banked, "values": values}
+    incident = search.incident
+    pos = max((pos for pos, value in enumerate(search.values) if value is None),
+              key=lambda pos: incident[2 * pos] + incident[2 * pos + 1])
+    first = incident[2 * pos + 1] > incident[2 * pos]
+    # the second branch takes this node's own state: nothing reads it after
+    for value, child in ((first, search.branch()), (not first, search)):
+        child.assign(pos, value)
+        _optimize(child, best)
 
 
 def solve(cnf: WeightedCnf) -> Assignment:
@@ -238,18 +260,27 @@ def solve(cnf: WeightedCnf) -> Assignment:
     they decide for the lexicographically smallest one, which makes the
     optimum unique. One search (propagation, a remaining-weight upper
     bound, branching on the variable with the most incident weight,
-    heavier polarity first) from a greedy incumbent records the values
-    of its best leaf, which therefore match ``solve_brute``.
+    lowest id on a tie, heavier polarity first) from a greedy incumbent
+    records the values of its best leaf, which therefore match
+    ``solve_brute``. The search state (:class:`_Search`) holds an
+    occurrence list per literal and running totals of incident, unit,
+    undecided and banked weight, so an assignment touches only the
+    clauses that hold its variable.
     """
     ids = sorted(cnf.variables)
     count = len(ids)
-    clauses: list[_SearchClause] = [
-        (clause.literals, weight << count)
-        for clause, weight in zip(cnf.clauses, _integer_weights(cnf))]
-    clauses += [(((var, False),), 1 << (count - 1 - pos)) for pos, var in enumerate(ids)]
-    state = _greedy_seed(clauses, ids)
-    _optimize(clauses, 0, {}, state)
-    return _finish(cnf, {var: state["values"][var] for var in ids})
+    position = {var: pos for pos, var in enumerate(ids)}
+    clauses = [(tuple(2 * position[var] + polarity for var, polarity in clause.literals),
+                weight << count)
+               for clause, weight in zip(cnf.clauses, _integer_weights(cnf))]
+    clauses += [((2 * pos,), 1 << (count - 1 - pos)) for pos in range(count)]
+    root = _Search(clauses, count)
+    greedy = root.branch()
+    for pos in range(count):  # the incumbent: in id order, each takes its heavier polarity
+        greedy.assign(pos, greedy.incident[2 * pos + 1] > greedy.incident[2 * pos])
+    best = {"weight": greedy.banked, "values": greedy.values}
+    _optimize(root, best)
+    return _finish(cnf, dict(zip(ids, best["values"])))
 
 
 def assignment_by_node(cnf: WeightedCnf, assignment: Assignment) -> dict[str, bool]:

@@ -145,6 +145,8 @@ class HttpNliVerifier(NliVerifier):
         self.endpoint = endpoint or os.environ.get("MAIEUTIC_NLI_ENDPOINT")
         if not self.endpoint:
             raise ValueError("no NLI endpoint configured (MAIEUTIC_NLI_ENDPOINT unset)")
+        if retries < 1:
+            raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff

@@ -481,6 +481,12 @@ def test_http_completion_request_carries_decoding(stub):
     assert "model" not in body
 
 
+@pytest.mark.parametrize("retries", [0, -1])
+def test_http_client_rejects_fewer_than_one_attempt(retries):
+    with pytest.raises(ValueError, match="retries"):
+        HttpLmBackend("http://127.0.0.1:9/v1", retries=retries)
+
+
 def test_http_retries_on_server_errors(stub):
     stub.script.append((500, {}))
     stub.script.append((200, {"choices": [{"logprobs": {"top_logprobs": [

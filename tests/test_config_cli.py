@@ -227,6 +227,15 @@ def test_build_engine_passes_http_verifier_timeout_and_retries(eval_fixture_file
     assert (verifier.retries, verifier.timeout) == (5, 2.0)
 
 
+@pytest.mark.parametrize("section", ["backend", "verifier"])
+def test_build_engine_rejects_zero_retries(eval_fixture_file, section):
+    config = {"backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},
+              "verifier": {"kind": "http", "endpoint": "http://127.0.0.1:9/nli"}}
+    config[section] = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "retries": 0}
+    with pytest.raises(ValueError, match="retries"):
+        build_engine(EngineConfig.from_dict(config))
+
+
 def test_build_engine_verifier_mode_needs_a_verifier(eval_fixture_file):
     config = EngineConfig.from_dict({
         "backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},

@@ -14,6 +14,7 @@ from maieutic.errors import (
 from maieutic.solver import (
     MAX_BRUTE_VARIABLES,
     WCNF_SCALE,
+    Assignment,
     assignment_by_node,
     evaluate,
     export_wcnf,
@@ -104,6 +105,51 @@ def test_solvers_agree_on_random_instances():
         assert fast.satisfied_weight == brute.satisfied_weight
         assert fast.values == brute.values
         assert fast.violated == brute.violated
+
+
+def test_solvers_agree_on_a_dense_tree_sized_instance():
+    # NLI-style weight-1 binary clauses over most ordered pairs, plus a
+    # belief unit clause per variable: the shape of a dense kept tree
+    rng = np.random.default_rng(90210)
+    n_vars = 16
+    specs = [([(var, bool(rng.integers(0, 2)))], float(rng.uniform(0.05, 1.0)))
+             for var in range(1, n_vars + 1)]
+    for first in range(1, n_vars + 1):
+        for second in range(1, n_vars + 1):
+            if first != second and rng.uniform() < 0.8:
+                specs.append(([(first, False), (second, bool(rng.integers(0, 2)))], 1.0))
+    cnf = _cnf(specs, n_vars=n_vars)
+    assert len(cnf.clauses) > 200
+    fast = solve(cnf)
+    brute = solve_brute(cnf)
+    assert fast.values == brute.values
+    assert fast.satisfied_weight == brute.satisfied_weight
+    assert fast.violated == brute.violated
+
+
+@pytest.mark.parametrize("n_vars, want", [(2, {1: False, 2: False}), (0, {})])
+def test_instances_without_clauses(n_vars, want):
+    cnf = _cnf([], n_vars=n_vars)
+    for solver in (solve, solve_brute):
+        assert solver(cnf) == Assignment(values=want, satisfied_weight=0.0, violated=[])
+
+
+def test_long_clauses_from_the_exchange_format(tmp_path):
+    # the four-literal clause is worth breaking one of the three lightest
+    # units for; of the tied optima the smallest sets variable 3
+    path = tmp_path / "long.wcnf"
+    path.write_text("p wcnf 4 6 3000001\n"
+                    "1000000 1 2 3 4 0\n"
+                    "300000 1 -2 4 0\n"
+                    "400000 -1 0\n"
+                    "400000 -2 0\n"
+                    "400000 -3 0\n"
+                    "600000 -4 0\n", encoding="utf-8")
+    cnf = import_wcnf(path)
+    fast = solve(cnf)
+    assert fast == solve_brute(cnf)
+    assert fast.values == {1: False, 2: False, 3: True, 4: False}
+    assert fast.violated == [4]
 
 
 def test_large_weights_still_break_ties_exactly(tmp_path):

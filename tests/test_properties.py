@@ -1,5 +1,6 @@
 """Property-based checks of the core invariants: the solver equals the
-exhaustive oracle at every weight scale, pruning is idempotent, the
+exhaustive oracle at every weight scale and at tree scale, and ignores
+clause order; pruning is idempotent, the
 WCNF exchange format round-trips, and the response cache reads back
 what it stored."""
 from __future__ import annotations
@@ -48,6 +49,37 @@ def mixed_scale_cnfs(draw, max_vars: int = 8, max_clauses: int = 12) -> Weighted
 @given(cnf=mixed_scale_cnfs())
 def test_solve_matches_the_oracle_at_mixed_weight_scales(cnf):
     assert solve(cnf) == solve_brute(cnf)
+
+
+@st.composite
+def tree_scale_cnfs(draw) -> WeightedCnf:
+    """Instances the size of a kept tree: unit and binary clauses, most of
+    them weighing 1.0 as NLI clauses do, so that many optima tie."""
+    count = draw(st.integers(1, 14))
+    clauses = []
+    for _ in range(draw(st.integers(0, 40))):
+        chosen = draw(st.lists(st.integers(1, count), min_size=1,
+                               max_size=min(2, count), unique=True))
+        weight = 1.0 if draw(st.integers(0, 3)) else draw(st.floats(0.05, 1.0))
+        clauses.append(WeightedClause(
+            literals=tuple((var, draw(st.booleans())) for var in chosen),
+            weight=weight, origin=ClauseOrigin.EXTERNAL))
+    return WeightedCnf(variables={var: f"n{var}" for var in range(1, count + 1)},
+                       clauses=clauses)
+
+
+@PROPERTY
+@given(cnf=tree_scale_cnfs())
+def test_solve_matches_the_oracle_at_tree_scale(cnf):
+    assert solve(cnf) == solve_brute(cnf)
+
+
+@PROPERTY
+@given(cnf=tree_scale_cnfs(), data=st.data())
+def test_solve_does_not_depend_on_clause_order(cnf, data):
+    shuffled = WeightedCnf(variables=cnf.variables,
+                           clauses=data.draw(st.permutations(cnf.clauses)))
+    assert solve(shuffled).values == solve(cnf).values
 
 
 @PROPERTY

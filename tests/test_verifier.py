@@ -204,6 +204,12 @@ def test_http_verifier_retries_then_succeeds(nli_stub):
     assert len(nli_stub.requests) == 2
 
 
+@pytest.mark.parametrize("retries", [0, -1])
+def test_http_verifier_rejects_fewer_than_one_attempt(retries):
+    with pytest.raises(ValueError, match="retries"):
+        HttpNliVerifier("http://127.0.0.1:9/nli", retries=retries)
+
+
 def test_http_verifier_gives_up(nli_stub):
     nli_stub.script.extend([(500, {}), (500, {}), (500, {})])
     verifier = HttpNliVerifier(nli_stub.endpoint, retries=3, backoff=0.01)

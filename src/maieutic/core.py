@@ -408,14 +408,14 @@ class WeightedClause:
     origin: ClauseOrigin
 
     def __post_init__(self):
-        object.__setattr__(self, "literals",
-                           tuple((int(v), bool(p)) for v, p in self.literals))
-        if not self.literals:
+        literals = tuple([(int(v), bool(p)) for v, p in self.literals])
+        object.__setattr__(self, "literals", literals)
+        if not literals:
             raise ValueError("a clause needs at least one literal")
-        seen = [v for v, _ in self.literals]
-        if len(seen) != len(set(seen)):
+        if len({v for v, _ in literals}) != len(literals):
             raise ValueError("duplicate variable within one clause")
-        if not (math.isfinite(self.weight) and self.weight > 0):
+        # false for NaN too
+        if not 0.0 < self.weight < math.inf:
             raise ValueError("clause weight must be positive and finite")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, fan_out, post_json
-from .core import ClauseOrigin, MaieuticTree, WeightedClause, tree_nodes, variable_map
+from .core import ClauseOrigin, MaieuticTree, WeightedClause, variable_map
 from .errors import MalformedResponse, MissingFixture
 
 PROB_ORDER = ("entail", "contradict", "neutral")
@@ -30,8 +29,11 @@ class NliLabel(str, Enum):
     NEUTRAL = "neutral"
 
 
-def _one_hot(label: NliLabel) -> tuple[float, float, float]:
-    return tuple(1.0 if name == label.value else 0.0 for name in PROB_ORDER)
+_LABELS = {label.value: label for label in NliLabel}
+# the labels in PROB_ORDER, and each label's certain probabilities
+_LABEL_ORDER = tuple(_LABELS[name] for name in PROB_ORDER)
+_ONE_HOT = {label: tuple(1.0 if other is label else 0.0 for other in _LABEL_ORDER)
+            for label in NliLabel}
 
 
 @dataclass(frozen=True)
@@ -48,20 +50,23 @@ class NliJudgment:
     label_probs: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "label_probs", tuple(self.label_probs))
-        if len(self.label_probs) != 3:
+        probs = self.label_probs
+        if type(probs) is not tuple:
+            probs = tuple(probs)
+            object.__setattr__(self, "label_probs", probs)
+        if len(probs) != 3:
             raise ValueError("label_probs must hold three values")
-        for prob in self.label_probs:
-            if not (math.isfinite(prob) and 0.0 <= prob <= 1.0):
+        for prob in probs:
+            # false for NaN, and for either infinity
+            if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"label probability {prob!r} outside [0, 1]")
-        if abs(sum(self.label_probs) - 1.0) > 1e-6:
+        if abs(sum(probs) - 1.0) > 1e-6:
             raise ValueError("label probabilities must sum to 1")
-        winner = PROB_ORDER[self.label_probs.index(max(self.label_probs))]
-        if winner != self.label.value:
+        if _LABEL_ORDER[probs.index(max(probs))] is not self.label:
             raise ValueError(f"label {self.label.value!r} is not the argmax")
 
     def label_prob(self) -> float:
-        return self.label_probs[PROB_ORDER.index(self.label.value)]
+        return self.label_probs[_LABEL_ORDER.index(self.label)]
 
 
 class NliVerifier:
@@ -82,16 +87,23 @@ class NliVerifier:
         return [call() for call in calls]
 
 
-def _judgment_from_record(premise: str, hypothesis: str, record: Mapping) -> NliJudgment:
+def _judgment_from_record(premise: str, hypothesis: str, record: Any) -> NliJudgment:
+    """The judgment a fixture record or service reply states.
+
+    Raises ``MalformedResponse`` naming the record when it is not an
+    object with a known ``label``, or when its optional ``probs`` are not
+    three numbers that fit the label.
+    """
     try:
-        label = NliLabel(str(record["label"]).lower())
-    except (KeyError, ValueError) as exc:
-        raise MalformedResponse(f"unusable NLI label in {record!r}") from exc
-    probs = record.get("probs")
-    if probs is None:
-        probs = _one_hot(label)
-    return NliJudgment(premise=premise, hypothesis=hypothesis, label=label,
-                       label_probs=tuple(float(p) for p in probs))
+        label = _LABELS[str(record["label"]).lower()]
+        probs = record.get("probs")
+        if probs is None:
+            return NliJudgment(premise, hypothesis, label, _ONE_HOT[label])
+        if not isinstance(probs, (list, tuple)):
+            raise TypeError(f"probs must be a list, not {type(probs).__name__}")
+        return NliJudgment(premise, hypothesis, label, tuple(map(float, probs)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedResponse(f"unusable NLI record {record!r}: {exc}") from exc
 
 
 class ScriptedNliVerifier(NliVerifier):
@@ -111,8 +123,12 @@ class ScriptedNliVerifier(NliVerifier):
         else:
             records = list(fixtures)
         self._table: dict[tuple[str, str], Mapping] = {}
-        for record in records:
-            key = (str(record["premise"]), str(record["hypothesis"]))
+        for index, record in enumerate(records):
+            try:
+                key = (str(record["premise"]), str(record["hypothesis"]))
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"NLI fixture record {index} needs a premise and a "
+                                 f"hypothesis: {record!r}") from exc
             self._table[key] = record
         self.strict = strict
         self.verifier_id = verifier_id
@@ -125,10 +141,10 @@ class ScriptedNliVerifier(NliVerifier):
             return _judgment_from_record(premise, hypothesis, record)
         if premise == hypothesis:
             return NliJudgment(premise, hypothesis, NliLabel.ENTAIL,
-                               _one_hot(NliLabel.ENTAIL))
+                               _ONE_HOT[NliLabel.ENTAIL])
         if not self.strict:
             return NliJudgment(premise, hypothesis, NliLabel.NEUTRAL,
-                               _one_hot(NliLabel.NEUTRAL))
+                               _ONE_HOT[NliLabel.NEUTRAL])
         raise MissingFixture(f"no NLI fixture for ({premise!r}, {hypothesis!r})")
 
 
@@ -197,21 +213,19 @@ def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[Weighted
     with an identical literal set (for instance a contradiction judged
     in both orders) merge into one, keeping the first.
     """
-    variables = {node_id: var for var, node_id in variable_map(tree).items()}
-    ordered = tree_nodes(tree)
-    pairs = [(first, second) for first in ordered for second in ordered
-             if first.id != second.id]
-    judgments = verifier.nli_batch([(first.text, second.text) for first, second in pairs])
-    merged: dict[frozenset, WeightedClause] = {}
+    texts = {var: tree.nodes[node_id].text for var, node_id in variable_map(tree).items()}
+    pairs = [(first, second) for first in texts for second in texts if first != second]
+    judgments = verifier.nli_batch([(texts[first], texts[second]) for first, second in pairs])
+    entail, neutral, nli = NliLabel.ENTAIL, NliLabel.NEUTRAL, ClauseOrigin.NLI
+    merged: dict[tuple, WeightedClause] = {}
     for (first, second), judgment in zip(pairs, judgments):
-        if judgment.label is NliLabel.NEUTRAL:
+        label = judgment.label
+        if label is neutral:
             continue
-        hypothesis_polarity = judgment.label is NliLabel.ENTAIL
-        literals = tuple(sorted(((variables[first.id], False),
-                                 (variables[second.id], hypothesis_polarity))))
-        key = frozenset(literals)
-        if key in merged:
-            continue
-        merged[key] = WeightedClause(literals=literals, weight=1.0,
-                                     origin=ClauseOrigin.NLI)
+        premise, hypothesis = (first, False), (second, label is entail)
+        # literals in ascending variable order, so a pair judged in both
+        # orders yields one key
+        literals = (premise, hypothesis) if first < second else (hypothesis, premise)
+        if literals not in merged:
+            merged[literals] = WeightedClause(literals, 1.0, nli)
     return list(merged.values())

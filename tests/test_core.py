@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -283,6 +284,18 @@ def test_weighted_clause_validation():
                        origin=ClauseOrigin.NLI)
     with pytest.raises(ValueError):
         WeightedClause(literals=(), weight=0.5, origin=ClauseOrigin.BELIEF)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -0.5, -0.0])
+def test_weighted_clause_rejects_unusable_weights(weight):
+    with pytest.raises(ValueError, match="weight"):
+        WeightedClause(literals=((1, True),), weight=weight, origin=ClauseOrigin.NLI)
+
+
+def test_weighted_clause_normalizes_literals():
+    clause = WeightedClause(literals=[[2, 1], (3.0, 0)], weight=1, origin=ClauseOrigin.NLI)
+    assert clause.literals == ((2, True), (3, False))
+    assert [tuple(map(type, literal)) for literal in clause.literals] == [(int, bool)] * 2
 
 
 def test_weighted_cnf_lookup_and_total():

@@ -1,8 +1,8 @@
 """Property-based checks of the core invariants: the solver equals the
 exhaustive oracle at every weight scale and at tree scale, and ignores
-clause order; pruning is idempotent, the
-WCNF exchange format round-trips, and the response cache reads back
-what it stored."""
+clause order; pruning is idempotent, NLI clauses match a reference
+loop, the WCNF exchange format round-trips, and the response cache
+reads back what it stored."""
 from __future__ import annotations
 
 from hypothesis import given, settings
@@ -19,9 +19,11 @@ from maieutic.core import (
     WeightedCnf,
     tree_nodes,
     tree_to_dict,
+    variable_map,
 )
 from maieutic.solver import export_wcnf, import_wcnf, solve, solve_brute
 from maieutic.tree_builder import prune
+from maieutic.verifier import NliLabel, ScriptedNliVerifier, relation_clauses
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -156,6 +158,60 @@ def test_prune_is_idempotent(tree):
     for node in tree_nodes(pruned):
         if node.id != pruned.root_id and not pruned.children_of(node.id):
             assert node.integrity.is_integral
+
+
+def reference_relation_clauses(tree, verifier):
+    """Reference for relation_clauses: a loop over node objects with a frozenset merge."""
+    variables = {node_id: var for var, node_id in variable_map(tree).items()}
+    ordered = tree_nodes(tree)
+    pairs = [(first, second) for first in ordered for second in ordered
+             if first.id != second.id]
+    judgments = verifier.nli_batch([(first.text, second.text) for first, second in pairs])
+    merged: dict[frozenset, WeightedClause] = {}
+    for (first, second), judgment in zip(pairs, judgments):
+        if judgment.label is NliLabel.NEUTRAL:
+            continue
+        hypothesis_polarity = judgment.label is NliLabel.ENTAIL
+        literals = tuple(sorted(((variables[first.id], False),
+                                 (variables[second.id], hypothesis_polarity))))
+        key = frozenset(literals)
+        if key in merged:
+            continue
+        merged[key] = WeightedClause(literals=literals, weight=1.0,
+                                     origin=ClauseOrigin.NLI)
+    return list(merged.values())
+
+
+# a label for each order of one sentence pair, both orders included
+LABEL_PAIRS = [(ahead, back) for ahead in NliLabel for back in NliLabel]
+
+
+@st.composite
+def shaped_trees(draw, max_nodes: int = 19) -> MaieuticTree:
+    """Any rooted shape of up to ``max_nodes`` nodes, each node under an
+    earlier one, so that pre-order differs from the order of drawing."""
+    nodes = {ROOT_ID: Proposition(id=ROOT_ID, text="Statement 0.")}
+    children: dict[str, list] = {}
+    for index in range(1, draw(st.integers(1, max_nodes))):
+        node_id = f"N.{index}"
+        nodes[node_id] = Proposition(id=node_id, text=f"Statement {index}.")
+        parent = draw(st.sampled_from(list(nodes)[:-1]))
+        children.setdefault(parent, []).append((draw(st.booleans()), node_id))
+    return MaieuticTree(nodes=nodes, children=children)
+
+
+@PROPERTY
+@given(tree=shaped_trees(), data=st.data())
+def test_relation_clauses_match_the_reference_loop(tree, data):
+    texts = [node.text for node in tree_nodes(tree)]
+    records = []
+    for first, premise in enumerate(texts):
+        for hypothesis in texts[first + 1:]:
+            ahead, back = data.draw(st.sampled_from(LABEL_PAIRS))
+            records += [{"premise": premise, "hypothesis": hypothesis, "label": ahead.value},
+                        {"premise": hypothesis, "hypothesis": premise, "label": back.value}]
+    verifier = ScriptedNliVerifier(fixtures=records)
+    assert relation_clauses(tree, verifier) == reference_relation_clauses(tree, verifier)
 
 
 RESPONSES = st.one_of(

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from maieutic.core import ClauseOrigin, Integrity, MaieuticTree, Proposition
+from maieutic.core import ClauseOrigin, Integrity, MaieuticTree, Proposition, tree_nodes
 from maieutic.errors import BackendUnavailable, MalformedResponse, MissingFixture
 from maieutic.verifier import (
     HttpNliVerifier,
@@ -42,10 +43,34 @@ def test_judgment_accepts_consistent_probabilities():
     (0.9, 0.3, 0.1),            # does not sum to one
     (1.2, -0.1, -0.1),          # outside [0, 1]
     (0.6, 0.3, 0.1),            # argmax disagrees with the label below
+    # each case below fails one check only, unless its id says otherwise
+    pytest.param((0.3, 0.7, math.nan), id="nan"),
+    pytest.param((0.3, math.inf, 0.0), id="inf-and-sum"),
+    pytest.param((-math.inf, 0.7, 0.3), id="minus-inf-and-sum"),
+    pytest.param((0.0, math.inf, -math.inf), id="infinities"),
+    pytest.param((-0.1, 0.7, 0.4), id="negative"),
+    pytest.param((0.0, 1.5, 0.0), id="above-one-and-sum"),
+    pytest.param((0.3, 0.7), id="two-values"),
+    pytest.param((0.1, 0.6, 0.2, 0.1), id="four-values"),
+    pytest.param((0.1, 0.7, 0.2 + 2e-6), id="sum-off"),
+    pytest.param((0.1, 0.2, 0.7), id="argmax-neutral"),
+    pytest.param((0.45, 0.45, 0.1), id="argmax-tie-goes-to-the-first"),
 ])
 def test_judgment_rejects_inconsistent_probabilities(probs):
     with pytest.raises(ValueError):
         NliJudgment("a", "b", NliLabel.CONTRADICT, probs)
+
+
+@pytest.mark.parametrize("label, probs, expected", [
+    (NliLabel.ENTAIL, [0.8, 0.05, 0.15], 0.8),
+    (NliLabel.CONTRADICT, [0.1, 0.7, 0.2 + 5e-7], 0.7),
+    (NliLabel.NEUTRAL, [0.0, 0.0, 1.0], 1.0),
+])
+def test_judgment_stores_a_list_as_a_tuple(label, probs, expected):
+    judgment = NliJudgment("a", "b", label, probs)
+    assert type(judgment.label_probs) is tuple
+    assert judgment.label_probs == tuple(probs)
+    assert judgment.label_prob() == expected
 
 
 # --- scripted verifier ---
@@ -83,6 +108,29 @@ def test_scripted_bad_label_is_malformed():
     verifier = ScriptedNliVerifier(fixtures=records)
     with pytest.raises(MalformedResponse):
         verifier.nli("a", "b")
+
+
+# probs a reply or fixture record may carry that no judgment can hold
+MALFORMED_PROBS = [0.5, "abc", "100", [1, 0], [1, 0, 0, 0], ["a", "b", "c"],
+                   [0.2, 0.7, 0.1], [0.9, 0.2, 0.1], [None, 0, 1]]
+
+
+@pytest.mark.parametrize("probs", MALFORMED_PROBS)
+def test_scripted_malformed_probs_are_malformed(probs):
+    record = {"premise": "a", "hypothesis": "b", "label": "entail", "probs": probs}
+    verifier = ScriptedNliVerifier(fixtures=[record])
+    with pytest.raises(MalformedResponse, match="unusable NLI record") as caught:
+        verifier.nli("a", "b")
+    assert repr(record) in str(caught.value)
+
+
+@pytest.mark.parametrize("missing", ["premise", "hypothesis"])
+def test_scripted_fixture_needs_premise_and_hypothesis(missing):
+    records = [{"premise": "a", "hypothesis": "b", "label": "entail"},
+               {"premise": "c", "hypothesis": "d", "label": "neutral"}]
+    del records[1][missing]
+    with pytest.raises(ValueError, match="NLI fixture record 1 "):
+        ScriptedNliVerifier(fixtures=records)
 
 
 def test_scripted_loads_fixture_files(tmp_path):
@@ -138,6 +186,25 @@ def test_symmetric_contradictions_merge_into_one_clause():
     literal_sets = [frozenset(c.literals) for c in clauses]
     assert len(set(literal_sets)) == 5
     assert frozenset({(3, False), (4, False)}) in literal_sets
+
+
+def test_relation_clauses_asks_once_per_ordered_pair():
+    tree = fixed_tree()
+    verifier = ScriptedNliVerifier(fixtures=WAR_NLI_RECORDS, strict=False)
+    calls = []
+    original = verifier.nli
+
+    # wrapped on the instance, where the benchmark counts NLI requests
+    def counted(premise, hypothesis):
+        calls.append((premise, hypothesis))
+        return original(premise, hypothesis)
+    verifier.nli = counted
+    relation_clauses(tree, verifier)
+    texts = [node.text for node in tree_nodes(tree)]
+    count = len(texts)
+    assert len(calls) == count * (count - 1) == 20
+    assert calls == [(texts[first], texts[second]) for first in range(count)
+                     for second in range(count) if first != second]
 
 
 def test_strict_verifier_requires_full_coverage():
@@ -246,6 +313,17 @@ def test_http_verifier_malformed_label(nli_stub):
     verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
     with pytest.raises(MalformedResponse):
         verifier.nli("a", "b")
+
+
+@pytest.mark.parametrize("payload", [["entail"], None, "entail", 3]
+                         + [{"label": "entail", "probs": probs} for probs in MALFORMED_PROBS])
+def test_http_verifier_malformed_reply(nli_stub, payload):
+    nli_stub.script.append((200, payload))
+    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    with pytest.raises(MalformedResponse, match="unusable NLI record") as caught:
+        verifier.nli("a", "b")
+    assert repr(payload) in str(caught.value)
+    assert len(nli_stub.requests) == 1
 
 
 def test_http_verifier_endpoint_from_environment(nli_stub, monkeypatch):

@@ -12,7 +12,6 @@ cache key from that digest.
 from __future__ import annotations
 
 import atexit
-import functools
 import hashlib
 import json
 import math
@@ -28,7 +27,6 @@ from urllib.parse import SplitResult, urlsplit
 from . import prompts as prompt_templates
 from .core import DecodingParams, DecodingStrategy, NegationStrategy, PromptMode, PromptSet
 from .errors import (
-    ArgmaxTie,
     BackendUnavailable,
     CacheCorrupt,
     EmptyGeneration,
@@ -80,10 +78,11 @@ class TruthResponse:
     true_prob: float
     false_prob: float
 
-    def argmax(self) -> bool:
-        """Preferred answer; raises when the two probabilities tie exactly."""
+    def argmax(self) -> Optional[bool]:
+        """Preferred answer; ``None`` when the two probabilities tie exactly,
+        since a tie commits to no answer."""
         if self.true_prob == self.false_prob:
-            raise ArgmaxTie(f"both answers at {self.true_prob}")
+            return None
         return self.true_prob > self.false_prob
 
 
@@ -110,18 +109,18 @@ class LmBackend:
     def _completion_logprob(self, prompt: str, completion: str) -> float:
         raise NotImplementedError
 
-    def _batch(self, calls: Sequence[Callable[[], Any]]) -> list:
-        """Answers of independent primitive calls, in request order.
+    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
+        """``call(*args)`` for each argument tuple: independent requests,
+        answered in request order.
 
         A plain loop in the calling thread that stops at the first
         failure; a remote backend sends the calls concurrently instead.
         """
-        return [call() for call in calls]
+        return [call(*args) for args in arguments]
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
         """One primitive (named by its method) over many argument tuples, as one batch."""
-        call = getattr(self, primitive)
-        return self._batch([functools.partial(call, *args) for args in arguments])
+        return self._batch(getattr(self, primitive), arguments)
 
     # --- public operations ---
 
@@ -239,11 +238,6 @@ def negate_all(statements: Sequence[str], strategy: NegationStrategy,
     if backend is None:
         raise ValueError("lm_generated negation requires a backend")
     return backend.lm_negations(statements)
-
-
-def negate(statement: str, strategy: NegationStrategy,
-           backend: Optional[LmBackend] = None) -> str:
-    return negate_all([statement], strategy, backend)[0]
 
 
 # --- scripted backend ---
@@ -393,8 +387,9 @@ _fan_out_executor: Optional[ThreadPoolExecutor] = None
 _fan_out_lock = threading.Lock()
 
 
-def fan_out(calls: Sequence[Callable[[], Any]]) -> list:
-    """Run independent calls on the shared HTTP executor; answers in request order.
+def fan_out(call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
+    """``call(*args)`` for each argument tuple on the shared HTTP executor;
+    answers in request order.
 
     Every call of the batch finishes before the first failure in
     request order is raised. The executor's ``MAX_IN_FLIGHT`` threads
@@ -402,13 +397,13 @@ def fan_out(calls: Sequence[Callable[[], Any]]) -> list:
     threads issue batches.
     """
     global _fan_out_executor
-    if not calls:
+    if not arguments:
         return []
     with _fan_out_lock:
         if _fan_out_executor is None:
             _fan_out_executor = ThreadPoolExecutor(MAX_IN_FLIGHT,
                                                    thread_name_prefix="maieutic-http")
-    futures = [_fan_out_executor.submit(call) for call in calls]
+    futures = [_fan_out_executor.submit(call, *args) for args in arguments]
     wait(futures)
     return [future.result() for future in futures]
 
@@ -541,6 +536,14 @@ def post_json(url: str, body: dict, *, timeout: float, retries: int, backoff: fl
 _ANSWER_TRUE, _ANSWER_FALSE = prompt_templates.ANSWER_TOKENS
 
 
+def _logprob(value: Any) -> float:
+    """A token log-probability from a reply; anything but a finite number
+    <= 0 is malformed."""
+    if type(value) not in (int, float) or not -math.inf < value <= 0.0:
+        raise MalformedResponse(f"token log-probability {value!r} is not a finite number <= 0")
+    return value
+
+
 class HttpLmBackend(LmBackend):
     """Client for a completion-style HTTP API.
 
@@ -565,8 +568,8 @@ class HttpLmBackend(LmBackend):
         self.backoff = backoff
         self.backend_id = f"http:{self.model or 'default'}"
 
-    def _batch(self, calls: Sequence[Callable[[], Any]]) -> list:
-        return fan_out(calls)
+    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
+        return fan_out(call, arguments)
 
     def _post(self, body: dict) -> dict:
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
@@ -581,20 +584,25 @@ class HttpLmBackend(LmBackend):
         return body
 
     @staticmethod
-    def _choice(payload: dict) -> dict:
-        choices = payload.get("choices")
-        if not choices:
+    def _choices(payload: Any) -> list[dict]:
+        choices = payload.get("choices") if isinstance(payload, dict) else None
+        if not choices or not isinstance(choices, list):
             raise MalformedResponse("response carries no choices")
-        return choices[0]
+        if not all(isinstance(choice, dict) for choice in choices):
+            raise MalformedResponse(f"a choice is not an object: {choices!r}")
+        return choices
 
     def _score_answer(self, prompt: str) -> tuple[float, float]:
         payload = self._post(self._body(prompt, max_tokens=1, temperature=0.0, logprobs=5))
-        logprobs = self._choice(payload).get("logprobs") or {}
-        top = (logprobs.get("top_logprobs") or [{}])[0]
+        logprobs = self._choices(payload)[0].get("logprobs")
+        listed = logprobs.get("top_logprobs") if isinstance(logprobs, dict) else None
+        top = listed[0] if isinstance(listed, list) and listed else {}
+        if not isinstance(top, dict):
+            raise MalformedResponse(f"top_logprobs[0] is not an object: {top!r}")
         if _ANSWER_TRUE not in top and _ANSWER_FALSE not in top:
             raise MalformedResponse("answer tokens absent from the returned distribution")
-        p_true = math.exp(top[_ANSWER_TRUE]) if _ANSWER_TRUE in top else 0.0
-        p_false = math.exp(top[_ANSWER_FALSE]) if _ANSWER_FALSE in top else 0.0
+        p_true = math.exp(_logprob(top[_ANSWER_TRUE])) if _ANSWER_TRUE in top else 0.0
+        p_false = math.exp(_logprob(top[_ANSWER_FALSE])) if _ANSWER_FALSE in top else 0.0
         return p_true, p_false
 
     def _complete(self, prompt: str, decoding: DecodingParams) -> list[str]:
@@ -609,22 +617,23 @@ class HttpLmBackend(LmBackend):
             extra["temperature"] = 1.0
             extra["top_p"] = decoding.nucleus_p
         payload = self._post(self._body(prompt, **extra))
-        choices = payload.get("choices")
-        if not choices:
-            raise MalformedResponse("response carries no choices")
-        return [str(choice.get("text", "")) for choice in choices]
+        return [str(choice.get("text", "")) for choice in self._choices(payload)]
 
     def _completion_logprob(self, prompt: str, completion: str) -> float:
         full = f"{prompt} {completion}"
         payload = self._post(self._body(full, max_tokens=0, echo=True, logprobs=0))
-        logprobs = self._choice(payload).get("logprobs")
-        if not logprobs or "token_logprobs" not in logprobs or "text_offset" not in logprobs:
+        logprobs = self._choices(payload)[0].get("logprobs")
+        if (not isinstance(logprobs, dict) or "token_logprobs" not in logprobs
+                or "text_offset" not in logprobs):
             raise NotSupported("the API exposes no token log-probabilities")
         total = 0.0
         boundary = len(prompt)
-        for offset, value in zip(logprobs["text_offset"], logprobs["token_logprobs"]):
-            if offset >= boundary and value is not None:
-                total += value
+        try:
+            for offset, value in zip(logprobs["text_offset"], logprobs["token_logprobs"]):
+                if offset >= boundary and value is not None:
+                    total += _logprob(value)
+        except TypeError as exc:  # an offset that is not a number, or no list at all
+            raise MalformedResponse(f"unusable token log-probabilities: {exc}") from exc
         return total
 
 
@@ -750,22 +759,18 @@ class CachedBackend(LmBackend):
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
         build, stored_form, answer_form = _CACHE_FORMS[primitive]
         call = getattr(self.inner, primitive)
-
-        def ask(args: tuple) -> dict:
-            return stored_form(call(*args))
-
         stored = self.served(self.backend_id, [build(*args) for args in arguments],
-                             [functools.partial(ask, args) for args in arguments],
+                             lambda index: stored_form(call(*arguments[index])),
                              self.inner._batch)
         return [answer_form(answer) for answer in stored]
 
     def served(self, owner_id: str, requests: Sequence[dict],
-               asks: Sequence[Callable[[], dict]],
-               batch: Callable[[Sequence[Callable[[], Any]]], list]) -> list[dict]:
+               ask: Callable[[int], dict],
+               batch: Callable[[Callable[..., Any], Sequence[tuple]], list]) -> list[dict]:
         """Answers (in stored form) of one batch of requests, in request order.
 
         Hits come from the cache; the misses go to ``batch`` together,
-        where ``asks[i]`` sends request i on. Each request is digested
+        where ``ask(i)`` sends request i on. Each request is digested
         once: the digest keys the trace, and with ``owner_id`` (and the
         seed, for a stochastic completion) the cache. A request
         repeating an earlier miss of the same batch is a hit on that
@@ -799,12 +804,12 @@ class CachedBackend(LmBackend):
 
         def timed(index: int) -> None:
             started = time.monotonic()
-            answer = asks[index]()
+            answer = ask(index)
             latency[index] = time.monotonic() - started
             stored[index] = answer
 
         try:
-            batch([functools.partial(timed, index) for index in misses])
+            batch(timed, [(index,) for index in misses])
         finally:
             records, fresh = [], {}
             for index, origin in enumerate(answered_by):

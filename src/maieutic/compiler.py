@@ -26,7 +26,7 @@ from .core import (
     Proposition,
     WeightedClause,
     WeightedCnf,
-    belief_from_probs,
+    belief_from_probs,  # re-exported: callers import it from here
     tree_leaves,
     variable_map,
 )
@@ -43,12 +43,6 @@ class CompileMode(str, Enum):
 
     LIKELIHOOD = "likelihood"
     VERIFIER = "verifier"
-
-
-def belief_weight(node: Proposition) -> float:
-    if node.true_prob is None or node.neg_true_prob is None:
-        raise ValueError(f"{node.id!r} carries no stored truth probabilities")
-    return belief_from_probs(node.true_prob, node.neg_true_prob)
 
 
 def _sigmoid(x: float) -> float:
@@ -96,7 +90,7 @@ def compile_belief_clauses(tree: MaieuticTree) -> list[WeightedClause]:
             continue
         if not leaf.integrity.is_integral:
             raise ValueError(f"leaf {leaf.id!r} is not integral; prune the tree first")
-        weight = abs(belief_weight(leaf))
+        weight = abs(leaf.belief)
         if weight < MIN_CLAUSE_WEIGHT:
             continue
         polarity = leaf.integrity is Integrity.INTEGRAL_TRUE

@@ -103,12 +103,7 @@ class PromptSet:
                 raise ValueError(f"{self.mode.value} examples require an explanation")
 
     def content_hash(self) -> str:
-        payload = [
-            {"question": e.question, "answer": e.answer, "explanation": e.explanation}
-            for e in self.examples
-        ]
-        blob = json.dumps({"mode": self.mode.value, "examples": payload},
-                          sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(prompt_set_to_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

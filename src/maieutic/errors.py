@@ -31,12 +31,6 @@ class CacheCorrupt(MaieuticError):
     """A line of the response cache's file is not a cache entry."""
 
 
-# --- tree building ---
-
-class ArgmaxTie(MaieuticError):
-    """Both answer tokens received exactly equal probability."""
-
-
 # --- constraint compilation ---
 
 class DegenerateBelief(MaieuticError):

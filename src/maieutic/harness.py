@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import compiler, prompts as prompt_templates, solver, tree_builder
-from .backend import LmBackend, TruthResponse
+from .backend import LmBackend
 from .compiler import CompileMode
 from .core import (
     MaieuticTree,
@@ -31,7 +31,7 @@ from .core import (
     tree_to_dict,
     tree_to_dot,
 )
-from .errors import ArgmaxTie, EmptyGeneration, MissingGold
+from .errors import EmptyGeneration, MissingGold
 from .solver import Assignment, assignment_by_node, solve
 from .verifier import NliVerifier
 
@@ -122,22 +122,13 @@ def _qa_pairs_view(prompts: PromptSet) -> PromptSet:
         for ex in prompts.examples))
 
 
-def _answer_or_default(response: TruthResponse) -> tuple[bool, bool]:
-    """(answer, fallback used): an exact tie carries no information, so it
-    answers False with the fallback flag raised."""
-    try:
-        return response.argmax(), False
-    except ArgmaxTie:
-        return False, True
-
-
 def infer_standard(question: str, backend: LmBackend,
                    prompts: PromptSet) -> InferenceResult:
     """Answer by scoring the two answer tokens directly; a tie answers False
     with the fallback flag raised."""
-    answer, fallback = _answer_or_default(backend.true_prob(question, prompts))
-    return InferenceResult(question=question, answer=answer,
-                           method=Method.STANDARD, fallback_used=fallback)
+    answer = backend.true_prob(question, prompts).argmax()
+    return InferenceResult(question=question, answer=bool(answer),
+                           method=Method.STANDARD, fallback_used=answer is None)
 
 
 def infer_explanation_based(question: str, backend: LmBackend,
@@ -155,10 +146,9 @@ def infer_explanation_based(question: str, backend: LmBackend,
     except EmptyGeneration:
         direct = infer_standard(question, backend, _qa_pairs_view(prompts))
         return replace(direct, method=Method.EXPLANATION_BASED, fallback_used=True)
-    answer, fallback = _answer_or_default(
-        backend.explained_answer_prob(question, explanation, prompts))
-    return InferenceResult(question=question, answer=answer,
-                           method=Method.EXPLANATION_BASED, fallback_used=fallback,
+    answer = backend.explained_answer_prob(question, explanation, prompts).argmax()
+    return InferenceResult(question=question, answer=bool(answer),
+                           method=Method.EXPLANATION_BASED, fallback_used=answer is None,
                            explanation=explanation)
 
 

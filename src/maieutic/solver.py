@@ -371,7 +371,7 @@ def import_wcnf(path: Union[str, Path],
             names = {int(key): str(value)
                      for key, value in mapping.get("variables", {}).items()}
             origins = [ClauseOrigin(value) for value in mapping.get("origins", [])]
-        except (ValueError, KeyError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"unusable sidecar map: {exc}", 0) from exc
         if scale <= 0:
             raise ParseError("sidecar scale must be positive", 0)

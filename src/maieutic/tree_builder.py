@@ -26,74 +26,25 @@ from .core import (
     TreeConfig,
     child_id,
 )
-from .errors import ArgmaxTie
 from .prompts import normalize_statement
 
-
-@dataclass(frozen=True)
-class IntegrityCheck:
-    """Outcome of the two truth queries behind the integrity test."""
-
-    integrity: Integrity
-    true_prob: float
-    neg_true_prob: float
-
-
-def _committed_answer(response: backend_ops.TruthResponse) -> Optional[bool]:
-    try:
-        return response.argmax()
-    except ArgmaxTie:
-        return None
-
-
-def _integrity_check(direct: backend_ops.TruthResponse,
-                     negated: backend_ops.TruthResponse) -> IntegrityCheck:
-    answers = (_committed_answer(direct), _committed_answer(negated))
-    if answers == (True, False):
-        integrity = Integrity.INTEGRAL_TRUE
-    elif answers == (False, True):
-        integrity = Integrity.INTEGRAL_FALSE
-    else:
-        integrity = Integrity.NOT_INTEGRAL
-    return IntegrityCheck(integrity=integrity, true_prob=direct.true_prob,
-                          neg_true_prob=negated.true_prob)
-
-
-def check_integrity(statement: str, negated: str, backend: backend_ops.LmBackend,
-                    prompts: PromptSet) -> IntegrityCheck:
-    """Score a statement and its negation; classify the answer pattern.
-
-    The statement is integral when the model commits to opposite
-    answers for the pair: True/False yields ``INTEGRAL_TRUE``,
-    False/True yields ``INTEGRAL_FALSE``. Agreement on both, or an
-    exact tie on either query, is ``NOT_INTEGRAL`` (a tie expresses no
-    preference, so it cannot witness a committed answer). The belief
-    ratio is later derived from the same two probabilities.
-    """
-    return _integrity_check(*backend.true_probs([statement, negated], prompts))
+# The answers to a statement and to its negation, by integrity. Any other
+# pattern (agreement, or an exact tie on either query, which commits to
+# no answer) is NOT_INTEGRAL.
+_INTEGRITY = {(True, False): Integrity.INTEGRAL_TRUE,
+              (False, True): Integrity.INTEGRAL_FALSE}
 
 
 def _abductions(questions: list[str], decoding: DecodingParams,
                 backend: backend_ops.LmBackend,
                 prompts: PromptSet) -> list[tuple[list[str], list[str]]]:
-    """Deduplicated explanations for both labels of each question, as one batch."""
+    """Deduplicated explanations for both labels of each question, as one
+    batch; a label whose samples were all blank gets an empty list."""
     samples = backend.abductive_samples(
         [(question, label) for question in questions for label in (True, False)],
         prompts, decoding)
     unique = [list(dict.fromkeys(texts)) for texts in samples]
     return list(zip(unique[0::2], unique[1::2]))
-
-
-def abduction(question: str, config: TreeConfig, depth: int,
-              backend: backend_ops.LmBackend,
-              prompts: PromptSet) -> tuple[list[str], list[str]]:
-    """Sample explanations for both answer labels at the given depth.
-
-    Returns deduplicated explanation lists for the True and the False
-    label. A label whose samples are all empty contributes an empty
-    list rather than failing the build; the other branch proceeds.
-    """
-    return _abductions([question], config.decoding_for(depth), backend, prompts)[0]
 
 
 @dataclass(frozen=True)
@@ -110,7 +61,12 @@ def _checked_propositions(pending: list[_Pending], config: TreeConfig,
                           backend: backend_ops.LmBackend,
                           truth_prompts: PromptSet) -> list[Proposition]:
     """Negate every pending node, then score each statement and its
-    negation; each step is one batch."""
+    negation; each step is one batch.
+
+    A statement is integral when the model commits to opposite answers
+    for it and its negation (see ``_INTEGRITY``); the belief ratio is
+    later derived from the same two probabilities.
+    """
     if not pending:
         return []
     texts = [node.text for node in pending]
@@ -119,16 +75,17 @@ def _checked_propositions(pending: list[_Pending], config: TreeConfig,
         [text for pair in zip(texts, negations) for text in pair], truth_prompts)
     propositions = []
     for index, (node, negated) in enumerate(zip(pending, negations)):
-        check = _integrity_check(responses[2 * index], responses[2 * index + 1])
+        direct, opposite = responses[2 * index], responses[2 * index + 1]
         propositions.append(Proposition(
             id=node.id,
             text=node.text,
             negated_text=negated,
             path_label=node.path_label,
             source_answer=node.source_answer,
-            integrity=check.integrity,
-            true_prob=check.true_prob,
-            neg_true_prob=check.neg_true_prob,
+            integrity=_INTEGRITY.get((direct.argmax(), opposite.argmax()),
+                                     Integrity.NOT_INTEGRAL),
+            true_prob=direct.true_prob,
+            neg_true_prob=opposite.true_prob,
         ))
     return propositions
 

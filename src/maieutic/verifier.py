@@ -8,7 +8,6 @@ not-hypothesis, neutral to nothing. Every clause weighs 1.
 """
 from __future__ import annotations
 
-import functools
 import json
 import os
 from dataclasses import dataclass
@@ -79,12 +78,11 @@ class NliVerifier:
 
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
         """Judgments of independent pairs in request order, as one :meth:`_batch`."""
-        return self._batch([functools.partial(self.nli, premise, hypothesis)
-                            for premise, hypothesis in pairs])
+        return self._batch(self.nli, pairs)
 
-    def _batch(self, calls: Sequence[Callable[[], Any]]) -> list:
+    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
         """A plain loop in the calling thread that stops at the first failure."""
-        return [call() for call in calls]
+        return [call(*args) for args in arguments]
 
 
 def _judgment_from_record(premise: str, hypothesis: str, record: Any) -> NliJudgment:
@@ -176,8 +174,8 @@ class HttpNliVerifier(NliVerifier):
                             backoff=self.backoff)
         return _judgment_from_record(premise, hypothesis, payload)
 
-    def _batch(self, calls: Sequence[Callable[[], Any]]) -> list:
-        return fan_out(calls)
+    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
+        return fan_out(call, arguments)
 
 
 class CachedVerifier(NliVerifier):
@@ -195,9 +193,9 @@ class CachedVerifier(NliVerifier):
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
         requests = [{"kind": "nli", "premise": premise, "hypothesis": hypothesis}
                     for premise, hypothesis in pairs]
-        asks = [functools.partial(self._ask, premise, hypothesis)
-                for premise, hypothesis in pairs]
-        stored = self.cached.served(self.verifier_id, requests, asks, self.inner._batch)
+        stored = self.cached.served(self.verifier_id, requests,
+                                    lambda index: self._ask(*pairs[index]),
+                                    self.inner._batch)
         return [_judgment_from_record(premise, hypothesis, record)
                 for (premise, hypothesis), record in zip(pairs, stored)]
 

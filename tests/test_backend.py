@@ -25,14 +25,13 @@ from maieutic.backend import (
     cache_key,
     completion_request,
     logprob_request,
-    negate,
+    negate_all,
     read_trace,
     request_digest,
     truth_request,
 )
 from maieutic.core import DecodingParams, DecodingStrategy, NegationStrategy
 from maieutic.errors import (
-    ArgmaxTie,
     BackendUnavailable,
     CacheCorrupt,
     EmptyGeneration,
@@ -80,9 +79,8 @@ def test_truth_response_argmax():
     assert TruthResponse(0.2, 0.8).argmax() is False
 
 
-def test_truth_response_tie_raises():
-    with pytest.raises(ArgmaxTie):
-        TruthResponse(0.5, 0.5).argmax()
+def test_truth_response_tie_answers_none():
+    assert TruthResponse(0.5, 0.5).argmax() is None
 
 
 # --- scripted backend through the fixture builder ---
@@ -166,14 +164,14 @@ def test_sequence_logprob_validates_range():
 
 
 def test_negate_prefix_and_lm():
-    assert negate("Ice floats.", NegationStrategy.PREFIX) == \
-        "It is wrong to say that ice floats."
+    assert negate_all(["Ice floats."], NegationStrategy.PREFIX) == \
+        ["It is wrong to say that ice floats."]
     builder = FixtureBuilder()
     builder.negation("Ice floats.", "Ice does not float.")
-    assert negate("Ice floats.", NegationStrategy.LM_GENERATED,
-                  builder.backend()) == "Ice does not float."
+    assert negate_all(["Ice floats."], NegationStrategy.LM_GENERATED,
+                      builder.backend()) == ["Ice does not float."]
     with pytest.raises(ValueError):
-        negate("Ice floats.", NegationStrategy.LM_GENERATED)
+        negate_all(["Ice floats."], NegationStrategy.LM_GENERATED)
 
 
 def test_fixture_file_round_trip(tmp_path):
@@ -566,6 +564,32 @@ def test_http_logprob_unsupported(stub):
                                        ABDUCTIVE_PROMPTS)
 
 
+def _top_logprobs(top) -> dict:
+    return {"choices": [{"logprobs": {"top_logprobs": [top]}}]}
+
+
+@pytest.mark.parametrize("payload,kind", [
+    ([{"choices": []}], "truth"),                              # a list, not an object
+    ({"choices": ["True"]}, "truth"),                          # a choice that is no object
+    (_top_logprobs(" True"), "truth"),                         # top_logprobs[0] a string
+    (_top_logprobs({" True": None, " False": -1.0}), "truth"),
+    (_top_logprobs({" True": 1000.0, " False": -1.0}), "truth"),
+    # the offset lies past any prompt, so the entry counts
+    ({"choices": [{"logprobs": {"token_logprobs": [None, "-2.0"],
+                                "text_offset": [0, 10 ** 9]}}]}, "logprob"),
+], ids=["list", "choice", "top-string", "null", "positive", "token-string"])
+def test_http_lm_malformed_reply(stub, payload, kind):
+    stub.script.append((200, payload))
+    client = _client(stub)
+    with pytest.raises(MalformedResponse):
+        if kind == "truth":
+            client.true_prob("Ice floats on water", TRUTH_PROMPTS)
+        else:
+            client.sequence_logprob("Ice is less dense.", "Ice floats on water", True,
+                                    ABDUCTIVE_PROMPTS)
+    assert len(stub.requests) == 1
+
+
 def test_http_api_key_from_environment(stub, monkeypatch):
     monkeypatch.setenv("MAIEUTIC_API_KEY", "env-key")
     stub.script.append((200, {"choices": [{"logprobs": {"top_logprobs": [
@@ -628,6 +652,12 @@ def test_http_resends_once_on_a_connection_dropped_while_idle(monkeypatch):
     assert not thread.is_alive()
     assert server.request_count == 3
     assert slept == []
+
+
+def test_every_export_resolves_once():
+    assert len(maieutic.__all__) == len(set(maieutic.__all__))
+    missing = [name for name in maieutic.__all__ if not hasattr(maieutic, name)]
+    assert missing == []
 
 
 def test_importing_the_package_leaves_http_client_unloaded():

@@ -11,7 +11,6 @@ from maieutic.compiler import (
     MIN_CLAUSE_WEIGHT,
     CompileMode,
     belief_from_probs,
-    belief_weight,
     compile,
     compile_belief_clauses,
     compile_consistency_clauses,
@@ -25,6 +24,7 @@ from maieutic.core import (
     MaieuticTree,
     Proposition,
     TreeConfig,
+    variable_map,
 )
 from maieutic.errors import DegenerateBelief, EmptyTree
 from maieutic.verifier import ScriptedNliVerifier
@@ -60,13 +60,19 @@ def test_belief_from_probs_degenerate():
         belief_from_probs(0.0, 0.0)
 
 
-def test_belief_weight_reads_stored_probabilities():
+def test_belief_clause_weight_reads_stored_probabilities():
     tree = fixed_tree()
-    assert belief_weight(tree.node("T.0.T.0")) == \
-        pytest.approx((0.9 - 0.15) / (0.9 + 0.15))
+    expected = (0.9 - 0.15) / (0.9 + 0.15)
+    assert tree.node("T.0.T.0").belief == pytest.approx(expected)
+    variables = {node_id: var for var, node_id in variable_map(tree).items()}
+    weights = {clause.literals[0][0]: clause.weight for clause in compile_belief_clauses(tree)}
+    assert weights[variables["T.0.T.0"]] == pytest.approx(expected)
     bare = Proposition(id="x", text="claim without probabilities")
+    assert bare.belief is None
+    # so an integral leaf, the only kind that gets a belief clause, has a belief
     with pytest.raises(ValueError):
-        belief_weight(bare)
+        Proposition(id="x", text="claim without probabilities", negated_text="its negation",
+                    integrity=Integrity.INTEGRAL_TRUE)
 
 
 # --- consistency weights ---
@@ -162,7 +168,7 @@ def test_negligible_belief_clauses_are_dropped():
     tree = MaieuticTree(nodes={"root": root, "T.0": faint},
                         children={"root": [(True, "T.0")]},
                         config=NARROW_CONFIG)
-    assert abs(belief_weight(faint)) < MIN_CLAUSE_WEIGHT
+    assert abs(faint.belief) < MIN_CLAUSE_WEIGHT
     assert compile_belief_clauses(tree) == []
 
 

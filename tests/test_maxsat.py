@@ -313,10 +313,12 @@ def test_import_rejects_unusable_sidecar(tmp_path):
     path = tmp_path / "ok.wcnf"
     path.write_text("p wcnf 1 1 10\n1 1 0\n", encoding="utf-8")
     sidecar = tmp_path / "ok.wcnf.map.json"
-    sidecar.write_text('{"scale": "not a number"}', encoding="utf-8")
-    with pytest.raises(ParseError) as err:
-        import_wcnf(path)
-    assert err.value.line == 0
+    for body in ('{"scale": "not a number"}', "[]", '{"scale": null}',
+                 '{"variables": []}', '{"origins": 3}'):
+        sidecar.write_text(body, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            import_wcnf(path)
+        assert err.value.line == 0, body
 
 
 def test_parse_error_message_carries_the_line():

@@ -153,6 +153,16 @@ def test_default_prompt_sets_load(mode):
     assert prompts.content_hash() == default_prompt_set(mode).content_hash()
 
 
+@pytest.mark.parametrize("mode,prefix", [
+    (PromptMode.QA_PAIRS, "2562e84d7d1f6060"),
+    (PromptMode.QA_EXPLANATION_TRIPLES, "d066296e88162a1b"),
+    (PromptMode.ABDUCTIVE_TRIPLES, "8e856a51d0038bd3"),
+])
+def test_default_prompt_hashes_are_pinned(mode, prefix):
+    # run manifests record these hashes; a change here must be deliberate
+    assert default_prompt_set(mode).content_hash().startswith(prefix)
+
+
 def test_load_or_default_reads_files(tmp_path):
     path = tmp_path / "prompts.json"
     payload = {

@@ -10,13 +10,12 @@ from maieutic.core import (
     DecodingStrategy,
     Integrity,
     NegationStrategy,
-    Proposition,
     TreeConfig,
     tree_nodes,
     tree_to_dict,
 )
 from maieutic.prompts import prefix_negation
-from maieutic.tree_builder import abduction, build_tree, check_integrity, prune
+from maieutic.tree_builder import _checked_propositions, _Pending, build_tree, prune
 from scenarios import (
     ABDUCTIVE_PROMPTS,
     NARROW_CONFIG,
@@ -38,6 +37,14 @@ def _truth_backend(statement, true_prob, neg_true_prob):
     return builder.backend()
 
 
+def _checked(statement, true_prob, neg_true_prob):
+    """The proposition the tree builder stores for one statement."""
+    pending = _Pending(id="T.0", text=statement, path_label="T", source_answer=True)
+    return _checked_propositions([pending], NARROW_CONFIG,
+                                 _truth_backend(statement, true_prob, neg_true_prob),
+                                 TRUTH_PROMPTS)[0]
+
+
 @pytest.mark.parametrize("true_prob,neg_prob,expected", [
     (0.8, 0.3, Integrity.INTEGRAL_TRUE),
     (0.2, 0.9, Integrity.INTEGRAL_FALSE),
@@ -48,53 +55,44 @@ def _truth_backend(statement, true_prob, neg_true_prob):
 ])
 def test_check_integrity_classification(true_prob, neg_prob, expected):
     statement = "Glass is made mostly of sand"
-    backend = _truth_backend(statement, true_prob, neg_prob)
-    check = check_integrity(statement, prefix_negation(statement), backend,
-                            TRUTH_PROMPTS)
-    assert check.integrity is expected
-    assert check.true_prob == pytest.approx(true_prob)
-    assert check.neg_true_prob == pytest.approx(neg_prob)
-
-
-def _built(statement, check):
-    """The proposition the tree builder stores for one integrity check."""
-    return Proposition(id="T.0", text=statement,
-                       negated_text=prefix_negation(statement), path_label="T",
-                       integrity=check.integrity, true_prob=check.true_prob,
-                       neg_true_prob=check.neg_true_prob)
+    checked = _checked(statement, true_prob, neg_prob)
+    assert checked.integrity is expected
+    assert checked.true_prob == pytest.approx(true_prob)
+    assert checked.neg_true_prob == pytest.approx(neg_prob)
+    assert checked.negated_text == prefix_negation(statement)
 
 
 def test_check_integrity_belief_ratio():
-    statement = "Glass is made mostly of sand"
-    backend = _truth_backend(statement, 0.9, 0.15)
-    check = check_integrity(statement, prefix_negation(statement), backend,
-                            TRUTH_PROMPTS)
-    assert _built(statement, check).belief == pytest.approx((0.9 - 0.15) / (0.9 + 0.15))
+    checked = _checked("Glass is made mostly of sand", 0.9, 0.15)
+    assert checked.belief == pytest.approx((0.9 - 0.15) / (0.9 + 0.15))
 
 
 def test_check_integrity_degenerate_probabilities():
     # zero mass on True for both the statement and its negation: the
     # answers agree, and no belief ratio can be formed
-    statement = "Glass is made mostly of sand"
-    backend = _truth_backend(statement, 0.0, 0.0)
-    check = check_integrity(statement, prefix_negation(statement), backend,
-                            TRUTH_PROMPTS)
-    assert _built(statement, check).belief is None
-    assert check.integrity is Integrity.NOT_INTEGRAL
+    checked = _checked("Glass is made mostly of sand", 0.0, 0.0)
+    assert checked.belief is None
+    assert checked.integrity is Integrity.NOT_INTEGRAL
 
 
 def test_abduction_deduplicates_in_order():
     # four samples requested, two distinct; dedup keeps first occurrences
     decoding = DecodingParams(DecodingStrategy.NUCLEUS, sample_count=4)
     config = TreeConfig(depth_limit=1, decoding_schedule=(decoding,))
+    question = "Glass is made mostly of sand"
     builder = FixtureBuilder()
-    builder.abductive("Glass is made mostly of sand", True, ABDUCTIVE_PROMPTS,
+    builder.abductive(question, True, ABDUCTIVE_PROMPTS,
                       decoding, ["first reason", "second reason",
                                  "first reason", "second reason"])
-    builder.abductive("Glass is made mostly of sand", False, ABDUCTIVE_PROMPTS,
+    builder.abductive(question, False, ABDUCTIVE_PROMPTS,
                       decoding, ["", "", "", ""])
-    for_true, for_false = abduction("Glass is made mostly of sand", config, 1,
-                                    builder.backend(), ABDUCTIVE_PROMPTS)
+    for text in (question, "first reason", "second reason"):
+        builder.truth(text, TRUTH_PROMPTS, 0.8, 0.2)
+        builder.truth(prefix_negation(text), TRUTH_PROMPTS, 0.3, 0.7)
+    tree = build_tree(question, config, builder.backend(), TRUTH_PROMPTS,
+                      ABDUCTIVE_PROMPTS)
+    for_true = [tree.node(cid).text for label, cid in tree.children_of("root") if label]
+    for_false = [cid for label, cid in tree.children_of("root") if not label]
     assert for_true == ["first reason", "second reason"]
     assert for_false == []  # empty generations surface as no children
 

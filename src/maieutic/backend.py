@@ -20,6 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partialmethod
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 from urllib.parse import SplitResult, urlsplit
@@ -57,6 +58,21 @@ def logprob_request(prompt: str, completion: str) -> dict:
     return {"kind": "logprob", "prompt": prompt, "completion": completion}
 
 
+# Per primitive: its request, and its answer as stored (in the cache and
+# the scripted fixture table) and back.
+_FORMS: dict[str, tuple[Callable[..., dict], Callable[[Any], dict], Callable[[dict], Any]]] = {
+    "_score_answer": (truth_request,
+                      lambda raw: dict(zip(("true_prob", "false_prob"), raw)),
+                      lambda stored: (stored["true_prob"], stored["false_prob"])),
+    "_complete": (completion_request,
+                  lambda raw: {"completions": raw},
+                  lambda stored: stored["completions"]),
+    "_completion_logprob": (logprob_request,
+                            lambda raw: {"logprob": raw},
+                            lambda stored: stored["logprob"]),
+}
+
+
 def request_digest(request: dict) -> str:
     """Stable identifier of one backend request."""
     return _sha256(json.dumps(request, sort_keys=True, separators=(",", ":")))
@@ -86,7 +102,21 @@ class TruthResponse:
         return self.true_prob > self.false_prob
 
 
-class LmBackend:
+class ModelClient:
+    """What the LM backend and the NLI verifier share: sending a batch of
+    independent requests."""
+
+    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
+        """``call(*args)`` for each argument tuple: independent requests,
+        answered in request order.
+
+        A plain loop in the calling thread that stops at the first
+        failure; an :class:`HttpClient` sends the calls concurrently instead.
+        """
+        return [call(*args) for args in arguments]
+
+
+class LmBackend(ModelClient):
     """Query interface over a completion-style language model.
 
     The operations a question issues in rounds (truth scores,
@@ -108,15 +138,6 @@ class LmBackend:
 
     def _completion_logprob(self, prompt: str, completion: str) -> float:
         raise NotImplementedError
-
-    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
-        """``call(*args)`` for each argument tuple: independent requests,
-        answered in request order.
-
-        A plain loop in the calling thread that stops at the first
-        failure; a remote backend sends the calls concurrently instead.
-        """
-        return [call(*args) for args in arguments]
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
         """One primitive (named by its method) over many argument tuples, as one batch."""
@@ -181,7 +202,7 @@ class LmBackend:
                       explanation) for explanation, question, label in queries]
         values = self._requests("_completion_logprob", arguments)
         for value in values:
-            if not math.isfinite(value) or value > 0.0:
+            if type(value) not in (int, float) or not math.isfinite(value) or value > 0.0:
                 raise MalformedResponse(
                     f"log-likelihood {value!r} is not a finite value <= 0")
         return values
@@ -213,6 +234,9 @@ class LmBackend:
     def _cleaned_completions(self, prompts: Sequence[str],
                              decoding: DecodingParams) -> list[list[str]]:
         raws = self._requests("_complete", [(prompt, decoding) for prompt in prompts])
+        for raw in raws:
+            if type(raw) is not list or not all(type(text) is str for text in raw):
+                raise MalformedResponse(f"completions {raw!r} are not a list of strings")
         return [[text.strip() for text in raw if text and text.strip()][: decoding.sample_count]
                 for raw in raws]
 
@@ -242,26 +266,12 @@ def negate_all(statements: Sequence[str], strategy: NegationStrategy,
 
 # --- scripted backend ---
 
-def _validate_fixture_response(kind: str, response) -> dict:
-    if not isinstance(response, dict):
-        raise MalformedResponse(f"fixture response must be an object, got {type(response)}")
-    if kind == "truth":
-        if "true_prob" not in response or "false_prob" not in response:
-            raise MalformedResponse("truth fixture needs true_prob and false_prob")
-    elif kind == "completion":
-        if not isinstance(response.get("completions"), list):
-            raise MalformedResponse("completion fixture needs a completions list")
-    elif kind == "logprob":
-        if not isinstance(response.get("logprob"), (int, float)):
-            raise MalformedResponse("logprob fixture needs a numeric logprob")
-    return response
-
-
 class ScriptedBackend(LmBackend):
     """Deterministic backend answering from a fixture table.
 
-    The table maps request digests to response objects and is read-only
-    after construction, so instances are safe to share across threads.
+    The table maps request digests to response objects, each in the form
+    the response cache stores, and is read-only after construction, so
+    instances are safe to share across threads.
     """
 
     def __init__(self, fixtures: Union[str, Path, Mapping[str, dict]],
@@ -274,24 +284,23 @@ class ScriptedBackend(LmBackend):
         self._table: dict[str, dict] = table
         self.backend_id = backend_id
 
-    def _lookup(self, request: dict) -> dict:
+    def _lookup(self, primitive: str, *args) -> Any:
+        build, _, answer_form = _FORMS[primitive]
+        request = build(*args)
         digest = request_digest(request)
         if digest not in self._table:
             raise MissingFixture(
                 f"no fixture for {request['kind']} request {digest[:12]}...")
-        return _validate_fixture_response(request["kind"], self._table[digest])
+        response = self._table[digest]
+        try:
+            return answer_form(response)
+        except (KeyError, TypeError) as exc:
+            raise MalformedResponse(
+                f"unusable {request['kind']} fixture {response!r}: {exc!r}") from exc
 
-    def _score_answer(self, prompt: str) -> tuple[float, float]:
-        response = self._lookup(truth_request(prompt))
-        return response["true_prob"], response["false_prob"]
-
-    def _complete(self, prompt: str, decoding: DecodingParams) -> list[str]:
-        response = self._lookup(completion_request(prompt, decoding))
-        return [str(text) for text in response["completions"]]
-
-    def _completion_logprob(self, prompt: str, completion: str) -> float:
-        response = self._lookup(logprob_request(prompt, completion))
-        return float(response["logprob"])
+    _score_answer = partialmethod(_lookup, "_score_answer")
+    _complete = partialmethod(_lookup, "_complete")
+    _completion_logprob = partialmethod(_lookup, "_completion_logprob")
 
 
 class FixtureBuilder:
@@ -363,8 +372,8 @@ class FixtureBuilder:
                            encoding="utf-8")
         return path
 
-    def backend(self, backend_id: str = "scripted") -> ScriptedBackend:
-        return ScriptedBackend(self.responses, backend_id=backend_id)
+    def backend(self) -> ScriptedBackend:
+        return ScriptedBackend(self.responses)
 
 
 # --- HTTP transport and backend ---
@@ -383,8 +392,8 @@ def _retry_after(value: Optional[str], timeout: float) -> Optional[float]:
 # Requests this process keeps in flight at most, over every HTTP client.
 MAX_IN_FLIGHT = 12
 
-_fan_out_executor: Optional[ThreadPoolExecutor] = None
-_fan_out_lock = threading.Lock()
+# Built at import: an executor starts no thread before its first submit.
+_executor = ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="maieutic-http")
 
 
 def fan_out(call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
@@ -396,80 +405,54 @@ def fan_out(call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
     are shared by all HTTP clients, so that bound holds however many
     threads issue batches.
     """
-    global _fan_out_executor
-    if not arguments:
-        return []
-    with _fan_out_lock:
-        if _fan_out_executor is None:
-            _fan_out_executor = ThreadPoolExecutor(MAX_IN_FLIGHT,
-                                                   thread_name_prefix="maieutic-http")
-    futures = [_fan_out_executor.submit(call, *args) for args in arguments]
+    futures = [_executor.submit(call, *args) for args in arguments]
     wait(futures)
     return [future.result() for future in futures]
 
 
-class _ConnectionPool:
-    """Kept-alive HTTP connections; idle ones are kept per (scheme, host, port)."""
-
-    def __init__(self):
-        self._idle: dict[tuple, list] = {}
-        self._lock = threading.Lock()
-
-    def take(self, url: SplitResult, timeout: float):
-        """(connection, reused): an idle connection to the URL's host, or a new one."""
-        key = (url.scheme, url.hostname, url.port)
-        with self._lock:
-            idle = self._idle.get(key)
-            connection = idle.pop() if idle else None
-        if connection is None:
-            return self.connect(url, timeout), False
-        connection.timeout = timeout
-        if connection.sock is not None:
-            connection.sock.settimeout(timeout)
-        return connection, True
-
-    @staticmethod
-    def connect(url: SplitResult, timeout: float):
-        import http.client
-
-        if url.scheme == "https":
-            return http.client.HTTPSConnection(url.hostname, url.port, timeout=timeout)
-        if url.scheme == "http":
-            return http.client.HTTPConnection(url.hostname, url.port, timeout=timeout)
-        raise ValueError(f"unsupported URL scheme {url.scheme!r}")
-
-    def give_back(self, url: SplitResult, connection) -> None:
-        key = (url.scheme, url.hostname, url.port)
-        with self._lock:
-            idle = self._idle.setdefault(key, [])
-            if len(idle) < MAX_IN_FLIGHT:
-                idle.append(connection)
-                return
-        connection.close()
-
-    def close_idle(self) -> None:
-        """Close every idle connection; registered to run at interpreter exit."""
-        with self._lock:
-            idle = [connection for kept in self._idle.values() for connection in kept]
-            self._idle.clear()
-        for connection in idle:
-            connection.close()
+# Kept-alive connections by (sending thread, scheme, host, port). A thread
+# takes out and puts back only its own entries, so the dict needs no lock.
+_connections: dict[tuple, Any] = {}
 
 
-_connections = _ConnectionPool()
-atexit.register(_connections.close_idle)
+def _connect(url: SplitResult, timeout: float):
+    import http.client
+
+    if url.scheme == "https":
+        return http.client.HTTPSConnection(url.hostname, url.port, timeout=timeout)
+    if url.scheme == "http":
+        return http.client.HTTPConnection(url.hostname, url.port, timeout=timeout)
+    raise ValueError(f"unsupported URL scheme {url.scheme!r}")
+
+
+def close_connections() -> None:
+    """Close every kept-alive connection; registered to run at interpreter exit."""
+    while _connections:
+        _connections.popitem()[1].close()
+
+
+atexit.register(close_connections)
 
 
 def _exchange(url: SplitResult, blob: bytes, headers: dict,
               timeout: float) -> tuple[int, Optional[str], bytes]:
-    """POST once on a pooled connection: (status, Retry-After, body).
+    """POST once on this thread's kept-alive connection to the URL's host:
+    (status, Retry-After, body).
 
     A reused connection that the server closed while it sat idle fails
     before any response arrives; it is replaced and the request sent
     again once.
     """
     target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-    connection, reused = _connections.take(url, timeout)
+    key = (threading.get_ident(), url.scheme, url.hostname, url.port)
+    connection = _connections.pop(key, None)
+    reused = connection is not None
+    if reused:
+        connection.timeout = timeout
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout)
+    else:
+        connection = _connect(url, timeout)
     try:
         try:
             connection.request("POST", target, blob, headers)
@@ -478,7 +461,7 @@ def _exchange(url: SplitResult, blob: bytes, headers: dict,
             if not reused:
                 raise
             connection.close()
-            connection = _connections.connect(url, timeout)
+            connection = _connect(url, timeout)
             connection.request("POST", target, blob, headers)
             response = connection.getresponse()
         body = response.read()
@@ -488,49 +471,64 @@ def _exchange(url: SplitResult, blob: bytes, headers: dict,
     if response.will_close:
         connection.close()
     else:
-        _connections.give_back(url, connection)
+        _connections[key] = connection
     return response.status, response.getheader("Retry-After"), body
 
 
-def post_json(url: str, body: dict, *, timeout: float, retries: int, backoff: float,
-              headers: Optional[dict] = None) -> dict:
-    """POST a JSON body and return the decoded JSON reply.
+class HttpClient(ModelClient):
+    """A model behind an HTTP endpoint: requests go through :meth:`_post`,
+    a batch through :func:`fan_out`."""
 
-    Transport errors, 5xx and 429 are retried within ``retries``
-    attempts, after an exponential backoff or the delay a 429's
-    ``Retry-After`` names; any other status but 200 fails at once with
-    ``BackendUnavailable``, as does running out of attempts.
-    Connections are kept alive and reused (see :func:`_exchange`).
-    """
-    import http.client
+    def __init__(self, endpoint: str, timeout: float, retries: int, backoff: float,
+                 headers: Optional[dict] = None):
+        if retries < 1:
+            raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
+        self.endpoint = endpoint
+        self.timeout = timeout
+        self.retries = retries
+        self.backoff = backoff
+        self.headers = {"Content-Type": "application/json", **(headers or {})}
 
-    parts = urlsplit(url)
-    blob = json.dumps(body).encode("utf-8")
-    headers = {"Content-Type": "application/json", **(headers or {})}
-    last_error: Optional[Exception] = None
-    delay: Optional[float] = None
-    for attempt in range(retries):
-        if attempt:
-            time.sleep(backoff * (2 ** (attempt - 1)) if delay is None else delay)
-        delay = None
-        try:
-            status, retry_after, raw = _exchange(parts, blob, headers, timeout)
-        except (OSError, http.client.HTTPException) as exc:
-            last_error = exc
-            continue
-        if status >= 500 or status == 429:
-            last_error = BackendUnavailable(f"server returned {status}")
-            if status == 429:
-                delay = _retry_after(retry_after, timeout)
-            continue
-        if status != 200:
-            text = raw.decode("utf-8", errors="replace")
-            raise BackendUnavailable(f"server returned {status}: {text[:200]}")
-        try:
-            return json.loads(raw)
-        except ValueError as exc:
-            raise MalformedResponse(f"response body is not JSON: {exc}") from exc
-    raise BackendUnavailable(f"request failed after {retries} attempts: {last_error}")
+    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
+        return fan_out(call, arguments)
+
+    def _post(self, body: dict) -> dict:
+        """POST a JSON body to the endpoint and return the decoded JSON reply.
+
+        Transport errors, 5xx and 429 are retried within ``retries``
+        attempts, after an exponential backoff or the delay a 429's
+        ``Retry-After`` names; any other status but 200 fails at once with
+        ``BackendUnavailable``, as does running out of attempts.
+        Connections are kept alive and reused (see :func:`_exchange`).
+        """
+        import http.client
+
+        parts = urlsplit(self.endpoint)
+        blob = json.dumps(body).encode("utf-8")
+        last_error: Optional[Exception] = None
+        delay: Optional[float] = None
+        for attempt in range(self.retries):
+            if attempt:
+                time.sleep(self.backoff * (2 ** (attempt - 1)) if delay is None else delay)
+            delay = None
+            try:
+                status, retry_after, raw = _exchange(parts, blob, self.headers, self.timeout)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc
+                continue
+            if status >= 500 or status == 429:
+                last_error = BackendUnavailable(f"server returned {status}")
+                if status == 429:
+                    delay = _retry_after(retry_after, self.timeout)
+                continue
+            if status != 200:
+                text = raw.decode("utf-8", errors="replace")
+                raise BackendUnavailable(f"server returned {status}: {text[:200]}")
+            try:
+                return json.loads(raw)
+            except ValueError as exc:
+                raise MalformedResponse(f"response body is not JSON: {exc}") from exc
+        raise BackendUnavailable(f"request failed after {self.retries} attempts: {last_error}")
 
 
 _ANSWER_TRUE, _ANSWER_FALSE = prompt_templates.ANSWER_TOKENS
@@ -544,13 +542,11 @@ def _logprob(value: Any) -> float:
     return value
 
 
-class HttpLmBackend(LmBackend):
+class HttpLmBackend(HttpClient, LmBackend):
     """Client for a completion-style HTTP API.
 
     The endpoint and model come from configuration; only the API key
     may fall back to the ``MAIEUTIC_API_KEY`` environment variable.
-    Requests go through :func:`post_json`; a batch is sent through
-    :func:`fan_out`.
     """
 
     def __init__(self, endpoint: str, model: Optional[str] = None,
@@ -558,23 +554,11 @@ class HttpLmBackend(LmBackend):
                  retries: int = 3, backoff: float = 1.0):
         if not endpoint:
             raise ValueError("no endpoint configured")
-        if retries < 1:
-            raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
-        self.endpoint = endpoint
         self.model = model
         self.api_key = api_key or os.environ.get("MAIEUTIC_API_KEY")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
+        super().__init__(endpoint, timeout, retries, backoff,
+                         {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None)
         self.backend_id = f"http:{self.model or 'default'}"
-
-    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
-        return fan_out(call, arguments)
-
-    def _post(self, body: dict) -> dict:
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
-        return post_json(self.endpoint, body, headers=headers, timeout=self.timeout,
-                         retries=self.retries, backoff=self.backoff)
 
     def _body(self, prompt: str, **extra) -> dict:
         body = {"prompt": prompt}
@@ -617,7 +601,7 @@ class HttpLmBackend(LmBackend):
             extra["temperature"] = 1.0
             extra["top_p"] = decoding.nucleus_p
         payload = self._post(self._body(prompt, **extra))
-        return [str(choice.get("text", "")) for choice in self._choices(payload)]
+        return [choice.get("text", "") for choice in self._choices(payload)]
 
     def _completion_logprob(self, prompt: str, completion: str) -> float:
         full = f"{prompt} {completion}"
@@ -723,21 +707,6 @@ def read_trace(path: Union[str, Path]) -> list[dict]:
     return records
 
 
-# Per primitive: its request, and its answer as stored in the cache and back.
-_CACHE_FORMS: dict[str, tuple[Callable[..., dict], Callable[[Any], dict],
-                              Callable[[dict], Any]]] = {
-    "_score_answer": (truth_request,
-                      lambda raw: dict(zip(("true_prob", "false_prob"), raw)),
-                      lambda stored: (stored["true_prob"], stored["false_prob"])),
-    "_complete": (completion_request,
-                  lambda raw: {"completions": raw},
-                  lambda stored: list(stored["completions"])),
-    "_completion_logprob": (logprob_request,
-                            lambda raw: {"logprob": raw},
-                            lambda stored: stored["logprob"]),
-}
-
-
 class CachedBackend(LmBackend):
     """Caching wrapper around another backend.
 
@@ -757,7 +726,7 @@ class CachedBackend(LmBackend):
         self.backend_id = inner.backend_id
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
-        build, stored_form, answer_form = _CACHE_FORMS[primitive]
+        build, stored_form, answer_form = _FORMS[primitive]
         call = getattr(self.inner, primitive)
         stored = self.served(self.backend_id, [build(*args) for args in arguments],
                              lambda index: stored_form(call(*arguments[index])),

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import compiler, harness, solver, tree_builder
+from . import harness, solver
 from .compiler import CompileMode
 from .config import EngineConfig, build_engine
 from .core import label_word, tree_from_dot, tree_from_json, tree_to_dot, tree_to_json
@@ -86,15 +86,10 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_wcnf(args: argparse.Namespace) -> int:
-    engine = build_engine(_load_config(args))
-    tree = tree_builder.build_tree(args.question, engine.tree_config, engine.backend,
-                                   engine.truth_prompts, engine.abductive_prompts)
-    pruned = tree_builder.prune(tree)
-    if pruned.is_root_only():
+    _, cnf = harness.compile_question(args.question, build_engine(_load_config(args)))
+    if cnf is None:
         print("error: the pruned tree is root-only; nothing to export", file=sys.stderr)
         return 2
-    cnf = compiler.compile(pruned, engine.mode, backend=engine.backend,
-                           verifier=engine.verifier, prompts=engine.abductive_prompts)
     written = solver.export_wcnf(cnf, args.out)
     print(f"wrote {written} and {written}.map.json")
     return 0

@@ -152,21 +152,31 @@ def infer_explanation_based(question: str, backend: LmBackend,
                            explanation=explanation)
 
 
+def compile_question(question: str,
+                     engine: Engine) -> tuple[MaieuticTree, Optional[WeightedCnf]]:
+    """Grow and prune the question's tree, then compile it to clauses;
+    the clauses are ``None`` when pruning leaves only the root."""
+    tree = tree_builder.build_tree(question, engine.tree_config, engine.backend,
+                                   engine.truth_prompts, engine.abductive_prompts)
+    pruned = tree_builder.prune(tree)
+    if pruned.is_root_only():
+        return pruned, None
+    return pruned, compiler.compile(pruned, engine.mode, backend=engine.backend,
+                                    verifier=engine.verifier,
+                                    prompts=engine.abductive_prompts)
+
+
 def infer_maieutic(question: str, engine: Engine) -> InferenceResult:
     """Grow, prune, compile and solve; the answer is the root's assigned value.
 
     A tree pruned down to its root carries no usable evidence, so the
     answer falls back to direct scoring with the fallback flag raised.
     """
-    tree = tree_builder.build_tree(question, engine.tree_config, engine.backend,
-                                   engine.truth_prompts, engine.abductive_prompts)
-    pruned = tree_builder.prune(tree)
-    if pruned.is_root_only():
+    pruned, cnf = compile_question(question, engine)
+    if cnf is None:
         direct = infer_standard(question, engine.backend, engine.truth_prompts)
         return InferenceResult(question=question, answer=direct.answer,
                                method=Method.MAIEUTIC, fallback_used=True, tree=pruned)
-    cnf = compiler.compile(pruned, engine.mode, backend=engine.backend,
-                           verifier=engine.verifier, prompts=engine.abductive_prompts)
     assignment = solve(cnf)
     by_node = assignment_by_node(cnf, assignment)
     true_propositions = [node.text for node in tree_nodes(pruned)

@@ -367,14 +367,14 @@ def import_wcnf(path: Union[str, Path],
     if sidecar is not None:
         try:
             mapping = json.loads(Path(sidecar).read_text(encoding="utf-8"))
-            scale = int(mapping.get("scale", WCNF_SCALE))
+            scale = mapping.get("scale", WCNF_SCALE)
             names = {int(key): str(value)
                      for key, value in mapping.get("variables", {}).items()}
             origins = [ClauseOrigin(value) for value in mapping.get("origins", [])]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"unusable sidecar map: {exc}", 0) from exc
-        if scale <= 0:
-            raise ParseError("sidecar scale must be positive", 0)
+        if type(scale) is not int or scale <= 0:
+            raise ParseError(f"sidecar scale {scale!r} is not a positive integer", 0)
 
     header: Optional[tuple[int, int, int]] = None
     clauses: list[WeightedClause] = []

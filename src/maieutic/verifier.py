@@ -13,9 +13,9 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
-from .backend import CachedBackend, fan_out, post_json
+from .backend import CachedBackend, HttpClient, ModelClient
 from .core import ClauseOrigin, MaieuticTree, WeightedClause, variable_map
 from .errors import MalformedResponse, MissingFixture
 
@@ -68,7 +68,7 @@ class NliJudgment:
         return self.label_probs[_LABEL_ORDER.index(self.label)]
 
 
-class NliVerifier:
+class NliVerifier(ModelClient):
     """Interface: judge one ordered (premise, hypothesis) pair, or many."""
 
     verifier_id: str = "nli"
@@ -79,10 +79,6 @@ class NliVerifier:
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
         """Judgments of independent pairs in request order, as one :meth:`_batch`."""
         return self._batch(self.nli, pairs)
-
-    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
-        """A plain loop in the calling thread that stops at the first failure."""
-        return [call(*args) for args in arguments]
 
 
 def _judgment_from_record(premise: str, hypothesis: str, record: Any) -> NliJudgment:
@@ -113,8 +109,10 @@ class ScriptedNliVerifier(NliVerifier):
     (the default) and judge Neutral otherwise.
     """
 
+    verifier_id = "scripted-nli"
+
     def __init__(self, fixtures: Union[str, Path, Iterable[Mapping]] = (),
-                 strict: bool = True, verifier_id: str = "scripted-nli"):
+                 strict: bool = True):
         if isinstance(fixtures, (str, Path)):
             with open(fixtures, "r", encoding="utf-8") as handle:
                 records = json.load(handle)
@@ -129,7 +127,6 @@ class ScriptedNliVerifier(NliVerifier):
                                  f"hypothesis: {record!r}") from exc
             self._table[key] = record
         self.strict = strict
-        self.verifier_id = verifier_id
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
         if not premise.strip() or not hypothesis.strip():
@@ -146,36 +143,26 @@ class ScriptedNliVerifier(NliVerifier):
         raise MissingFixture(f"no NLI fixture for ({premise!r}, {hypothesis!r})")
 
 
-class HttpNliVerifier(NliVerifier):
+class HttpNliVerifier(HttpClient, NliVerifier):
     """Client for an NLI service: POST {premise, hypothesis} -> {label, probs}.
 
     The endpoint may come from the ``MAIEUTIC_NLI_ENDPOINT``
-    environment variable; requests go through :func:`~maieutic.backend.post_json`,
-    a batch through :func:`~maieutic.backend.fan_out`.
+    environment variable.
     """
 
     def __init__(self, endpoint: Optional[str] = None, timeout: float = 30.0,
                  retries: int = 3, backoff: float = 1.0):
-        self.endpoint = endpoint or os.environ.get("MAIEUTIC_NLI_ENDPOINT")
-        if not self.endpoint:
+        endpoint = endpoint or os.environ.get("MAIEUTIC_NLI_ENDPOINT")
+        if not endpoint:
             raise ValueError("no NLI endpoint configured (MAIEUTIC_NLI_ENDPOINT unset)")
-        if retries < 1:
-            raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
+        super().__init__(endpoint, timeout, retries, backoff)
         self.verifier_id = f"http-nli:{self.endpoint}"
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
         if not premise.strip() or not hypothesis.strip():
             raise ValueError("premise and hypothesis must be non-empty")
-        payload = post_json(self.endpoint, {"premise": premise, "hypothesis": hypothesis},
-                            timeout=self.timeout, retries=self.retries,
-                            backoff=self.backoff)
+        payload = self._post({"premise": premise, "hypothesis": hypothesis})
         return _judgment_from_record(premise, hypothesis, payload)
-
-    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
-        return fan_out(call, arguments)
 
 
 class CachedVerifier(NliVerifier):

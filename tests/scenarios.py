@@ -77,8 +77,8 @@ class ScenarioWorld:
             return False
         return (true_prob > 0.5) != (neg_true_prob > 0.5)
 
-    def backend(self, backend_id: str = "scripted") -> ScriptedBackend:
-        return self.builder.backend(backend_id)
+    def backend(self) -> ScriptedBackend:
+        return self.builder.backend()
 
 
 def random_world(seed: int, question: str | None = None,
@@ -260,12 +260,12 @@ EVAL_ROWS = [
 ]
 
 
-def eval_backend(backend_id: str = "scripted") -> ScriptedBackend:
+def eval_backend() -> ScriptedBackend:
     """Scripted backend answering every dataset question by direct scoring."""
     builder = FixtureBuilder()
     for _, question, _, _, true_prob in EVAL_ROWS:
         builder.truth(question, TRUTH_PROMPTS, true_prob, 1.0 - true_prob)
-    return builder.backend(backend_id)
+    return builder.backend()
 
 
 def random_cnf(rng: np.random.Generator, max_vars: int = 18,

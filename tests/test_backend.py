@@ -130,6 +130,17 @@ def test_sample_abductive_empty_generation():
                                            ABDUCTIVE_PROMPTS, GREEDY)
 
 
+@pytest.mark.parametrize("completions", [[None], ["fine", 3], "a string"],
+                         ids=["null", "number", "not-a-list"])
+def test_scripted_completions_must_be_a_list_of_strings(completions):
+    builder = FixtureBuilder()
+    digest = builder.abductive("Ice floats on water", True, ABDUCTIVE_PROMPTS, GREEDY, [])
+    builder.responses[digest] = {"completions": completions}
+    with pytest.raises(MalformedResponse):
+        builder.backend().abductive_samples([("Ice floats on water", True)],
+                                            ABDUCTIVE_PROMPTS, GREEDY)
+
+
 def test_explained_answer_prob():
     builder = FixtureBuilder()
     builder.explained_answer("Ice floats on water?", "Ice is less dense.",
@@ -376,18 +387,17 @@ def test_trace_only_wrapper_never_caches(tmp_path):
 def test_the_connection_pool_closes_its_idle_connections_at_exit():
     src = str(Path(maieutic.__file__).resolve().parents[1])
     probe = ("import atexit\n"
-             "from urllib.parse import urlsplit\n"
              "from maieutic import backend\n"
              "class Idle:\n"
              "    closed = False\n"
              "    def close(self):\n"
              "        Idle.closed = True\n"
-             "backend._connections.give_back(urlsplit('http://127.0.0.1:9/'), Idle())\n"
+             "backend._connections[(0, 'http', '127.0.0.1', 9)] = Idle()\n"
              "atexit._run_exitfuncs()\n"
-             "print(Idle.closed)")
+             "print(Idle.closed, backend._connections)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.strip() == "True"
+    assert done.stdout.strip() == "True {}"
 
 
 # --- HTTP client against a local stub ---
@@ -477,6 +487,14 @@ def test_http_completion_request_carries_decoding(stub):
     assert body["top_p"] == 0.9
     assert body["temperature"] == 1.0
     assert "model" not in body
+
+
+def test_http_null_completion_text_is_malformed(stub):
+    stub.script.append((200, {"choices": [{"text": " a reason"}, {"text": None}]}))
+    with pytest.raises(MalformedResponse):
+        _client(stub).sample_abductive("Ice floats on water", True,
+                                       ABDUCTIVE_PROMPTS, NUCLEUS_PAIR)
+    assert len(stub.requests) == 1
 
 
 @pytest.mark.parametrize("retries", [0, -1])

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -88,6 +90,11 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):
         pass
 
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
     def do_POST(self):
         server = self.server
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -116,7 +123,7 @@ class _Handler(BaseHTTPRequestHandler):
 def stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.lock = threading.Lock()
-    server.arrivals = server.in_flight = server.peak = 0
+    server.arrivals = server.in_flight = server.peak = server.connections = 0
     server.replies = []
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.01}, daemon=True)
@@ -253,12 +260,36 @@ def test_requests_in_flight_never_exceed_the_cap_under_evaluate(stub):
 
 def test_close_idle_closes_every_pooled_connection(stub):
     stub.respond = lambda path, body, arrival: (0.002, 200, {"label": "neutral"})
-    pool = backend_module._connections
-    pool.close_idle()
+    backend_module.close_connections()
     verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
     verifier.nli_batch([("a", "b"), ("b", "a"), ("a", "c")])
-    idle = [connection for kept in pool._idle.values() for connection in kept]
-    assert idle and all(connection.sock is not None for connection in idle)
-    pool.close_idle()
-    assert all(connection.sock is None for connection in idle)
-    assert not any(pool._idle.values())
+    kept = list(backend_module._connections.values())
+    assert kept and all(connection.sock is not None for connection in kept)
+    backend_module.close_connections()
+    assert all(connection.sock is None for connection in kept)
+    assert not backend_module._connections
+
+
+def test_sequential_batches_open_at_most_one_connection_per_sending_thread(stub):
+    stub.respond = lambda path, body, arrival: (0.001, 200, {"label": "neutral"})
+    verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
+    pairs = [(f"premise {index}", "hypothesis") for index in range(2 * MAX_IN_FLIGHT)]
+    for _ in range(20):
+        verifier.nli_batch(pairs)
+    assert stub.arrivals == 20 * len(pairs)
+    assert 1 < stub.connections <= MAX_IN_FLIGHT
+
+
+def test_a_process_that_sent_a_batch_exits_without_resource_warnings(stub):
+    stub.respond = lambda path, body, arrival: (0.001, 200, {"label": "neutral"})
+    src = str(Path(backend_module.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "from maieutic.verifier import HttpNliVerifier\n"
+             "verifier = HttpNliVerifier(sys.argv[1], backoff=0.01)\n"
+             "print(len(verifier.nli_batch([('a', 'b'), ('b', 'a'), ('a', 'c')])))")
+    done = subprocess.run([sys.executable, "-X", "dev", "-c", probe, stub.base + "/nli"],
+                          capture_output=True, text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "3"
+    assert stub.arrivals == 3
+    assert "ResourceWarning" not in done.stderr

@@ -314,7 +314,8 @@ def test_import_rejects_unusable_sidecar(tmp_path):
     path.write_text("p wcnf 1 1 10\n1 1 0\n", encoding="utf-8")
     sidecar = tmp_path / "ok.wcnf.map.json"
     for body in ('{"scale": "not a number"}', "[]", '{"scale": null}',
-                 '{"variables": []}', '{"origins": 3}'):
+                 '{"variables": []}', '{"origins": 3}', '{"scale": 1.5}',
+                 '{"scale": true}'):
         sidecar.write_text(body, encoding="utf-8")
         with pytest.raises(ParseError) as err:
             import_wcnf(path)

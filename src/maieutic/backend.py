@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -378,7 +379,7 @@ class FixtureBuilder:
 
 # --- HTTP transport and backend ---
 
-def _retry_after(value: Optional[str], timeout: float) -> Optional[float]:
+def _retry_after(value: Optional[bytes], timeout: float) -> Optional[float]:
     """Seconds a ``Retry-After`` header asks for, capped at the client timeout."""
     try:
         seconds = float(value)
@@ -389,8 +390,9 @@ def _retry_after(value: Optional[str], timeout: float) -> Optional[float]:
     return min(seconds, timeout)
 
 
-# Requests this process keeps in flight at most, over every HTTP client.
-MAX_IN_FLIGHT = 12
+# Requests this process keeps in flight at most, over every HTTP client;
+# most NLI rounds (up to 30 pairs) go out in one wave.
+MAX_IN_FLIGHT = 32
 
 # Built at import: an executor starts no thread before its first submit.
 _executor = ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="maieutic-http")
@@ -410,19 +412,102 @@ def fan_out(call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
     return [future.result() for future in futures]
 
 
+class _BadReply(OSError):
+    """A reply that is not well-formed HTTP/1.x; retried like any transport error."""
+
+
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) +(\d{3})(?: .*)?")
+_CHUNK_SIZE = re.compile(rb"[ \t]*([0-9A-Fa-f]+)[ \t]*(?:;.*)?")
+
+
+class _Connection:
+    """One kept-alive HTTP/1.1 connection (``TCP_NODELAY``; TLS for https).
+
+    A request goes out in one write, so the server wakes once for it. The
+    reply is read through one buffer, its body framed by ``Content-Length``,
+    by chunked encoding or by the close."""
+
+    def __init__(self, url: SplitResult, timeout: float):
+        import socket  # imported here so that ``import maieutic`` stays light
+
+        sock = socket.create_connection(
+            (url.hostname, url.port or (443 if url.scheme == "https" else 80)), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if url.scheme == "https":
+                import ssl
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=url.hostname)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+        self._reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self._reader.close()
+            self.sock.close()
+            self.sock = None
+
+    def exchange(self, request: bytes) -> tuple[int, Optional[bytes], bytes, bool]:
+        """Send one request and read its reply: (status, Retry-After, body,
+        whether the connection stays open for the next request)."""
+        self.sock.sendall(request)
+        if not self._reader.peek(1):  # no reply at all: dropped while idle
+            raise ConnectionResetError("the server closed the connection without replying")
+        status_line = self._match(_STATUS_LINE)
+        status = int(status_line[2])
+        headers = {}
+        while line := self._line():
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip()
+        connection = headers.get(b"connection", b"").lower()
+        keep = (b"keep-alive" in connection if status_line[1] == b"0"
+                else b"close" not in connection)
+        length = headers.get(b"content-length")
+        if status < 200 or status in (204, 304):
+            body = b""
+        elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+            body = self._chunked()
+        elif length and length.isdigit():
+            body = self._take(int(length))
+        else:  # the body runs until the server closes the connection
+            body, keep = self._reader.read(), False
+        return status, headers.get(b"retry-after"), body, keep
+
+    def _line(self) -> bytes:
+        """The next reply line, without its line end."""
+        line = self._reader.readline(65537)
+        if not line.endswith(b"\n"):
+            raise _BadReply("a reply line was cut short or is longer than 64 KiB")
+        return line.rstrip(b"\r\n")
+
+    def _take(self, size: int) -> bytes:
+        data = self._reader.read(size)
+        if len(data) < size:
+            raise _BadReply(f"the reply was cut short after {len(data)} of {size} bytes")
+        return data
+
+    def _match(self, pattern: re.Pattern) -> re.Match:
+        line = self._line()
+        match = pattern.fullmatch(line)
+        if match is None:
+            raise _BadReply(f"unexpected reply line {line[:80]!r}")
+        return match
+
+    def _chunked(self) -> bytes:
+        parts = []
+        while size := int(self._match(_CHUNK_SIZE)[1], 16):
+            parts.append(self._take(size + 2)[:-2])  # each chunk ends in CRLF
+        while self._line():  # trailer fields, up to the blank line
+            pass
+        return b"".join(parts)
+
+
 # Kept-alive connections by (sending thread, scheme, host, port). A thread
 # takes out and puts back only its own entries, so the dict needs no lock.
-_connections: dict[tuple, Any] = {}
-
-
-def _connect(url: SplitResult, timeout: float):
-    import http.client
-
-    if url.scheme == "https":
-        return http.client.HTTPSConnection(url.hostname, url.port, timeout=timeout)
-    if url.scheme == "http":
-        return http.client.HTTPConnection(url.hostname, url.port, timeout=timeout)
-    raise ValueError(f"unsupported URL scheme {url.scheme!r}")
+_connections: dict[tuple, _Connection] = {}
 
 
 def close_connections() -> None:
@@ -434,45 +519,38 @@ def close_connections() -> None:
 atexit.register(close_connections)
 
 
-def _exchange(url: SplitResult, blob: bytes, headers: dict,
-              timeout: float) -> tuple[int, Optional[str], bytes]:
-    """POST once on this thread's kept-alive connection to the URL's host:
-    (status, Retry-After, body).
+def _exchange(url: SplitResult, request: bytes,
+              timeout: float) -> tuple[int, Optional[bytes], bytes]:
+    """Send one request on this thread's kept-alive connection to the URL's
+    host: (status, Retry-After, body).
 
     A reused connection that the server closed while it sat idle fails
-    before any response arrives; it is replaced and the request sent
-    again once.
+    before any reply arrives; it is replaced and the request sent again once.
     """
-    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
     key = (threading.get_ident(), url.scheme, url.hostname, url.port)
     connection = _connections.pop(key, None)
     reused = connection is not None
     if reused:
-        connection.timeout = timeout
-        if connection.sock is not None:
-            connection.sock.settimeout(timeout)
+        connection.sock.settimeout(timeout)
     else:
-        connection = _connect(url, timeout)
+        connection = _Connection(url, timeout)
     try:
         try:
-            connection.request("POST", target, blob, headers)
-            response = connection.getresponse()
-        except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected too
+            status, retry_after, body, keep = connection.exchange(request)
+        except (ConnectionResetError, BrokenPipeError):
             if not reused:
                 raise
             connection.close()
-            connection = _connect(url, timeout)
-            connection.request("POST", target, blob, headers)
-            response = connection.getresponse()
-        body = response.read()
+            connection = _Connection(url, timeout)
+            status, retry_after, body, keep = connection.exchange(request)
     except BaseException:
         connection.close()
         raise
-    if response.will_close:
-        connection.close()
-    else:
+    if keep:
         _connections[key] = connection
-    return response.status, response.getheader("Retry-After"), body
+    else:
+        connection.close()
+    return status, retry_after, body
 
 
 class HttpClient(ModelClient):
@@ -483,11 +561,25 @@ class HttpClient(ModelClient):
                  headers: Optional[dict] = None):
         if retries < 1:
             raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.headers = {"Content-Type": "application/json", **(headers or {})}
+        try:  # .port raises on a port that is no number in 0-65535
+            url = urlsplit(endpoint)
+            usable = (url.scheme in ("http", "https") and bool(url.hostname)
+                      and url.port != 0 and " " not in url.path + url.query)
+        except ValueError:
+            usable = False
+        if not usable:
+            raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL "
+                             "with a host, a valid port and no space")
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        lines = [f"POST {target} HTTP/1.1", f"Host: {url.netloc.rpartition('@')[2]}",
+                 "Accept-Encoding: identity", "Content-Type: application/json",
+                 *(f"{name}: {value}" for name, value in (headers or {}).items())]
+        if not all(line.isprintable() for line in lines):
+            raise ValueError("a request header holds a control character")
+        # every request starts with this head; only its Content-Length varies
+        self._head = ("\r\n".join(lines) + "\r\n").encode("latin-1")
+        self.endpoint, self._url = endpoint, url
+        self.timeout, self.retries, self.backoff = timeout, retries, backoff
 
     def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
         return fan_out(call, arguments)
@@ -495,16 +587,14 @@ class HttpClient(ModelClient):
     def _post(self, body: dict) -> dict:
         """POST a JSON body to the endpoint and return the decoded JSON reply.
 
-        Transport errors, 5xx and 429 are retried within ``retries``
-        attempts, after an exponential backoff or the delay a 429's
-        ``Retry-After`` names; any other status but 200 fails at once with
-        ``BackendUnavailable``, as does running out of attempts.
-        Connections are kept alive and reused (see :func:`_exchange`).
+        Transport errors (a malformed reply among them), 5xx and 429 are
+        retried within ``retries`` attempts, after an exponential backoff or
+        the delay a 429's ``Retry-After`` names; any other status but 200
+        fails at once with ``BackendUnavailable``, as does running out of
+        attempts. Connections are kept alive and reused (see :func:`_exchange`).
         """
-        import http.client
-
-        parts = urlsplit(self.endpoint)
         blob = json.dumps(body).encode("utf-8")
+        request = b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(blob), blob)
         last_error: Optional[Exception] = None
         delay: Optional[float] = None
         for attempt in range(self.retries):
@@ -512,8 +602,8 @@ class HttpClient(ModelClient):
                 time.sleep(self.backoff * (2 ** (attempt - 1)) if delay is None else delay)
             delay = None
             try:
-                status, retry_after, raw = _exchange(parts, blob, self.headers, self.timeout)
-            except (OSError, http.client.HTTPException) as exc:
+                status, retry_after, raw = _exchange(self._url, request, self.timeout)
+            except OSError as exc:
                 last_error = exc
                 continue
             if status >= 500 or status == 429:
@@ -552,8 +642,6 @@ class HttpLmBackend(HttpClient, LmBackend):
     def __init__(self, endpoint: str, model: Optional[str] = None,
                  api_key: Optional[str] = None, timeout: float = 30.0,
                  retries: int = 3, backoff: float = 1.0):
-        if not endpoint:
-            raise ValueError("no endpoint configured")
         self.model = model
         self.api_key = api_key or os.environ.get("MAIEUTIC_API_KEY")
         super().__init__(endpoint, timeout, retries, backoff,

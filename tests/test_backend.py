@@ -4,6 +4,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shutil
+import ssl
 import subprocess
 import sys
 import threading
@@ -40,6 +43,7 @@ from maieutic.errors import (
     NotSupported,
 )
 from maieutic.prompts import render_abductive_prompt
+from maieutic.verifier import HttpNliVerifier
 from scenarios import ABDUCTIVE_PROMPTS, EXPLANATION_PROMPTS, GREEDY, TRUTH_PROMPTS
 
 NUCLEUS_PAIR = DecodingParams(DecodingStrategy.NUCLEUS, nucleus_p=0.9,
@@ -621,6 +625,167 @@ def test_http_requires_endpoint():
         HttpLmBackend("")
 
 
+UNUSABLE_ENDPOINTS = ["http:///v1", "ftp://x/v1", "localhost:8000/v1",
+                      "http://127.0.0.1:99999/v1"]
+
+
+@pytest.mark.parametrize("client", [HttpLmBackend, HttpNliVerifier])
+@pytest.mark.parametrize("endpoint", UNUSABLE_ENDPOINTS)
+def test_http_clients_reject_an_unusable_endpoint_when_built(client, endpoint):
+    # no host, another scheme, no scheme, a port out of range
+    with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
+        client(endpoint)
+
+
+# --- the reply reader, against replies written byte for byte ---
+
+_TRUTH_REPLY = json.dumps({"choices": [{"logprobs": {"top_logprobs": [
+    {" True": math.log(0.8), " False": math.log(0.2)}]}}]}).encode("utf-8")
+
+
+def _reply(body: bytes, head: str = "HTTP/1.1 200 OK") -> bytes:
+    return f"{head}\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+
+
+class _RawReplyHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted (raw reply, close after it)."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests += 1
+        reply, self.close_connection = self.server.replies.pop(0)
+        self.wfile.write(reply)
+
+
+@pytest.fixture()
+def raw_stub():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _RawReplyHandler)
+    server.replies = []
+    server.requests = server.connections = 0
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    server.endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _kept_connections(server) -> int:
+    """Connections this process keeps open to the server for reuse."""
+    return sum(key[1:] == ("http", "127.0.0.1", server.server_address[1])
+               for key in backend_module._connections)
+
+
+def _truth(client) -> float:
+    return client.true_prob("Ice floats on water", TRUTH_PROMPTS).true_prob
+
+
+def test_http_reads_a_chunked_reply(raw_stub):
+    chunks = [_TRUTH_REPLY[:7], _TRUTH_REPLY[7:40], _TRUTH_REPLY[40:]]
+    reply = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+             + b"".join(b"%x;note=1\r\n%s\r\n" % (len(chunk), chunk) for chunk in chunks)
+             + b"0\r\nX-Trailer: done\r\n\r\n")
+    raw_stub.replies.append((reply, False))
+    assert _truth(HttpLmBackend(raw_stub.endpoint, retries=1)) == pytest.approx(0.8)
+    assert _kept_connections(raw_stub) == 1
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + _TRUTH_REPLY,  # body ends at the close
+    _reply(_TRUTH_REPLY, "HTTP/1.0 200 OK"),  # HTTP/1.0 without keep-alive
+], ids=["connection-close", "http-1.0"])
+def test_http_opens_a_new_connection_after_a_closing_reply(raw_stub, reply):
+    raw_stub.replies += [(reply, reply.startswith(b"HTTP/1.1"))] * 2
+    client = HttpLmBackend(raw_stub.endpoint, retries=1)
+    for _ in range(2):
+        assert _truth(client) == pytest.approx(0.8)
+        assert _kept_connections(raw_stub) == 0
+    assert (raw_stub.requests, raw_stub.connections) == (2, 2)
+
+
+def test_http_retries_a_garbled_status_line_then_gives_up(raw_stub):
+    raw_stub.replies += [(_reply(b"{}", "HTTP/1.1 2OO OK"), True)] * 3
+    with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+        _truth(HttpLmBackend(raw_stub.endpoint, retries=3, backoff=0.01))
+    assert raw_stub.requests == 3
+
+
+def test_http_retries_a_reply_cut_inside_its_body(raw_stub):
+    raw_stub.replies += [(_reply(_TRUTH_REPLY)[:-10], True), (_reply(_TRUTH_REPLY), False)]
+    assert _truth(HttpLmBackend(raw_stub.endpoint, backoff=0.01)) == pytest.approx(0.8)
+    assert raw_stub.requests == 2
+
+
+# --- HTTPS against a self-signed certificate ---
+
+class _TlsServer(ThreadingHTTPServer):
+    def get_request(self):
+        sock, address = super().get_request()
+        self.handshakes += 1
+        return self.context.wrap_socket(sock, server_side=True), address
+
+
+@pytest.fixture()
+def tls_stub(tmp_path):
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("the openssl command is not installed")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run([openssl, "req", "-x509", "-newkey", "ec",
+                    "-pkeyopt", "ec_paramgen_curve:prime256v1", "-nodes",
+                    "-keyout", str(key), "-out", str(cert), "-days", "1",
+                    "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+                   check=True, capture_output=True, timeout=60)
+    server = _TlsServer(("127.0.0.1", 0), _StubHandler)
+    server.context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server.context.load_cert_chain(cert, key)
+    server.cert = cert
+    server.handshakes = 0
+    server.requests = []
+    server.script = []
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    server.endpoint = f"https://127.0.0.1:{server.server_address[1]}/v1/completions"
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_https_refuses_a_certificate_it_does_not_trust(tls_stub, monkeypatch):
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    with pytest.raises(BackendUnavailable, match="certificate verify failed"):
+        _truth(HttpLmBackend(tls_stub.endpoint, retries=2, backoff=0.01))
+    assert tls_stub.handshakes == 2
+    assert tls_stub.requests == []
+
+
+def test_https_answers_once_the_certificate_is_trusted(tls_stub, monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", str(tls_stub.cert))
+    tls_stub.script.append((200, json.loads(_TRUTH_REPLY)))
+    assert _truth(HttpLmBackend(tls_stub.endpoint, retries=1)) == pytest.approx(0.8)
+    assert len(tls_stub.requests) == 1
+
+
 class _IdleDroppingHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # replies leave the connection open...
 
@@ -679,13 +844,14 @@ def test_every_export_resolves_once():
 
 
 def test_importing_the_package_leaves_http_client_unloaded():
-    # http.client (with ssl and email) is imported on the first HTTP
-    # call only, which keeps start-up fast for scripted and cached runs
+    # socket (and ssl, for https) is imported on the first connection
+    # only, which keeps start-up fast for scripted and cached runs
     src = str(Path(maieutic.__file__).resolve().parents[1])
-    probe = "import sys, maieutic; print('http.client' in sys.modules)"
+    probe = ("import sys, maieutic\n"
+             "print([name for name in ('http.client', 'socket', 'ssl') if name in sys.modules])")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_importing_the_package_leaves_numpy_unloaded():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -233,6 +234,17 @@ def test_build_engine_rejects_zero_retries(eval_fixture_file, section):
               "verifier": {"kind": "http", "endpoint": "http://127.0.0.1:9/nli"}}
     config[section] = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "retries": 0}
     with pytest.raises(ValueError, match="retries"):
+        build_engine(EngineConfig.from_dict(config))
+
+
+@pytest.mark.parametrize("endpoint", ["http:///v1", "ftp://x/v1", "localhost:8000/v1",
+                                      "http://127.0.0.1:99999/v1"])
+@pytest.mark.parametrize("section", ["backend", "verifier"])
+def test_build_engine_rejects_an_unusable_endpoint(eval_fixture_file, section, endpoint):
+    config = {"backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},
+              "verifier": {"kind": "http", "endpoint": "http://127.0.0.1:9/nli"}}
+    config[section] = {"kind": "http", "endpoint": endpoint}
+    with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
         build_engine(EngineConfig.from_dict(config))
 
 

@@ -119,9 +119,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(blob)
 
 
+class _Server(ThreadingHTTPServer):
+    request_queue_size = 2 * MAX_IN_FLIGHT  # every sending thread may connect at once
+
+
 @pytest.fixture()
 def stub():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server = _Server(("127.0.0.1", 0), _Handler)
     server.lock = threading.Lock()
     server.arrivals = server.in_flight = server.peak = server.connections = 0
     server.replies = []
@@ -256,6 +260,17 @@ def test_requests_in_flight_never_exceed_the_cap_under_evaluate(stub):
     expected = harness.evaluate(records, harness.Method.MAIEUTIC, scripted, workers=4)
     assert report.results == expected.results
     assert 1 < stub.peak <= MAX_IN_FLIGHT
+
+
+@pytest.mark.parametrize("count,peak", [(30, 30), (MAX_IN_FLIGHT + 8, MAX_IN_FLIGHT)])
+def test_a_round_goes_out_in_one_wave_up_to_the_cap(stub, count, peak):
+    # each reply is held long enough for every thread to connect and send
+    # on a loaded machine (held 20 ms, most runs read a peak below the count)
+    stub.respond = lambda path, body, arrival: (0.2, 200, {"label": "neutral"})
+    verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
+    pairs = [(f"premise {index}", "hypothesis") for index in range(count)]
+    assert len(verifier.nli_batch(pairs)) == count
+    assert stub.peak == peak
 
 
 def test_close_idle_closes_every_pooled_connection(stub):

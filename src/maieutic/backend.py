@@ -37,10 +37,9 @@ from .errors import (
     NotSupported,
 )
 
-DEFAULT_NEGATION_DECODING = DecodingParams(DecodingStrategy.GREEDY, max_tokens=64)
+DEFAULT_NEGATION_DECODING = DecodingParams(DecodingStrategy.GREEDY)
 DEFAULT_EXPLANATION_DECODING = DecodingParams(
-    DecodingStrategy.GREEDY, max_tokens=64,
-    stop_sequences=prompt_templates.EXPLANATION_STOP_SEQUENCES)
+    DecodingStrategy.GREEDY, stop_sequences=prompt_templates.EXPLANATION_STOP_SEQUENCES)
 
 
 def _sha256(text: str) -> str:
@@ -186,12 +185,10 @@ class LmBackend(ModelClient):
         when every completion was blank."""
         return _nonempty(self.abductive_samples([(question, label)], prompts, decoding)[0])
 
-    def sample_explanations(self, question: str, prompts: PromptSet,
-                            decoding: DecodingParams = DEFAULT_EXPLANATION_DECODING,
-                            ) -> list[str]:
+    def sample_explanations(self, question: str, prompts: PromptSet) -> list[str]:
         """Explanations sampled before any answer label is fixed."""
         prompt = prompt_templates.render_explanation_prompt(question, prompts)
-        return _nonempty(self._cleaned_completions([prompt], decoding)[0])
+        return _nonempty(self._cleaned_completions([prompt], DEFAULT_EXPLANATION_DECODING)[0])
 
     def sequence_logprobs(self, queries: Sequence[tuple[str, str, bool]],
                           prompts: PromptSet) -> list[float]:
@@ -275,15 +272,15 @@ class ScriptedBackend(LmBackend):
     instances are safe to share across threads.
     """
 
-    def __init__(self, fixtures: Union[str, Path, Mapping[str, dict]],
-                 backend_id: str = "scripted"):
+    backend_id = "scripted"
+
+    def __init__(self, fixtures: Union[str, Path, Mapping[str, dict]]):
         if isinstance(fixtures, (str, Path)):
             with open(fixtures, "r", encoding="utf-8") as handle:
                 table = json.load(handle)
         else:
             table = dict(fixtures)
         self._table: dict[str, dict] = table
-        self.backend_id = backend_id
 
     def _lookup(self, primitive: str, *args) -> Any:
         build, _, answer_form = _FORMS[primitive]
@@ -342,11 +339,9 @@ class FixtureBuilder:
                          {"completions": list(completions)})
 
     def explanation_samples(self, question: str, prompts: PromptSet,
-                            completions: list[str],
-                            decoding: DecodingParams = DEFAULT_EXPLANATION_DECODING,
-                            ) -> str:
+                            completions: list[str]) -> str:
         prompt = prompt_templates.render_explanation_prompt(question, prompts)
-        return self._add(completion_request(prompt, decoding),
+        return self._add(completion_request(prompt, DEFAULT_EXPLANATION_DECODING),
                          {"completions": list(completions)})
 
     def logprob(self, explanation: str, question: str, label: bool,
@@ -390,6 +385,9 @@ def _retry_after(value: Optional[bytes], timeout: float) -> Optional[float]:
     return min(seconds, timeout)
 
 
+# Seconds before the second attempt of a request; each later wait doubles.
+BACKOFF_S = 1.0
+
 # Requests this process keeps in flight at most, over every HTTP client;
 # most NLI rounds (up to 30 pairs) go out in one wave.
 MAX_IN_FLIGHT = 32
@@ -427,17 +425,15 @@ class _Connection:
     reply is read through one buffer, its body framed by ``Content-Length``,
     by chunked encoding or by the close."""
 
-    def __init__(self, url: SplitResult, timeout: float):
+    def __init__(self, url: SplitResult, timeout: float, context: Any):
         import socket  # imported here so that ``import maieutic`` stays light
 
         sock = socket.create_connection(
             (url.hostname, url.port or (443 if url.scheme == "https" else 80)), timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if url.scheme == "https":
-                import ssl
-                sock = ssl.create_default_context().wrap_socket(
-                    sock, server_hostname=url.hostname)
+            if context is not None:
+                sock = context.wrap_socket(sock, server_hostname=url.hostname)
         except BaseException:
             sock.close()
             raise
@@ -519,45 +515,11 @@ def close_connections() -> None:
 atexit.register(close_connections)
 
 
-def _exchange(url: SplitResult, request: bytes,
-              timeout: float) -> tuple[int, Optional[bytes], bytes]:
-    """Send one request on this thread's kept-alive connection to the URL's
-    host: (status, Retry-After, body).
-
-    A reused connection that the server closed while it sat idle fails
-    before any reply arrives; it is replaced and the request sent again once.
-    """
-    key = (threading.get_ident(), url.scheme, url.hostname, url.port)
-    connection = _connections.pop(key, None)
-    reused = connection is not None
-    if reused:
-        connection.sock.settimeout(timeout)
-    else:
-        connection = _Connection(url, timeout)
-    try:
-        try:
-            status, retry_after, body, keep = connection.exchange(request)
-        except (ConnectionResetError, BrokenPipeError):
-            if not reused:
-                raise
-            connection.close()
-            connection = _Connection(url, timeout)
-            status, retry_after, body, keep = connection.exchange(request)
-    except BaseException:
-        connection.close()
-        raise
-    if keep:
-        _connections[key] = connection
-    else:
-        connection.close()
-    return status, retry_after, body
-
-
 class HttpClient(ModelClient):
     """A model behind an HTTP endpoint: requests go through :meth:`_post`,
     a batch through :func:`fan_out`."""
 
-    def __init__(self, endpoint: str, timeout: float, retries: int, backoff: float,
+    def __init__(self, endpoint: str, timeout: float, retries: int,
                  headers: Optional[dict] = None):
         if retries < 1:
             raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
@@ -579,7 +541,9 @@ class HttpClient(ModelClient):
         # every request starts with this head; only its Content-Length varies
         self._head = ("\r\n".join(lines) + "\r\n").encode("latin-1")
         self.endpoint, self._url = endpoint, url
-        self.timeout, self.retries, self.backoff = timeout, retries, backoff
+        self.timeout, self.retries = timeout, retries
+        self._context: Any = None  # the TLS context, made at the first https connection
+        self._context_lock = threading.Lock()
 
     def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
         return fan_out(call, arguments)
@@ -588,10 +552,11 @@ class HttpClient(ModelClient):
         """POST a JSON body to the endpoint and return the decoded JSON reply.
 
         Transport errors (a malformed reply among them), 5xx and 429 are
-        retried within ``retries`` attempts, after an exponential backoff or
-        the delay a 429's ``Retry-After`` names; any other status but 200
-        fails at once with ``BackendUnavailable``, as does running out of
-        attempts. Connections are kept alive and reused (see :func:`_exchange`).
+        retried within ``retries`` attempts, after an exponential backoff
+        from ``BACKOFF_S`` or the delay a 429's ``Retry-After`` names; any
+        other status but 200 fails at once with ``BackendUnavailable``, as
+        does running out of attempts. Connections are kept alive and reused
+        (see :meth:`_exchange`).
         """
         blob = json.dumps(body).encode("utf-8")
         request = b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(blob), blob)
@@ -599,10 +564,10 @@ class HttpClient(ModelClient):
         delay: Optional[float] = None
         for attempt in range(self.retries):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)) if delay is None else delay)
+                time.sleep(BACKOFF_S * (2 ** (attempt - 1)) if delay is None else delay)
             delay = None
             try:
-                status, retry_after, raw = _exchange(self._url, request, self.timeout)
+                status, retry_after, raw = self._exchange(request)
             except OSError as exc:
                 last_error = exc
                 continue
@@ -619,6 +584,49 @@ class HttpClient(ModelClient):
             except ValueError as exc:
                 raise MalformedResponse(f"response body is not JSON: {exc}") from exc
         raise BackendUnavailable(f"request failed after {self.retries} attempts: {last_error}")
+
+    def _connect(self) -> _Connection:
+        """A new connection to the endpoint; an https client's first one makes
+        the TLS context its later ones share, reading ``SSL_CERT_FILE`` then."""
+        if self._url.scheme == "https":
+            with self._context_lock:
+                if self._context is None:
+                    import ssl
+                    self._context = ssl.create_default_context()
+        return _Connection(self._url, self.timeout, self._context)
+
+    def _exchange(self, request: bytes) -> tuple[int, Optional[bytes], bytes]:
+        """Send one request on this thread's kept-alive connection to the
+        endpoint's host: (status, Retry-After, body).
+
+        A reused connection that the server closed while it sat idle fails
+        before any reply arrives; it is replaced and the request sent again once.
+        """
+        url = self._url
+        key = (threading.get_ident(), url.scheme, url.hostname, url.port)
+        connection = _connections.pop(key, None)
+        reused = connection is not None
+        if reused:
+            connection.sock.settimeout(self.timeout)
+        else:
+            connection = self._connect()
+        try:
+            try:
+                status, retry_after, body, keep = connection.exchange(request)
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                connection.close()
+                connection = self._connect()
+                status, retry_after, body, keep = connection.exchange(request)
+        except BaseException:
+            connection.close()
+            raise
+        if keep:
+            _connections[key] = connection
+        else:
+            connection.close()
+        return status, retry_after, body
 
 
 _ANSWER_TRUE, _ANSWER_FALSE = prompt_templates.ANSWER_TOKENS
@@ -639,12 +647,12 @@ class HttpLmBackend(HttpClient, LmBackend):
     may fall back to the ``MAIEUTIC_API_KEY`` environment variable.
     """
 
-    def __init__(self, endpoint: str, model: Optional[str] = None,
+    def __init__(self, endpoint: str = "", model: Optional[str] = None,
                  api_key: Optional[str] = None, timeout: float = 30.0,
-                 retries: int = 3, backoff: float = 1.0):
+                 retries: int = 3):
         self.model = model
         self.api_key = api_key or os.environ.get("MAIEUTIC_API_KEY")
-        super().__init__(endpoint, timeout, retries, backoff,
+        super().__init__(endpoint, timeout, retries,
                          {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None)
         self.backend_id = f"http:{self.model or 'default'}"
 
@@ -765,25 +773,25 @@ class ResponseCache:
 
 
 class TraceRecorder:
-    """Audit log of backend requests; with a path, also a JSONL file."""
+    """Count of backend requests that reached the model; with a path, also
+    a JSONL audit log of every request."""
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = Path(path) if path is not None else None
-        self.records: list[dict] = []
+        self._calls = 0
         self._lock = threading.Lock()
 
     def record(self, entries: Sequence[dict]) -> None:
-        """Keep a batch of records; with a path, append them in one write."""
+        """Count a batch of records; with a path, append them in one write."""
         with self._lock:
-            self.records.extend(entries)
+            self._calls += sum(not entry["cache_hit"] for entry in entries)
             if self.path is not None and entries:
                 _append(self.path, [json.dumps(entry, sort_keys=True) + "\n"
                                     for entry in entries])
 
     def backend_call_count(self) -> int:
         """Requests that actually reached the wrapped backend."""
-        with self._lock:
-            return sum(1 for entry in self.records if not entry["cache_hit"])
+        return self._calls
 
 
 def read_trace(path: Union[str, Path]) -> list[dict]:

@@ -8,9 +8,10 @@ credentials never live in the file; they come from the environment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from inspect import Parameter, signature
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 try:
     import tomllib
@@ -20,10 +21,28 @@ except ModuleNotFoundError:  # Python 3.10
     except ModuleNotFoundError:
         tomllib = None  # type: ignore[assignment]
 
+from . import harness
+from .backend import CachedBackend, HttpLmBackend, ResponseCache, ScriptedBackend, TraceRecorder
 from .compiler import CompileMode
-from .core import PromptMode, TreeConfig
+from .core import TreeConfig, check_keys
+from .prompts import load_or_default
+from .verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
 
-_PROMPT_KEYS = ("truth", "abductive", "explanation")
+# Per (section, kind): the client it builds, and the type each key's value
+# must have (see ``_check_types``). Defaults, and which keys are required,
+# are the client constructor's.
+_CLIENTS: dict[tuple[str, str], tuple[type, dict[str, type]]] = {
+    ("backend", "scripted"): (ScriptedBackend, {"fixtures": str}),
+    ("backend", "http"): (HttpLmBackend, {"endpoint": str, "model": str,
+                                          "timeout": float, "retries": int}),
+    ("verifier", "scripted"): (ScriptedNliVerifier, {"fixtures": str, "strict": bool}),
+    ("verifier", "http"): (HttpNliVerifier, {"endpoint": str, "timeout": float,
+                                             "retries": int}),
+}
+
+# How the value of each top-level key that is not kept as given is read.
+_READ = {"backend": dict, "verifier": lambda table: None if table is None else dict(table),
+         "mode": CompileMode, "tree": TreeConfig.from_dict, "prompts": dict}
 
 
 @dataclass
@@ -42,22 +61,11 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Optional[Path] = None) -> EngineConfig:
-        known = {"backend", "verifier", "mode", "tree", "prompts",
-                 "cache_dir", "trace_path", "seed", "workers"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        config = cls(
-            backend=dict(data.get("backend", {"kind": "scripted"})),
-            verifier=None if data.get("verifier") is None else dict(data["verifier"]),
-            mode=CompileMode(data.get("mode", "likelihood")),
-            tree=TreeConfig.from_dict(data.get("tree", {})),
-            prompts=dict(data.get("prompts", {})),
-            cache_dir=data.get("cache_dir"),
-            trace_path=data.get("trace_path"),
-            seed=int(data.get("seed", 0)),
-            workers=int(data.get("workers", 4)),
-        )
+        check_keys("config", data, (f.name for f in fields(cls)))
+        _check_types("config", data, {"seed": int, "workers": int}, cls)
+        check_keys("prompts", data.get("prompts", {}), harness.PROMPT_FIELDS)
+        config = cls(**{key: _READ[key](value) if key in _READ else value
+                        for key, value in data.items()})
         if base_dir is not None:
             config._resolve_paths(base_dir)
         return config
@@ -104,57 +112,42 @@ class EngineConfig:
         }
 
 
+def _check_types(what: str, data: Mapping, types: Mapping[str, type], owner: type) -> None:
+    """Raise ``ValueError`` naming a key of ``data`` whose value is not of its
+    type in ``types``: an int passes for a float, a bool only for a bool, and
+    null only where the key's default in ``owner``'s signature is None."""
+    for key, value in data.items():
+        want = types.get(key, type(value))  # a key with no type in ``types`` passes
+        if type(value) is not want and (want, type(value)) != (float, int) and not (
+                value is None and signature(owner).parameters[key].default is None):
+            raise ValueError(f"{what} key {key} must be {want.__name__}, not {value!r}")
+
+
+def _client(section: str, table: dict) -> Any:
+    """The backend or verifier a config section describes, built from the
+    keys given; ``ValueError`` names the section, kind and key for an unknown
+    kind or key, a value of the wrong type or a missing required key."""
+    kind = table.get("kind", "scripted")
+    if (section, kind) not in _CLIENTS:
+        raise ValueError(f"unknown {section} kind {kind!r}")
+    client, types = _CLIENTS[section, kind]
+    given = {key: value for key, value in table.items() if key != "kind"}
+    check_keys(f"{kind} {section}", given, types)
+    _check_types(f"{kind} {section}", given, types, client)
+    for key, parameter in signature(client).parameters.items():
+        if parameter.default is Parameter.empty and key not in given:
+            raise ValueError(f"{kind} {section} needs the key {key}")
+    return client(**given)
+
+
 def build_engine(config: EngineConfig):
     """Instantiate the runtime pieces a config describes."""
-    from . import harness
-    from .backend import (
-        CachedBackend,
-        HttpLmBackend,
-        ResponseCache,
-        ScriptedBackend,
-        TraceRecorder,
-    )
-    from .prompts import load_or_default
-    from .verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
-
-    kind = config.backend.get("kind", "scripted")
-    if kind == "scripted":
-        fixtures = config.backend.get("fixtures")
-        if not fixtures:
-            raise ValueError("a scripted backend needs a fixtures path")
-        inner = ScriptedBackend(fixtures,
-                                backend_id=config.backend.get("id", "scripted"))
-    elif kind == "http":
-        inner = HttpLmBackend(
-            endpoint=config.backend.get("endpoint", ""),
-            model=config.backend.get("model"),
-            timeout=float(config.backend.get("timeout", 30.0)),
-            retries=int(config.backend.get("retries", 3)),
-        )
-    else:
-        raise ValueError(f"unknown backend kind {kind!r}")
-
-    backend = inner
+    backend = inner = _client("backend", config.backend)
     if config.cache_dir is not None or config.trace_path is not None:
         cache = ResponseCache(config.cache_dir) if config.cache_dir else None
         backend = CachedBackend(inner, cache, seed=config.seed,
                                 trace=TraceRecorder(config.trace_path))
-
-    verifier = None
-    if config.verifier is not None:
-        verifier_kind = config.verifier.get("kind", "scripted")
-        if verifier_kind == "scripted":
-            verifier = ScriptedNliVerifier(
-                config.verifier.get("fixtures") or (),
-                strict=bool(config.verifier.get("strict", True)))
-        elif verifier_kind == "http":
-            verifier = HttpNliVerifier(
-                endpoint=config.verifier.get("endpoint"),
-                timeout=float(config.verifier.get("timeout", 30.0)),
-                retries=int(config.verifier.get("retries", 3)),
-            )
-        else:
-            raise ValueError(f"unknown verifier kind {verifier_kind!r}")
+    verifier = None if config.verifier is None else _client("verifier", config.verifier)
     if verifier is not None and backend is not inner:
         verifier = CachedVerifier(verifier, backend)
     if config.mode is CompileMode.VERIFIER and verifier is None:
@@ -165,11 +158,7 @@ def build_engine(config: EngineConfig):
         tree_config=config.tree,
         mode=config.mode,
         verifier=verifier,
-        truth_prompts=load_or_default(config.prompts.get("truth"),
-                                      PromptMode.QA_PAIRS),
-        abductive_prompts=load_or_default(config.prompts.get("abductive"),
-                                          PromptMode.ABDUCTIVE_TRIPLES),
-        explanation_prompts=load_or_default(config.prompts.get("explanation"),
-                                            PromptMode.QA_EXPLANATION_TRIPLES),
         seed=config.seed,
+        **{name: load_or_default(config.prompts[key], mode)
+           for key, (name, mode) in harness.PROMPT_FIELDS.items() if key in config.prompts},
     )

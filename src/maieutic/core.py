@@ -9,9 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import DegenerateBelief
 
@@ -54,6 +54,13 @@ class ClauseOrigin(str, Enum):
     # Clauses read back from a WCNF file without a sidecar carry no
     # compiler provenance.
     EXTERNAL = "external"
+
+
+def check_keys(what: str, data: Mapping, known: Iterable[str]) -> None:
+    """Raise ``ValueError`` naming each key of ``data`` that is not ``known``."""
+    unknown = set(data).difference(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 def _require_finite(name: str, value: Optional[float]) -> None:
@@ -141,13 +148,8 @@ class DecodingParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> DecodingParams:
-        return cls(
-            strategy=DecodingStrategy(data["strategy"]),
-            nucleus_p=data.get("nucleus_p", 1.0),
-            max_tokens=data.get("max_tokens", 64),
-            stop_sequences=tuple(data.get("stop_sequences", ("\n",))),
-            sample_count=data.get("sample_count", 1),
-        )
+        check_keys("decoding", data, (f.name for f in fields(cls)))
+        return cls(**{**data, "strategy": DecodingStrategy(data["strategy"])})
 
 
 def _default_decoding_schedule() -> tuple[DecodingParams, ...]:
@@ -210,9 +212,8 @@ class TreeConfig:
     def from_dict(cls, data: dict) -> TreeConfig:
         """Inverse of :meth:`to_dict`; an explicit ``width_schedule`` must
         match the decoding schedule's sample counts."""
-        kwargs: dict = {}
-        if "depth_limit" in data:
-            kwargs["depth_limit"] = data["depth_limit"]
+        check_keys("tree", data, ("width_schedule", *(f.name for f in fields(cls))))
+        kwargs = {key: value for key, value in data.items() if key != "width_schedule"}
         if "decoding_schedule" in data:
             kwargs["decoding_schedule"] = tuple(
                 DecodingParams.from_dict(d) for d in data["decoding_schedule"])

@@ -87,12 +87,19 @@ def result_to_json(result: InferenceResult) -> str:
                       separators=(",", ": "), indent=2) + "\n"
 
 
+# Per key of a config's prompts table: the engine field it sets and the mode
+# of the prompt set that field holds (the bundled set when unset).
+PROMPT_FIELDS = {"truth": ("truth_prompts", PromptMode.QA_PAIRS),
+                 "abductive": ("abductive_prompts", PromptMode.ABDUCTIVE_TRIPLES),
+                 "explanation": ("explanation_prompts", PromptMode.QA_EXPLANATION_TRIPLES)}
+
+
 @dataclass
 class Engine:
     """Wired-together runtime: backend, verifier, prompt sets, tree shape."""
 
     backend: LmBackend
-    tree_config: Optional[TreeConfig] = None
+    tree_config: TreeConfig = field(default_factory=TreeConfig)
     mode: CompileMode = CompileMode.LIKELIHOOD
     verifier: Optional[NliVerifier] = None
     truth_prompts: Optional[PromptSet] = None
@@ -101,16 +108,9 @@ class Engine:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tree_config is None:
-            self.tree_config = TreeConfig()
-        if self.truth_prompts is None:
-            self.truth_prompts = prompt_templates.default_prompt_set(PromptMode.QA_PAIRS)
-        if self.abductive_prompts is None:
-            self.abductive_prompts = prompt_templates.default_prompt_set(
-                PromptMode.ABDUCTIVE_TRIPLES)
-        if self.explanation_prompts is None:
-            self.explanation_prompts = prompt_templates.default_prompt_set(
-                PromptMode.QA_EXPLANATION_TRIPLES)
+        for name, mode in PROMPT_FIELDS.values():
+            if getattr(self, name) is None:
+                setattr(self, name, prompt_templates.default_prompt_set(mode))
 
 
 def _qa_pairs_view(prompts: PromptSet) -> PromptSet:
@@ -378,11 +378,8 @@ def run_manifest(engine: Engine, method: Method, record_count: int) -> dict:
         "seed": engine.seed,
         "record_count": record_count,
         "backend_ids": backend_ids,
-        "prompt_hashes": {
-            "truth": engine.truth_prompts.content_hash(),
-            "abductive": engine.abductive_prompts.content_hash(),
-            "explanation": engine.explanation_prompts.content_hash(),
-        },
+        "prompt_hashes": {key: getattr(engine, name).content_hash()
+                          for key, (name, _) in PROMPT_FIELDS.items()},
     }
 
 

@@ -111,13 +111,13 @@ class ScriptedNliVerifier(NliVerifier):
 
     verifier_id = "scripted-nli"
 
-    def __init__(self, fixtures: Union[str, Path, Iterable[Mapping]] = (),
+    def __init__(self, fixtures: Union[str, Path, Iterable[Mapping], None] = None,
                  strict: bool = True):
         if isinstance(fixtures, (str, Path)):
             with open(fixtures, "r", encoding="utf-8") as handle:
                 records = json.load(handle)
         else:
-            records = list(fixtures)
+            records = list(fixtures or ())
         self._table: dict[tuple[str, str], Mapping] = {}
         for index, record in enumerate(records):
             try:
@@ -151,11 +151,11 @@ class HttpNliVerifier(HttpClient, NliVerifier):
     """
 
     def __init__(self, endpoint: Optional[str] = None, timeout: float = 30.0,
-                 retries: int = 3, backoff: float = 1.0):
+                 retries: int = 3):
         endpoint = endpoint or os.environ.get("MAIEUTIC_NLI_ENDPOINT")
         if not endpoint:
             raise ValueError("no NLI endpoint configured (MAIEUTIC_NLI_ENDPOINT unset)")
-        super().__init__(endpoint, timeout, retries, backoff)
+        super().__init__(endpoint, timeout, retries)
         self.verifier_id = f"http-nli:{self.endpoint}"
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:

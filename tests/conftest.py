@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from maieutic import backend
+
 CRITERIA = {
     1: "solver agrees with brute force exactly on random instances",
     2: "belief and consistency weights keep their range and symmetry",
@@ -26,6 +28,12 @@ CRITERIA = {
 @pytest.fixture()
 def data_dir() -> Path:
     return Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """HTTP retries wait 10 ms, not a second, before their second attempt."""
+    monkeypatch.setattr(backend, "BACKOFF_S", 0.01)
 
 
 def _criterion_number(nodeid: str) -> int | None:

@@ -301,8 +301,14 @@ def test_threads_sharing_one_cache_and_trace_lose_no_line(tmp_path):
     reopened = ResponseCache(tmp_path)
     assert all(reopened.get(f"{worker}.19.2") == {"logprob": -float(worker)}
                for worker in range(6))
-    assert read_trace(tmp_path / "trace.jsonl") == trace.records
-    assert len(trace.records) == 6 * 20 * 3
+    # each batch reaches the file whole and in request order
+    traced = [entry["digest"] for entry in read_trace(tmp_path / "trace.jsonl")]
+    batches = [traced[start:start + 3] for start in range(0, len(traced), 3)]
+    assert all(batch == [f"{batch[0][:-2]}.{index}" for index in range(3)]
+               for batch in batches)
+    assert sorted(batch[0][:-2] for batch in batches) == sorted(
+        f"{worker}.{batch}" for worker in range(6) for batch in range(20))
+    assert trace.backend_call_count() == 6 * 20 * 3
 
 
 # --- cached backend ---
@@ -314,12 +320,12 @@ def _truth_world():
 
 
 def test_cached_backend_serves_repeats_from_cache(tmp_path):
-    trace = TraceRecorder()
+    trace = TraceRecorder(tmp_path / "trace.jsonl")
     backend = CachedBackend(_truth_world(), ResponseCache(tmp_path), trace=trace)
     for _ in range(3):
         assert backend.true_prob("Ice floats on water",
                                  TRUTH_PROMPTS).true_prob == pytest.approx(0.8)
-    assert [entry["cache_hit"] for entry in trace.records] == [False, True, True]
+    assert [entry["cache_hit"] for entry in read_trace(trace.path)] == [False, True, True]
     assert trace.backend_call_count() == 1
 
 
@@ -384,7 +390,7 @@ def test_trace_only_wrapper_never_caches(tmp_path):
     backend.true_prob("Ice floats on water", TRUTH_PROMPTS)
     assert trace.backend_call_count() == 2
     replayed = read_trace(tmp_path / "trace.jsonl")
-    assert replayed == trace.records
+    assert [entry["cache_hit"] for entry in replayed] == [False, False]
     assert {entry["purpose"] for entry in replayed} == {"truth"}
 
 
@@ -446,7 +452,6 @@ def stub():
 
 
 def _client(stub, **kwargs):
-    kwargs.setdefault("backoff", 0.01)
     return HttpLmBackend(stub.endpoint, **kwargs)
 
 
@@ -548,7 +553,7 @@ def test_http_retry_after_waits_at_most_the_timeout(stub, monkeypatch):
                         (503, {}, {"Retry-After": "7"}),
                         (503, {})])
     with pytest.raises(BackendUnavailable):
-        _client(stub, retries=5, timeout=2.0, backoff=0.01).true_prob(
+        _client(stub, retries=5, timeout=2.0).true_prob(
             "Ice floats on water", TRUTH_PROMPTS)
     # capped at the timeout, honoured, a date (backoff), ignored on a 503 (backoff)
     assert slept == [2.0, 0.25, 0.04, 0.08]
@@ -720,19 +725,21 @@ def test_http_opens_a_new_connection_after_a_closing_reply(raw_stub, reply):
 def test_http_retries_a_garbled_status_line_then_gives_up(raw_stub):
     raw_stub.replies += [(_reply(b"{}", "HTTP/1.1 2OO OK"), True)] * 3
     with pytest.raises(BackendUnavailable, match="after 3 attempts"):
-        _truth(HttpLmBackend(raw_stub.endpoint, retries=3, backoff=0.01))
+        _truth(HttpLmBackend(raw_stub.endpoint, retries=3))
     assert raw_stub.requests == 3
 
 
 def test_http_retries_a_reply_cut_inside_its_body(raw_stub):
     raw_stub.replies += [(_reply(_TRUTH_REPLY)[:-10], True), (_reply(_TRUTH_REPLY), False)]
-    assert _truth(HttpLmBackend(raw_stub.endpoint, backoff=0.01)) == pytest.approx(0.8)
+    assert _truth(HttpLmBackend(raw_stub.endpoint)) == pytest.approx(0.8)
     assert raw_stub.requests == 2
 
 
 # --- HTTPS against a self-signed certificate ---
 
 class _TlsServer(ThreadingHTTPServer):
+    request_queue_size = 2 * backend_module.MAX_IN_FLIGHT  # a cold batch connects at once
+
     def get_request(self):
         sock, address = super().get_request()
         self.handshakes += 1
@@ -774,7 +781,7 @@ def test_https_refuses_a_certificate_it_does_not_trust(tls_stub, monkeypatch):
     monkeypatch.delenv("SSL_CERT_FILE", raising=False)
     monkeypatch.delenv("SSL_CERT_DIR", raising=False)
     with pytest.raises(BackendUnavailable, match="certificate verify failed"):
-        _truth(HttpLmBackend(tls_stub.endpoint, retries=2, backoff=0.01))
+        _truth(HttpLmBackend(tls_stub.endpoint, retries=2))
     assert tls_stub.handshakes == 2
     assert tls_stub.requests == []
 
@@ -784,6 +791,20 @@ def test_https_answers_once_the_certificate_is_trusted(tls_stub, monkeypatch):
     tls_stub.script.append((200, json.loads(_TRUTH_REPLY)))
     assert _truth(HttpLmBackend(tls_stub.endpoint, retries=1)) == pytest.approx(0.8)
     assert len(tls_stub.requests) == 1
+
+
+def test_an_https_client_makes_one_tls_context_for_all_its_connections(tls_stub,
+                                                                        monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", str(tls_stub.cert))
+    made, create = [], ssl.create_default_context
+    monkeypatch.setattr(ssl, "create_default_context",
+                        lambda *args, **kwargs: made.append(args) or create(*args, **kwargs))
+    tls_stub.script.extend([(200, {"label": "neutral"})] * 16)
+    verifier = HttpNliVerifier(tls_stub.endpoint)
+    judgments = verifier.nli_batch([(f"premise {n}", f"hypothesis {n}") for n in range(16)])
+    assert [judgment.label.value for judgment in judgments] == ["neutral"] * 16
+    assert len(tls_stub.requests) == 16
+    assert len(made) == 1
 
 
 class _IdleDroppingHandler(BaseHTTPRequestHandler):

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from maieutic import cli
-from maieutic.backend import CachedBackend, FixtureBuilder, ScriptedBackend
+from maieutic.backend import CachedBackend, FixtureBuilder, ScriptedBackend, read_trace
 from maieutic.compiler import CompileMode
 from maieutic.config import EngineConfig, build_engine
 from maieutic.core import (
@@ -186,9 +187,11 @@ def test_a_cached_verifier_rerun_sends_no_nli_requests(tmp_path, data_dir):
         original = inner.nli
         inner.nli = lambda *pair: sent.append(pair) or original(*pair)
         path, manifest = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.manifest.json"
+        trace = engine.backend.trace.path
+        earlier = len(read_trace(trace)) if trace.exists() else 0  # both runs append
         evaluate(records, Method.MAIEUTIC, engine, workers=4, results_path=path,
                  manifest_path=manifest)
-        hits = sum(1 for entry in engine.backend.trace.records
+        hits = sum(1 for entry in read_trace(trace)[earlier:]
                    if entry["purpose"] == "nli" and entry["cache_hit"])
         return (path.read_bytes(), len(sent), hits,
                 json.loads(manifest.read_text(encoding="utf-8"))["backend_ids"])
@@ -283,6 +286,89 @@ def test_build_engine_loads_prompt_overrides(tmp_path, eval_fixture_file):
     assert engine.truth_prompts.content_hash() == custom.content_hash()
     assert engine.truth_prompts.content_hash() != \
         default_prompt_set(PromptMode.QA_PAIRS).content_hash()
+
+
+_HTTP = "http://127.0.0.1:9/v1"
+
+
+def _built(config: dict, fixtures) -> object:
+    """Build an engine from a config whose backend defaults to a scripted one."""
+    config.setdefault("backend", {"kind": "scripted", "fixtures": str(fixtures)})
+    return build_engine(EngineConfig.from_dict(config))
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"colour": "blue"}, "colour"),
+    ({"backend": {"kind": "scripted", "fixtures": "fx.json", "fixture": "fx.json"}},
+     "fixture"),
+    ({"backend": {"kind": "http", "endpoint": _HTTP, "retires": 5}}, "retires"),
+    ({"verifier": {"kind": "scripted", "fixture": "nli.json"}}, "fixture"),
+    ({"verifier": {"kind": "http", "endpoint": _HTTP, "timout": 1}}, "timout"),
+    ({"prompts": {"abduction": "abductive.json"}}, "abduction"),
+    ({"tree": {"depth": 1}}, "depth"),
+    ({"tree": {"depth_limit": 1,
+               "decoding_schedule": [{"strategy": "greedy", "max_token": 5}]}}, "max_token"),
+])
+def test_every_config_level_rejects_an_unknown_key(eval_fixture_file, config, key):
+    with pytest.raises(ValueError, match=rf"unknown .*keys: {key}$"):
+        _built(config, eval_fixture_file)
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"verifier": {"kind": "scripted", "strict": "false"}}, "strict"),
+    ({"backend": {"kind": "http", "endpoint": _HTTP, "retries": True}}, "retries"),
+    ({"verifier": {"kind": "http", "endpoint": _HTTP, "timeout": "30"}}, "timeout"),
+    ({"seed": "7"}, "seed"),
+    ({"workers": True}, "workers"),
+    ({"seed": None}, "seed"),
+    ({"backend": {"kind": "http", "endpoint": _HTTP, "timeout": None}}, "timeout"),
+    ({"backend": {"kind": "scripted", "fixtures": None}}, "fixtures"),
+])
+def test_config_values_of_the_wrong_type_are_rejected(eval_fixture_file, config, key):
+    with pytest.raises(ValueError, match=rf"key {key} must be"):
+        _built(config, eval_fixture_file)
+
+
+@pytest.mark.parametrize("section, table, attribute, value", [
+    ("backend", {"kind": "http", "endpoint": _HTTP, "model": None}, "model", None),
+    ("verifier", {"kind": "http", "endpoint": None}, "endpoint", "http://127.0.0.1:9/nli"),
+    ("verifier", {"kind": "scripted", "fixtures": None, "strict": False}, "strict", False),
+])
+def test_null_stands_for_a_default_of_none(eval_fixture_file, monkeypatch,
+                                           section, table, attribute, value):
+    monkeypatch.setenv("MAIEUTIC_NLI_ENDPOINT", "http://127.0.0.1:9/nli")
+    engine = _built({section: table}, eval_fixture_file)
+    assert getattr(getattr(engine, section), attribute) == value
+
+
+def test_a_scripted_backend_takes_no_id(eval_fixture_file):
+    with pytest.raises(ValueError, match="unknown scripted backend keys: id"):
+        _built({"backend": {"kind": "scripted", "fixtures": str(eval_fixture_file),
+                            "id": "mine"}}, eval_fixture_file)
+
+
+def test_an_http_backend_without_an_endpoint_names_the_empty_endpoint(eval_fixture_file):
+    with pytest.raises(ValueError, match=re.escape("endpoint '' is not an http://")):
+        _built({"backend": {"kind": "http"}}, eval_fixture_file)
+
+
+@pytest.mark.parametrize("section", ["backend", "verifier"])
+def test_an_integer_timeout_is_accepted(eval_fixture_file, section):
+    engine = _built({section: {"kind": "http", "endpoint": _HTTP, "timeout": 2}},
+                    eval_fixture_file)
+    assert getattr(engine, section).timeout == 2
+
+
+def test_the_readme_config_example_builds(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"A config file looks like:\n\n```json\n(.*?)```", readme, re.S)
+    config = EngineConfig.from_dict(json.loads(example[1]), base_dir=tmp_path)
+    (tmp_path / "fixtures.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "nli.json").write_text("[]", encoding="utf-8")
+    engine = build_engine(config)
+    assert isinstance(engine.verifier, CachedVerifier)
+    assert engine.verifier.inner.strict is False
+    assert engine.tree_config.width_schedule == (3, 1)
 
 
 # --- command line ---

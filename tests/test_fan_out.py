@@ -26,6 +26,7 @@ from maieutic.backend import (
     ResponseCache,
     ScriptedBackend,
     TraceRecorder,
+    read_trace,
 )
 from maieutic.compiler import CompileMode, cnf_to_json
 from maieutic.errors import BackendUnavailable, MissingFixture
@@ -79,7 +80,9 @@ def _as_seen_over_http(builder: FixtureBuilder) -> ScriptedBackend:
             response = {key: math.exp(math.log(value)) if value > 0 else 0.0
                         for key, value in response.items()}
         table[digest] = response
-    return ScriptedBackend(table, backend_id="http:default")
+    backend = ScriptedBackend(table)
+    backend.backend_id = "http:default"
+    return backend
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -172,7 +175,7 @@ def test_fan_out_answers_byte_identical_to_the_scripted_backend(stub, tmp_path, 
         delays[arrival % len(delays)], 200, tables.answer(path, body))
 
     def run(backend, verifier, tag):
-        trace = TraceRecorder()
+        trace = TraceRecorder(tmp_path / f"{tag}-trace.jsonl")
         engine = harness.Engine(
             backend=CachedBackend(backend, ResponseCache(tmp_path / tag), seed=0,
                                   trace=trace),
@@ -180,19 +183,19 @@ def test_fan_out_answers_byte_identical_to_the_scripted_backend(stub, tmp_path, 
         results = [harness.infer(question, harness.Method.MAIEUTIC, engine)
                    for question in questions]
         records = [(entry["digest"], entry["purpose"], entry["cache_hit"])
-                   for entry in trace.records]
+                   for entry in read_trace(trace.path)]
         return ([harness.result_to_json(result) for result in results],
                 [cnf_to_json(result.cnf) for result in results if result.cnf is not None],
                 records, _cache_files(tmp_path / tag))
 
-    over_http = run(HttpLmBackend(stub.base + "/v1/completions", backoff=0.01),
-                    HttpNliVerifier(stub.base + "/nli", backoff=0.01), "http")
+    over_http = run(HttpLmBackend(stub.base + "/v1/completions"),
+                    HttpNliVerifier(stub.base + "/nli"), "http")
     scripted = run(_as_seen_over_http(merged),
                    ScriptedNliVerifier(nli_records, strict=False), "scripted")
     assert over_http == scripted
     unwrapped = harness.Engine(
-        backend=HttpLmBackend(stub.base + "/v1/completions", backoff=0.01),
-        mode=mode, verifier=HttpNliVerifier(stub.base + "/nli", backoff=0.01))
+        backend=HttpLmBackend(stub.base + "/v1/completions"),
+        mode=mode, verifier=HttpNliVerifier(stub.base + "/nli"))
     assert [harness.result_to_json(harness.infer(question, harness.Method.MAIEUTIC,
                                                  unwrapped))
             for question in questions] == scripted[0]
@@ -212,7 +215,7 @@ def test_a_failed_batch_raises_its_first_failure_in_request_order(stub):
         return 0.0, 200, {"label": "neutral"}
 
     stub.respond = respond
-    verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
+    verifier = HttpNliVerifier(stub.base + "/nli")
     pairs = [("fine", "x"), ("first bad", "x"), ("second bad", "x"), ("also fine", "x")]
     with pytest.raises(BackendUnavailable, match="first"):
         verifier.nli_batch(pairs)
@@ -223,23 +226,23 @@ def test_a_failed_batch_traces_and_caches_the_requests_before_the_failure(tmp_pa
     builder = FixtureBuilder()
     builder.truth("Ice floats on water", TRUTH_PROMPTS, 0.8, 0.2)
     builder.truth("Copper conducts electricity", TRUTH_PROMPTS, 0.9, 0.1)
-    trace = TraceRecorder()
+    trace = TraceRecorder(tmp_path / "trace.jsonl")
     backend = CachedBackend(builder.backend(), ResponseCache(tmp_path), trace=trace)
     with pytest.raises(MissingFixture):
         backend.true_probs(["Ice floats on water", "Nothing answers this",
                             "Copper conducts electricity"], TRUTH_PROMPTS)
-    assert [entry["cache_hit"] for entry in trace.records] == [False]
+    assert [entry["cache_hit"] for entry in read_trace(trace.path)] == [False]
     assert len((tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()) == 1
 
 
 def test_a_repeat_within_one_batch_is_a_hit_on_the_first(tmp_path):
     builder = FixtureBuilder()
     builder.truth("Ice floats on water", TRUTH_PROMPTS, 0.8, 0.2)
-    trace = TraceRecorder()
+    trace = TraceRecorder(tmp_path / "trace.jsonl")
     backend = CachedBackend(builder.backend(), ResponseCache(tmp_path), trace=trace)
     first, again = backend.true_probs(["Ice floats on water"] * 2, TRUTH_PROMPTS)
     assert first == again
-    assert [entry["cache_hit"] for entry in trace.records] == [False, True]
+    assert [entry["cache_hit"] for entry in read_trace(trace.path)] == [False, True]
 
 
 def test_requests_in_flight_never_exceed_the_cap_under_evaluate(stub):
@@ -248,8 +251,7 @@ def test_requests_in_flight_never_exceed_the_cap_under_evaluate(stub):
     stub.respond = lambda path, body, arrival: (0.003, 200, tables.answer(path, body))
     records = [harness.DatasetRecord(id=f"r{index}", question=question, gold=True)
                for index, question in enumerate(questions)]
-    over_http = harness.Engine(backend=HttpLmBackend(stub.base + "/v1/completions",
-                                                     backoff=0.01))
+    over_http = harness.Engine(backend=HttpLmBackend(stub.base + "/v1/completions"))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
     try:
@@ -267,7 +269,7 @@ def test_a_round_goes_out_in_one_wave_up_to_the_cap(stub, count, peak):
     # each reply is held long enough for every thread to connect and send
     # on a loaded machine (held 20 ms, most runs read a peak below the count)
     stub.respond = lambda path, body, arrival: (0.2, 200, {"label": "neutral"})
-    verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
+    verifier = HttpNliVerifier(stub.base + "/nli")
     pairs = [(f"premise {index}", "hypothesis") for index in range(count)]
     assert len(verifier.nli_batch(pairs)) == count
     assert stub.peak == peak
@@ -276,7 +278,7 @@ def test_a_round_goes_out_in_one_wave_up_to_the_cap(stub, count, peak):
 def test_close_idle_closes_every_pooled_connection(stub):
     stub.respond = lambda path, body, arrival: (0.002, 200, {"label": "neutral"})
     backend_module.close_connections()
-    verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
+    verifier = HttpNliVerifier(stub.base + "/nli")
     verifier.nli_batch([("a", "b"), ("b", "a"), ("a", "c")])
     kept = list(backend_module._connections.values())
     assert kept and all(connection.sock is not None for connection in kept)
@@ -287,7 +289,7 @@ def test_close_idle_closes_every_pooled_connection(stub):
 
 def test_sequential_batches_open_at_most_one_connection_per_sending_thread(stub):
     stub.respond = lambda path, body, arrival: (0.001, 200, {"label": "neutral"})
-    verifier = HttpNliVerifier(stub.base + "/nli", backoff=0.01)
+    verifier = HttpNliVerifier(stub.base + "/nli")
     pairs = [(f"premise {index}", "hypothesis") for index in range(2 * MAX_IN_FLIGHT)]
     for _ in range(20):
         verifier.nli_batch(pairs)
@@ -300,7 +302,7 @@ def test_a_process_that_sent_a_batch_exits_without_resource_warnings(stub):
     src = str(Path(backend_module.__file__).resolve().parents[1])
     probe = ("import sys\n"
              "from maieutic.verifier import HttpNliVerifier\n"
-             "verifier = HttpNliVerifier(sys.argv[1], backoff=0.01)\n"
+             "verifier = HttpNliVerifier(sys.argv[1])\n"
              "print(len(verifier.nli_batch([('a', 'b'), ('b', 'a'), ('a', 'c')])))")
     done = subprocess.run([sys.executable, "-X", "dev", "-c", probe, stub.base + "/nli"],
                           capture_output=True, text=True, timeout=60, check=True,

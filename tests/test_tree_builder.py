@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from maieutic.backend import CachedBackend, FixtureBuilder, TraceRecorder
+from maieutic.backend import CachedBackend, FixtureBuilder, TraceRecorder, read_trace
 from maieutic.core import (
     DecodingParams,
     DecodingStrategy,
@@ -111,7 +111,7 @@ def test_build_tree_fixed_scenario_shape():
     assert tree.children_of("F.0") == []
 
 
-def test_build_tree_negates_with_the_model_in_rounds():
+def test_build_tree_negates_with_the_model_in_rounds(tmp_path):
     greedy = DecodingParams(DecodingStrategy.GREEDY)
     config = TreeConfig(depth_limit=1, decoding_schedule=(greedy,),
                         negation_strategy=NegationStrategy.LM_GENERATED)
@@ -124,14 +124,14 @@ def test_build_tree_negates_with_the_model_in_rounds():
         builder.negation(text, f"It is false that {text}")
         builder.truth(text, TRUTH_PROMPTS, 0.8, 0.2)
         builder.truth(f"It is false that {text}", TRUTH_PROMPTS, 0.3, 0.7)
-    trace = TraceRecorder()
+    trace = TraceRecorder(tmp_path / "trace.jsonl")
     tree = build_tree(root + "?", config, CachedBackend(builder.backend(), None, trace=trace),
                       TRUTH_PROMPTS, ABDUCTIVE_PROMPTS)
     assert tree.node("F.0").negated_text == f"It is false that {for_false}"
     assert tree.node("F.0").integrity is Integrity.INTEGRAL_TRUE
     # root negation, root truth pair, both abductions, both children's
     # negations, then both children's truth pairs
-    assert [entry["purpose"] for entry in trace.records] == (
+    assert [entry["purpose"] for entry in read_trace(trace.path)] == (
         ["completion"] + ["truth"] * 2 + ["completion"] * 4 + ["truth"] * 4)
 
 

@@ -256,7 +256,7 @@ def nli_stub():
 def test_http_verifier_round_trip(nli_stub):
     nli_stub.script.append((200, {"label": "entail",
                                   "probs": [0.9, 0.02, 0.08]}))
-    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    verifier = HttpNliVerifier(nli_stub.endpoint)
     judgment = verifier.nli("A supporting fact.", "The question")
     assert judgment.label is NliLabel.ENTAIL
     assert judgment.label_prob() == pytest.approx(0.9)
@@ -266,7 +266,7 @@ def test_http_verifier_round_trip(nli_stub):
 
 def test_http_verifier_retries_then_succeeds(nli_stub):
     nli_stub.script.extend([(500, {}), (200, {"label": "contradict"})])
-    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    verifier = HttpNliVerifier(nli_stub.endpoint)
     assert verifier.nli("a", "b").label is NliLabel.CONTRADICT
     assert len(nli_stub.requests) == 2
 
@@ -279,7 +279,7 @@ def test_http_verifier_rejects_fewer_than_one_attempt(retries):
 
 def test_http_verifier_gives_up(nli_stub):
     nli_stub.script.extend([(500, {}), (500, {}), (500, {})])
-    verifier = HttpNliVerifier(nli_stub.endpoint, retries=3, backoff=0.01)
+    verifier = HttpNliVerifier(nli_stub.endpoint, retries=3)
     with pytest.raises(BackendUnavailable):
         verifier.nli("a", "b")
 
@@ -287,14 +287,14 @@ def test_http_verifier_gives_up(nli_stub):
 def test_http_verifier_retries_on_rate_limit(nli_stub):
     nli_stub.script.extend([(429, {}, {"Retry-After": "0"}),
                             (200, {"label": "entail"})])
-    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    verifier = HttpNliVerifier(nli_stub.endpoint)
     assert verifier.nli("a", "b").label is NliLabel.ENTAIL
     assert len(nli_stub.requests) == 2
 
 
 def test_http_verifier_rate_limit_spends_the_retry_budget(nli_stub):
     nli_stub.script.extend([(429, {})] * 3)
-    verifier = HttpNliVerifier(nli_stub.endpoint, retries=3, backoff=0.01)
+    verifier = HttpNliVerifier(nli_stub.endpoint, retries=3)
     with pytest.raises(BackendUnavailable):
         verifier.nli("a", "b")
     assert len(nli_stub.requests) == 3
@@ -302,7 +302,7 @@ def test_http_verifier_rate_limit_spends_the_retry_budget(nli_stub):
 
 def test_http_verifier_client_errors_do_not_retry(nli_stub):
     nli_stub.script.append((404, {"error": "no such model"}))
-    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    verifier = HttpNliVerifier(nli_stub.endpoint)
     with pytest.raises(BackendUnavailable):
         verifier.nli("a", "b")
     assert len(nli_stub.requests) == 1
@@ -310,7 +310,7 @@ def test_http_verifier_client_errors_do_not_retry(nli_stub):
 
 def test_http_verifier_malformed_label(nli_stub):
     nli_stub.script.append((200, {"label": "sideways"}))
-    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    verifier = HttpNliVerifier(nli_stub.endpoint)
     with pytest.raises(MalformedResponse):
         verifier.nli("a", "b")
 
@@ -319,7 +319,7 @@ def test_http_verifier_malformed_label(nli_stub):
                          + [{"label": "entail", "probs": probs} for probs in MALFORMED_PROBS])
 def test_http_verifier_malformed_reply(nli_stub, payload):
     nli_stub.script.append((200, payload))
-    verifier = HttpNliVerifier(nli_stub.endpoint, backoff=0.01)
+    verifier = HttpNliVerifier(nli_stub.endpoint)
     with pytest.raises(MalformedResponse, match="unusable NLI record") as caught:
         verifier.nli("a", "b")
     assert repr(payload) in str(caught.value)
@@ -328,7 +328,7 @@ def test_http_verifier_malformed_reply(nli_stub, payload):
 
 def test_http_verifier_endpoint_from_environment(nli_stub, monkeypatch):
     monkeypatch.setenv("MAIEUTIC_NLI_ENDPOINT", nli_stub.endpoint)
-    verifier = HttpNliVerifier(backoff=0.01)
+    verifier = HttpNliVerifier()
     assert verifier.nli("a", "b").label is NliLabel.NEUTRAL
 
 

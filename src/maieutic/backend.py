@@ -19,11 +19,10 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partialmethod
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
@@ -106,14 +105,20 @@ class ModelClient:
     """What the LM backend and the NLI verifier share: sending a batch of
     independent requests."""
 
-    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
-        """``call(*args)`` for each argument tuple: independent requests,
-        answered in request order.
+    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+        """The answer of the primitive (named by its method) to each argument
+        tuple, with the seconds it took: independent requests, answered in
+        request order.
 
-        A plain loop in the calling thread that stops at the first
-        failure; an :class:`HttpClient` sends the calls concurrently instead.
+        A plain loop in the calling thread that calls the primitive once per
+        request and stops at the first failure; an :class:`HttpClient` sends
+        the requests in waves instead.
         """
-        return [call(*args) for args in arguments]
+        call = getattr(self, primitive)
+        for args in arguments:
+            started = time.monotonic()
+            answer = call(*args)
+            yield answer, time.monotonic() - started
 
 
 class LmBackend(ModelClient):
@@ -141,7 +146,7 @@ class LmBackend(ModelClient):
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
         """One primitive (named by its method) over many argument tuples, as one batch."""
-        return self._batch(getattr(self, primitive), arguments)
+        return [answer for answer, _ in self._batch(primitive, arguments)]
 
     # --- public operations ---
 
@@ -392,22 +397,31 @@ BACKOFF_S = 1.0
 # most NLI rounds (up to 30 pairs) go out in one wave.
 MAX_IN_FLIGHT = 32
 
-# Built at import: an executor starts no thread before its first submit.
-_executor = ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="maieutic-http")
+
+class _Slots:
+    """The process-wide count of free places for requests in flight."""
+
+    def __init__(self, total: int):
+        self._free = total
+        self._freed = threading.Condition()
+
+    def take(self, wanted: int) -> int:
+        """As many slots as are free, up to ``wanted``, once at least one is:
+        a caller never holds slots while it waits for more."""
+        with self._freed:
+            while not self._free:
+                self._freed.wait()
+            taken = min(wanted, self._free)
+            self._free -= taken
+            return taken
+
+    def give(self, count: int) -> None:
+        with self._freed:
+            self._free += count
+            self._freed.notify_all()
 
 
-def fan_out(call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
-    """``call(*args)`` for each argument tuple on the shared HTTP executor;
-    answers in request order.
-
-    Every call of the batch finishes before the first failure in
-    request order is raised. The executor's ``MAX_IN_FLIGHT`` threads
-    are shared by all HTTP clients, so that bound holds however many
-    threads issue batches.
-    """
-    futures = [_executor.submit(call, *args) for args in arguments]
-    wait(futures)
-    return [future.result() for future in futures]
+_slots = _Slots(MAX_IN_FLIGHT)
 
 
 class _BadReply(OSError):
@@ -446,10 +460,15 @@ class _Connection:
             self.sock.close()
             self.sock = None
 
-    def exchange(self, request: bytes) -> tuple[int, Optional[bytes], bytes, bool]:
-        """Send one request and read its reply: (status, Retry-After, body,
-        whether the connection stays open for the next request)."""
+    def send(self, request: bytes, timeout: float) -> None:
+        self.sock.settimeout(timeout)
         self.sock.sendall(request)
+
+    def receive(self, timeout: float) -> tuple[int, Optional[bytes], bytes, bool]:
+        """Read one reply, waiting at most ``timeout`` for each part of it:
+        (status, Retry-After, body, whether the connection stays open for
+        the next request)."""
+        self.sock.settimeout(timeout)
         if not self._reader.peek(1):  # no reply at all: dropped while idle
             raise ConnectionResetError("the server closed the connection without replying")
         status_line = self._match(_STATUS_LINE)
@@ -501,23 +520,37 @@ class _Connection:
         return b"".join(parts)
 
 
-# Kept-alive connections by (sending thread, scheme, host, port). A thread
-# takes out and puts back only its own entries, so the dict needs no lock.
-_connections: dict[tuple, _Connection] = {}
+# Idle kept-alive connections by (scheme, host, port), shared by every client.
+_idle: dict[tuple, list[_Connection]] = {}
+_idle_lock = threading.Lock()
 
 
 def close_connections() -> None:
-    """Close every kept-alive connection; registered to run at interpreter exit."""
-    while _connections:
-        _connections.popitem()[1].close()
+    """Close every idle kept-alive connection; registered to run at interpreter exit."""
+    with _idle_lock:
+        idle = [connection for kept in _idle.values() for connection in kept]
+        _idle.clear()
+    for connection in idle:
+        connection.close()
 
 
 atexit.register(close_connections)
 
+# The outcome of one exchange: (status, Retry-After, body), or the OSError it raised.
+_Outcome = Union[tuple[int, Optional[bytes], bytes], OSError]
+
 
 class HttpClient(ModelClient):
-    """A model behind an HTTP endpoint: requests go through :meth:`_post`,
-    a batch through :func:`fan_out`."""
+    """A model behind an HTTP endpoint.
+
+    ``_WIRE`` names, per primitive, the method that builds a request's JSON
+    body from its arguments and the method that reads the answer from the
+    decoded reply and the same arguments. A batch goes out in waves
+    (:meth:`_batch`); a primitive's one-request form (:meth:`_one`) is a
+    batch of one.
+    """
+
+    _WIRE: dict[str, tuple[Callable[..., dict], Callable[..., Any]]] = {}
 
     def __init__(self, endpoint: str, timeout: float, retries: int,
                  headers: Optional[dict] = None):
@@ -541,36 +574,62 @@ class HttpClient(ModelClient):
         # every request starts with this head; only its Content-Length varies
         self._head = ("\r\n".join(lines) + "\r\n").encode("latin-1")
         self.endpoint, self._url = endpoint, url
+        self._host = (url.scheme, url.hostname, url.port)  # this client's key in ``_idle``
         self.timeout, self.retries = timeout, retries
         self._context: Any = None  # the TLS context, made at the first https connection
         self._context_lock = threading.Lock()
 
-    def _batch(self, call: Callable[..., Any], arguments: Sequence[tuple]) -> list:
-        return fan_out(call, arguments)
+    def _one(self, primitive: str, *args) -> Any:
+        """One request of the primitive: a batch of one."""
+        return next(self._batch(primitive, [args]))[0]
 
-    def _post(self, body: dict) -> dict:
-        """POST a JSON body to the endpoint and return the decoded JSON reply.
+    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+        """Each request's answer, in request order, with the seconds from the
+        start of its wave to its reply (and through its retries).
+
+        Every request body is built before any is sent. The requests then go
+        out in waves, each as large as the process-wide ``MAX_IN_FLIGHT``
+        count has room for (:meth:`_wave`). A request whose exchange failed,
+        or that got a 5xx or a 429, is then retried alone by :meth:`_post`,
+        its wave counting as the first attempt. So every request has been
+        sent before the first failure in request order is raised; the
+        requests after that failure are not retried.
+        """
+        build, read = self._WIRE[primitive]
+        requests = [self._request(build(self, *args)) for args in arguments]
+        sent: list[tuple[_Outcome, float]] = []
+        while len(sent) < len(requests):
+            sent += self._wave(requests[len(sent):])
+        for request, args, (outcome, seconds) in zip(requests, arguments, sent):
+            started = time.monotonic()
+            answer = read(self, self._post(request, outcome), *args)
+            yield answer, seconds + time.monotonic() - started
+
+    def _request(self, body: dict) -> bytes:
+        blob = json.dumps(body).encode("utf-8")
+        return b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(blob), blob)
+
+    def _post(self, request: bytes, outcome: _Outcome) -> Any:
+        """The decoded JSON reply to one request, whose first attempt a wave
+        made with ``outcome``.
 
         Transport errors (a malformed reply among them), 5xx and 429 are
-        retried within ``retries`` attempts, after an exponential backoff
-        from ``BACKOFF_S`` or the delay a 429's ``Retry-After`` names; any
-        other status but 200 fails at once with ``BackendUnavailable``, as
-        does running out of attempts. Connections are kept alive and reused
-        (see :meth:`_exchange`).
+        retried within ``retries`` attempts, each a wave of its own, after
+        an exponential backoff from ``BACKOFF_S`` or the delay a 429's
+        ``Retry-After`` names; any other status but 200 fails at once with
+        ``BackendUnavailable``, as does running out of attempts.
         """
-        blob = json.dumps(body).encode("utf-8")
-        request = b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(blob), blob)
         last_error: Optional[Exception] = None
         delay: Optional[float] = None
         for attempt in range(self.retries):
             if attempt:
                 time.sleep(BACKOFF_S * (2 ** (attempt - 1)) if delay is None else delay)
+                outcome = self._wave([request])[0][0]
             delay = None
-            try:
-                status, retry_after, raw = self._exchange(request)
-            except OSError as exc:
-                last_error = exc
+            if isinstance(outcome, OSError):
+                last_error = outcome
                 continue
+            status, retry_after, raw = outcome
             if status >= 500 or status == 429:
                 last_error = BackendUnavailable(f"server returned {status}")
                 if status == 429:
@@ -595,38 +654,102 @@ class HttpClient(ModelClient):
                     self._context = ssl.create_default_context()
         return _Connection(self._url, self.timeout, self._context)
 
-    def _exchange(self, request: bytes) -> tuple[int, Optional[bytes], bytes]:
-        """Send one request on this thread's kept-alive connection to the
-        endpoint's host: (status, Retry-After, body).
+    def _open(self, count: int) -> list[Union[_Connection, OSError]]:
+        """``count`` new connections, or the OSError each opening raised.
 
-        A reused connection that the server closed while it sat idle fails
-        before any reply arrives; it is replaced and the request sent again once.
+        Two or more are opened at once, each on a short-lived thread, so a
+        cold wave waits for about one connect and TLS handshake, not one per
+        request.
         """
-        url = self._url
-        key = (threading.get_ident(), url.scheme, url.hostname, url.port)
-        connection = _connections.pop(key, None)
-        reused = connection is not None
-        if reused:
-            connection.sock.settimeout(self.timeout)
-        else:
-            connection = self._connect()
-        try:
+        opened: list = [None] * count
+
+        def open_one(index: int) -> None:
             try:
-                status, retry_after, body, keep = connection.exchange(request)
-            except (ConnectionResetError, BrokenPipeError):
-                if not reused:
-                    raise
-                connection.close()
-                connection = self._connect()
-                status, retry_after, body, keep = connection.exchange(request)
-        except BaseException:
-            connection.close()
-            raise
-        if keep:
-            _connections[key] = connection
-        else:
-            connection.close()
-        return status, retry_after, body
+                opened[index] = self._connect()
+            except OSError as exc:
+                opened[index] = exc
+
+        if count == 1:
+            open_one(0)
+            return opened
+        threads = [threading.Thread(target=open_one, args=(index,), name="maieutic-open")
+                   for index in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return opened
+
+    def _wave(self, requests: Sequence[bytes]) -> list[tuple[_Outcome, float]]:
+        """The first of ``requests``, as many as the process-wide in-flight
+        count has room for (at least one), exchanged as one wave: each one's
+        outcome, and the seconds from the wave's start to its reply."""
+        taken = _slots.take(len(requests))
+        try:
+            started = time.monotonic()
+            return [(outcome, replied - started)
+                    for outcome, replied in self._exchange(requests[:taken])]
+        finally:
+            _slots.give(taken)
+
+    def _exchange(self, requests: Sequence[bytes],
+                  reuse: bool = True) -> list[tuple[_Outcome, float]]:
+        """One wave, in the calling thread: each request written on a
+        kept-alive connection of its own to the endpoint's host, then the
+        replies read in request order, all within ``timeout`` of the last
+        write. Per request: its outcome, and the ``time.monotonic()`` its
+        reply was read at.
+
+        Idle connections are reused first, and the ones lacking are opened
+        together (:meth:`_open`). A reused connection that the server closed
+        while it sat idle fails before any reply arrives; those requests are
+        sent once more, as a wave on new connections.
+        """
+        connections: list = []
+        if reuse:
+            with _idle_lock:
+                idle = _idle.get(self._host, [])
+                connections = [idle.pop() for _ in range(min(len(requests), len(idle)))]
+        reused = len(connections)
+        connections += self._open(len(requests) - reused)
+        failures = [item if isinstance(item, OSError) else None for item in connections]
+        results: list[tuple[_Outcome, float]] = []
+        dropped, kept = [], []
+        try:
+            for index, request in enumerate(requests):
+                if failures[index] is None:
+                    try:
+                        connections[index].send(request, self.timeout)
+                    except OSError as exc:
+                        failures[index] = exc
+            deadline = time.monotonic() + self.timeout
+            for index, connection in enumerate(connections):
+                try:
+                    if failures[index] is not None:
+                        raise failures[index]
+                    status, retry_after, body, keep = connection.receive(
+                        max(deadline - time.monotonic(), 0.001))
+                except OSError as exc:
+                    if index < reused and isinstance(exc, (ConnectionResetError,
+                                                           BrokenPipeError)):
+                        dropped.append(index)
+                    results.append((exc, time.monotonic()))
+                    continue
+                results.append(((status, retry_after, body), time.monotonic()))
+                if keep:
+                    kept.append(connection)
+                    connections[index] = None
+        finally:
+            for connection in connections:
+                if isinstance(connection, _Connection):
+                    connection.close()
+            with _idle_lock:
+                _idle.setdefault(self._host, []).extend(kept)
+        if dropped:
+            resent = self._exchange([requests[index] for index in dropped], reuse=False)
+            for index, result in zip(dropped, resent):
+                results[index] = result
+        return results
 
 
 _ANSWER_TRUE, _ANSWER_FALSE = prompt_templates.ANSWER_TOKENS
@@ -672,8 +795,12 @@ class HttpLmBackend(HttpClient, LmBackend):
             raise MalformedResponse(f"a choice is not an object: {choices!r}")
         return choices
 
-    def _score_answer(self, prompt: str) -> tuple[float, float]:
-        payload = self._post(self._body(prompt, max_tokens=1, temperature=0.0, logprobs=5))
+    # --- each primitive's request body, then its reader of the decoded reply ---
+
+    def _truth_body(self, prompt: str) -> dict:
+        return self._body(prompt, max_tokens=1, temperature=0.0, logprobs=5)
+
+    def _truth_answer(self, payload: Any, prompt: str) -> tuple[float, float]:
         logprobs = self._choices(payload)[0].get("logprobs")
         listed = logprobs.get("top_logprobs") if isinstance(logprobs, dict) else None
         top = listed[0] if isinstance(listed, list) and listed else {}
@@ -685,7 +812,7 @@ class HttpLmBackend(HttpClient, LmBackend):
         p_false = math.exp(_logprob(top[_ANSWER_FALSE])) if _ANSWER_FALSE in top else 0.0
         return p_true, p_false
 
-    def _complete(self, prompt: str, decoding: DecodingParams) -> list[str]:
+    def _completion_body(self, prompt: str, decoding: DecodingParams) -> dict:
         extra: dict = {
             "max_tokens": decoding.max_tokens,
             "n": decoding.sample_count,
@@ -696,12 +823,16 @@ class HttpLmBackend(HttpClient, LmBackend):
         else:
             extra["temperature"] = 1.0
             extra["top_p"] = decoding.nucleus_p
-        payload = self._post(self._body(prompt, **extra))
+        return self._body(prompt, **extra)
+
+    def _completion_answer(self, payload: Any, prompt: str,
+                           decoding: DecodingParams) -> list[str]:
         return [choice.get("text", "") for choice in self._choices(payload)]
 
-    def _completion_logprob(self, prompt: str, completion: str) -> float:
-        full = f"{prompt} {completion}"
-        payload = self._post(self._body(full, max_tokens=0, echo=True, logprobs=0))
+    def _logprob_body(self, prompt: str, completion: str) -> dict:
+        return self._body(f"{prompt} {completion}", max_tokens=0, echo=True, logprobs=0)
+
+    def _logprob_answer(self, payload: Any, prompt: str, completion: str) -> float:
         logprobs = self._choices(payload)[0].get("logprobs")
         if (not isinstance(logprobs, dict) or "token_logprobs" not in logprobs
                 or "text_offset" not in logprobs):
@@ -715,6 +846,13 @@ class HttpLmBackend(HttpClient, LmBackend):
         except TypeError as exc:  # an offset that is not a number, or no list at all
             raise MalformedResponse(f"unusable token log-probabilities: {exc}") from exc
         return total
+
+    _WIRE = {"_score_answer": (_truth_body, _truth_answer),
+             "_complete": (_completion_body, _completion_answer),
+             "_completion_logprob": (_logprob_body, _logprob_answer)}
+    _score_answer = partialmethod(HttpClient._one, "_score_answer")
+    _complete = partialmethod(HttpClient._one, "_complete")
+    _completion_logprob = partialmethod(HttpClient._one, "_completion_logprob")
 
 
 # --- response cache and call trace ---
@@ -823,19 +961,22 @@ class CachedBackend(LmBackend):
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
         build, stored_form, answer_form = _FORMS[primitive]
-        call = getattr(self.inner, primitive)
-        stored = self.served(self.backend_id, [build(*args) for args in arguments],
-                             lambda index: stored_form(call(*arguments[index])),
-                             self.inner._batch)
+
+        def ask(misses: list[int]) -> Iterator[tuple[dict, float]]:
+            for answer, seconds in self.inner._batch(primitive,
+                                                     [arguments[index] for index in misses]):
+                yield stored_form(answer), seconds
+
+        stored = self.served(self.backend_id, [build(*args) for args in arguments], ask)
         return [answer_form(answer) for answer in stored]
 
     def served(self, owner_id: str, requests: Sequence[dict],
-               ask: Callable[[int], dict],
-               batch: Callable[[Callable[..., Any], Sequence[tuple]], list]) -> list[dict]:
+               ask: Callable[[list[int]], Iterable[tuple[dict, float]]]) -> list[dict]:
         """Answers (in stored form) of one batch of requests, in request order.
 
-        Hits come from the cache; the misses go to ``batch`` together,
-        where ``ask(i)`` sends request i on. Each request is digested
+        Hits come from the cache; ``ask(misses)`` sends the misses (by
+        index) on as one batch and yields their answers, each with the
+        seconds it took, in request order. Each request is digested
         once: the digest keys the trace, and with ``owner_id`` (and the
         seed, for a stochastic completion) the cache. A request
         repeating an earlier miss of the same batch is a hit on that
@@ -866,15 +1007,9 @@ class CachedBackend(LmBackend):
             answered_by[index] = index
             misses.append(index)
         latency = [0.0] * len(requests)
-
-        def timed(index: int) -> None:
-            started = time.monotonic()
-            answer = ask(index)
-            latency[index] = time.monotonic() - started
-            stored[index] = answer
-
         try:
-            batch(timed, [(index,) for index in misses])
+            for index, (answer, seconds) in zip(misses, ask(misses)):
+                stored[index], latency[index] = answer, seconds
         finally:
             records, fresh = [], {}
             for index, origin in enumerate(answered_by):

@@ -8,10 +8,10 @@ credentials never live in the file; they come from the environment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from inspect import Parameter, signature
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Optional, Union
 
 try:
     import tomllib
@@ -24,13 +24,13 @@ except ModuleNotFoundError:  # Python 3.10
 from . import harness
 from .backend import CachedBackend, HttpLmBackend, ResponseCache, ScriptedBackend, TraceRecorder
 from .compiler import CompileMode
-from .core import TreeConfig, check_keys
+from .core import TreeConfig, check_fields, check_keys, field_types
 from .prompts import load_or_default
 from .verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
 
 # Per (section, kind): the client it builds, and the type each key's value
-# must have (see ``_check_types``). Defaults, and which keys are required,
-# are the client constructor's.
+# must have (see ``core.check_fields``). Defaults, and which keys are
+# required, are the client constructor's.
 _CLIENTS: dict[tuple[str, str], tuple[type, dict[str, type]]] = {
     ("backend", "scripted"): (ScriptedBackend, {"fixtures": str}),
     ("backend", "http"): (HttpLmBackend, {"endpoint": str, "model": str,
@@ -61,8 +61,7 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Optional[Path] = None) -> EngineConfig:
-        check_keys("config", data, (f.name for f in fields(cls)))
-        _check_types("config", data, {"seed": int, "workers": int}, cls)
+        check_fields("config", data, field_types(cls), cls)
         check_keys("prompts", data.get("prompts", {}), harness.PROMPT_FIELDS)
         config = cls(**{key: _READ[key](value) if key in _READ else value
                         for key, value in data.items()})
@@ -112,17 +111,6 @@ class EngineConfig:
         }
 
 
-def _check_types(what: str, data: Mapping, types: Mapping[str, type], owner: type) -> None:
-    """Raise ``ValueError`` naming a key of ``data`` whose value is not of its
-    type in ``types``: an int passes for a float, a bool only for a bool, and
-    null only where the key's default in ``owner``'s signature is None."""
-    for key, value in data.items():
-        want = types.get(key, type(value))  # a key with no type in ``types`` passes
-        if type(value) is not want and (want, type(value)) != (float, int) and not (
-                value is None and signature(owner).parameters[key].default is None):
-            raise ValueError(f"{what} key {key} must be {want.__name__}, not {value!r}")
-
-
 def _client(section: str, table: dict) -> Any:
     """The backend or verifier a config section describes, built from the
     keys given; ``ValueError`` names the section, kind and key for an unknown
@@ -132,8 +120,7 @@ def _client(section: str, table: dict) -> Any:
         raise ValueError(f"unknown {section} kind {kind!r}")
     client, types = _CLIENTS[section, kind]
     given = {key: value for key, value in table.items() if key != "kind"}
-    check_keys(f"{kind} {section}", given, types)
-    _check_types(f"{kind} {section}", given, types, client)
+    check_fields(f"{kind} {section}", given, types, client)
     for key, parameter in signature(client).parameters.items():
         if parameter.default is Parameter.empty and key not in given:
             raise ValueError(f"{kind} {section} needs the key {key}")

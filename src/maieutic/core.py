@@ -11,7 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional
+from inspect import signature
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import DegenerateBelief
 
@@ -61,6 +62,29 @@ def check_keys(what: str, data: Mapping, known: Iterable[str]) -> None:
     unknown = set(data).difference(known)
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+
+
+def check_fields(what: str, data: Mapping, types: Mapping[str, Optional[type]],
+                 owner: Callable) -> None:
+    """Raise ``ValueError`` naming the keys of ``data`` that are not in
+    ``types``, or a key whose value is not of its type there: an int passes
+    for a float, a bool only for a bool, and null only where the key's
+    default in ``owner``'s signature is None. A key typed None takes any value."""
+    check_keys(what, data, types)
+    for key, value in data.items():
+        want = types[key]
+        if want is None or type(value) is want or (want, type(value)) == (float, int) or (
+                value is None and signature(owner).parameters[key].default is None):
+            continue
+        raise ValueError(f"{what} key {key} must be {want.__name__}, not {value!r}")
+
+
+def field_types(cls: type) -> dict[str, Optional[type]]:
+    """Each field of a dataclass with its type where that is bool, int, float
+    or str, else None (the fields' annotations may be strings)."""
+    plain = (bool, int, float, str)
+    return {f.name: next((kind for kind in plain if f.type in (kind, kind.__name__)), None)
+            for f in fields(cls)}
 
 
 def _require_finite(name: str, value: Optional[float]) -> None:
@@ -148,7 +172,7 @@ class DecodingParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> DecodingParams:
-        check_keys("decoding", data, (f.name for f in fields(cls)))
+        check_fields("decoding", data, field_types(cls), cls)
         return cls(**{**data, "strategy": DecodingStrategy(data["strategy"])})
 
 
@@ -212,7 +236,7 @@ class TreeConfig:
     def from_dict(cls, data: dict) -> TreeConfig:
         """Inverse of :meth:`to_dict`; an explicit ``width_schedule`` must
         match the decoding schedule's sample counts."""
-        check_keys("tree", data, ("width_schedule", *(f.name for f in fields(cls))))
+        check_fields("tree", data, {**field_types(cls), "width_schedule": None}, cls)
         kwargs = {key: value for key, value in data.items() if key != "width_schedule"}
         if "decoding_schedule" in data:
             kwargs["decoding_schedule"] = tuple(
@@ -236,7 +260,8 @@ class Proposition:
     from the root, so its length equals the node's depth. ``true_prob``
     and ``neg_true_prob`` are the renormalized probabilities of the True
     answer for the statement and for its negation; ``belief`` is derived
-    from them.
+    from them. ``direct_answer`` is the answer the statement's own truth
+    check committed to (``None`` on a tie); it is not serialized.
     """
 
     id: str
@@ -247,6 +272,7 @@ class Proposition:
     integrity: Integrity = Integrity.UNCHECKED
     true_prob: Optional[float] = None
     neg_true_prob: Optional[float] = None
+    direct_answer: Optional[bool] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.text.strip():

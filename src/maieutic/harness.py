@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -170,12 +169,13 @@ def infer_maieutic(question: str, engine: Engine) -> InferenceResult:
     """Grow, prune, compile and solve; the answer is the root's assigned value.
 
     A tree pruned down to its root carries no usable evidence, so the
-    answer falls back to direct scoring with the fallback flag raised.
+    answer falls back to direct scoring with the fallback flag raised:
+    the root's own truth check is that request, so its answer is reused
+    (False on a tie, as in :func:`infer_standard`).
     """
     pruned, cnf = compile_question(question, engine)
     if cnf is None:
-        direct = infer_standard(question, engine.backend, engine.truth_prompts)
-        return InferenceResult(question=question, answer=direct.answer,
+        return InferenceResult(question=question, answer=bool(pruned.root.direct_answer),
                                method=Method.MAIEUTIC, fallback_used=True, tree=pruned)
     assignment = solve(cnf)
     by_node = assignment_by_node(cnf, assignment)
@@ -407,6 +407,8 @@ def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
             return _result_line(record, infer(record.question, method, engine))
         except Exception as exc:  # one failed record must not end the run
             return _error_line(record, exc)
+
+    from concurrent.futures import ThreadPoolExecutor  # here, so import maieutic stays light
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         lines = list(pool.map(attempt, records))

@@ -86,6 +86,7 @@ def _checked_propositions(pending: list[_Pending], config: TreeConfig,
                                      Integrity.NOT_INTEGRAL),
             true_prob=direct.true_prob,
             neg_true_prob=opposite.true_prob,
+            direct_answer=direct.argmax(),
         ))
     return propositions
 
@@ -102,20 +103,21 @@ def build_tree(question: str, config: TreeConfig, backend: backend_ops.LmBackend
     Each depth is grown in dependent rounds, each one batch of
     requests: the abductions of every expanding parent, then (with
     ``lm_generated`` negation) the children's negations, then the truth
-    checks of every child and its negation.
+    checks of every child and its negation. Since the root expands
+    whatever its integrity, nothing waits for its check: it goes first
+    in the negation and truth rounds of depth 1, after the depth-1
+    abductions, whose failure is therefore raised first. At the default
+    depth of 2 a tree takes 4 rounds (6 with ``lm_generated`` negation).
     """
     if truth_prompts.mode is not PromptMode.QA_PAIRS:
         raise ValueError("integrity checking requires qa_pairs prompts")
     if abductive_prompts.mode is not PromptMode.ABDUCTIVE_TRIPLES:
         raise ValueError("tree growth requires abductive_triples prompts")
     root = _Pending(ROOT_ID, normalize_statement(question), "", None)
-    nodes: dict[str, Proposition] = {
-        ROOT_ID: _checked_propositions([root], config, backend, truth_prompts)[0]}
+    nodes: dict[str, Proposition] = {}
     children: dict[str, list[Edge]] = {}
-    frontier = [ROOT_ID]
+    parents = [root]
     for depth in range(1, config.depth_limit + 1):
-        parents = [nodes[parent_id] for parent_id in frontier
-                   if parent_id == ROOT_ID or not nodes[parent_id].integrity.is_integral]
         explained = _abductions([parent.text for parent in parents],
                                 config.decoding_for(depth), backend, abductive_prompts)
         pending: list[_Pending] = []
@@ -127,9 +129,10 @@ def build_tree(question: str, config: TreeConfig, backend: backend_ops.LmBackend
                     path = parent.path_label + ("T" if label else "F")
                     pending.append(_Pending(node_id, text, path, label))
                     children.setdefault(parent.id, []).append((label, node_id))
-        for proposition in _checked_propositions(pending, config, backend, truth_prompts):
+        checked = [root, *pending] if depth == 1 else pending
+        for proposition in _checked_propositions(checked, config, backend, truth_prompts):
             nodes[proposition.id] = proposition
-        frontier = [node.id for node in pending]
+        parents = [node for node in pending if not nodes[node.id].integrity.is_integral]
     tree = MaieuticTree(nodes=nodes, children=children, config=config)
     tree.validate()
     return tree

@@ -12,8 +12,9 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import partialmethod
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
 from .core import ClauseOrigin, MaieuticTree, WeightedClause, variable_map
@@ -78,7 +79,7 @@ class NliVerifier(ModelClient):
 
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
         """Judgments of independent pairs in request order, as one :meth:`_batch`."""
-        return self._batch(self.nli, pairs)
+        return [judgment for judgment, _ in self._batch("nli", pairs)]
 
 
 def _judgment_from_record(premise: str, hypothesis: str, record: Any) -> NliJudgment:
@@ -158,11 +159,16 @@ class HttpNliVerifier(HttpClient, NliVerifier):
         super().__init__(endpoint, timeout, retries)
         self.verifier_id = f"http-nli:{self.endpoint}"
 
-    def nli(self, premise: str, hypothesis: str) -> NliJudgment:
+    def _pair_body(self, premise: str, hypothesis: str) -> dict:
         if not premise.strip() or not hypothesis.strip():
             raise ValueError("premise and hypothesis must be non-empty")
-        payload = self._post({"premise": premise, "hypothesis": hypothesis})
+        return {"premise": premise, "hypothesis": hypothesis}
+
+    def _judgment(self, payload: Any, premise: str, hypothesis: str) -> NliJudgment:
         return _judgment_from_record(premise, hypothesis, payload)
+
+    _WIRE = {"nli": (_pair_body, _judgment)}
+    nli = partialmethod(HttpClient._one, "nli")
 
 
 class CachedVerifier(NliVerifier):
@@ -180,15 +186,16 @@ class CachedVerifier(NliVerifier):
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
         requests = [{"kind": "nli", "premise": premise, "hypothesis": hypothesis}
                     for premise, hypothesis in pairs]
-        stored = self.cached.served(self.verifier_id, requests,
-                                    lambda index: self._ask(*pairs[index]),
-                                    self.inner._batch)
+
+        def ask(misses: list[int]) -> Iterator[tuple[dict, float]]:
+            asked = [pairs[index] for index in misses]
+            for judgment, seconds in self.inner._batch("nli", asked):
+                yield ({"label": judgment.label.value, "probs": list(judgment.label_probs)},
+                       seconds)
+
+        stored = self.cached.served(self.verifier_id, requests, ask)
         return [_judgment_from_record(premise, hypothesis, record)
                 for (premise, hypothesis), record in zip(pairs, stored)]
-
-    def _ask(self, premise: str, hypothesis: str) -> dict:
-        judgment = self.inner.nli(premise, hypothesis)
-        return {"label": judgment.label.value, "probs": list(judgment.label_probs)}
 
 
 def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[WeightedClause]:

@@ -1,6 +1,7 @@
 """Backend tests: digests, scripted fixtures, caching, the HTTP client."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import ssl
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -402,9 +404,9 @@ def test_the_connection_pool_closes_its_idle_connections_at_exit():
              "    closed = False\n"
              "    def close(self):\n"
              "        Idle.closed = True\n"
-             "backend._connections[(0, 'http', '127.0.0.1', 9)] = Idle()\n"
+             "backend._idle[('http', '127.0.0.1', 9)] = [Idle()]\n"
              "atexit._run_exitfuncs()\n"
-             "print(Idle.closed, backend._connections)")
+             "print(Idle.closed, backend._idle)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "True {}"
@@ -691,8 +693,8 @@ def raw_stub():
 
 def _kept_connections(server) -> int:
     """Connections this process keeps open to the server for reuse."""
-    return sum(key[1:] == ("http", "127.0.0.1", server.server_address[1])
-               for key in backend_module._connections)
+    host = ("http", "127.0.0.1", server.server_address[1])
+    return len(backend_module._idle.get(host, []))
 
 
 def _truth(client) -> float:
@@ -746,8 +748,23 @@ class _TlsServer(ThreadingHTTPServer):
         return self.context.wrap_socket(sock, server_side=True), address
 
 
-@pytest.fixture()
-def tls_stub(tmp_path):
+class _SlowHandshakeTlsServer(_TlsServer):
+    """Shakes hands on each connection's own thread, 0.2 s after it came in."""
+
+    def get_request(self):
+        sock, address = ThreadingHTTPServer.get_request(self)
+        self.handshakes += 1
+        return self.context.wrap_socket(sock, server_side=True,
+                                        do_handshake_on_connect=False), address
+
+    def finish_request(self, request, client_address):
+        time.sleep(0.2)
+        request.do_handshake()
+        super().finish_request(request, client_address)
+
+
+@contextlib.contextmanager
+def _serving_tls(tmp_path, server_class):
     openssl = shutil.which("openssl")
     if openssl is None:
         pytest.skip("the openssl command is not installed")
@@ -757,7 +774,7 @@ def tls_stub(tmp_path):
                     "-keyout", str(key), "-out", str(cert), "-days", "1",
                     "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
                    check=True, capture_output=True, timeout=60)
-    server = _TlsServer(("127.0.0.1", 0), _StubHandler)
+    server = server_class(("127.0.0.1", 0), _StubHandler)
     server.context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     server.context.load_cert_chain(cert, key)
     server.cert = cert
@@ -775,6 +792,12 @@ def tls_stub(tmp_path):
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+@pytest.fixture()
+def tls_stub(tmp_path):
+    with _serving_tls(tmp_path, _TlsServer) as server:
+        yield server
 
 
 def test_https_refuses_a_certificate_it_does_not_trust(tls_stub, monkeypatch):
@@ -807,6 +830,19 @@ def test_an_https_client_makes_one_tls_context_for_all_its_connections(tls_stub,
     assert len(made) == 1
 
 
+def test_a_cold_wave_opens_its_connections_together(tmp_path, monkeypatch):
+    with _serving_tls(tmp_path, _SlowHandshakeTlsServer) as server:
+        monkeypatch.setenv("SSL_CERT_FILE", str(server.cert))
+        server.script.extend([(200, {"label": "neutral"})] * 8)
+        verifier = HttpNliVerifier(server.endpoint)
+        started = time.monotonic()
+        judgments = verifier.nli_batch([(f"premise {n}", "hypothesis") for n in range(8)])
+        elapsed = time.monotonic() - started
+    assert [judgment.label.value for judgment in judgments] == ["neutral"] * 8
+    assert server.handshakes == 8
+    assert elapsed < 0.8  # one handshake after another takes 1.6 s
+
+
 class _IdleDroppingHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # replies leave the connection open...
 
@@ -832,9 +868,8 @@ class _IdleDroppingServer(ThreadingHTTPServer):
         self.dropped.release()
 
 
-def test_http_resends_once_on_a_connection_dropped_while_idle(monkeypatch):
-    slept = []
-    monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+@contextlib.contextmanager
+def _idle_dropping_server():
     server = _IdleDroppingServer(("127.0.0.1", 0), _IdleDroppingHandler)
     server.request_count = 0
     server.dropped = threading.Semaphore(0)
@@ -842,6 +877,18 @@ def test_http_resends_once_on_a_connection_dropped_while_idle(monkeypatch):
                               kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_http_resends_once_on_a_connection_dropped_while_idle(monkeypatch):
+    slept = []
+    monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+    with _idle_dropping_server() as server:
         # a single attempt: a resend that spent one would fail the call
         client = HttpLmBackend(f"http://127.0.0.1:{server.server_address[1]}/v1",
                                retries=1)
@@ -849,12 +896,23 @@ def test_http_resends_once_on_a_connection_dropped_while_idle(monkeypatch):
             response = client.true_prob("Ice floats on water", TRUTH_PROMPTS)
             assert response.true_prob == pytest.approx(0.8)
             assert server.dropped.acquire(timeout=5)
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
     assert server.request_count == 3
+    assert slept == []
+
+
+def test_http_resends_a_wave_dropped_while_idle_on_new_connections(monkeypatch):
+    slept = []
+    monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+    statements = [f"Statement {index} holds" for index in range(4)]
+    with _idle_dropping_server() as server:
+        client = HttpLmBackend(f"http://127.0.0.1:{server.server_address[1]}/v1",
+                               retries=1)
+        for _ in range(2):
+            responses = client.true_probs(statements, TRUTH_PROMPTS)
+            assert [response.true_prob for response in responses] == [pytest.approx(0.8)] * 4
+            for _ in statements:
+                assert server.dropped.acquire(timeout=5)
+    assert server.request_count == 8
     assert slept == []
 
 
@@ -873,6 +931,15 @@ def test_importing_the_package_leaves_http_client_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_package_leaves_concurrent_futures_unloaded():
+    # no HTTP batch needs an executor; only evaluate's worker pool imports it
+    src = str(Path(maieutic.__file__).resolve().parents[1])
+    probe = "import sys, maieutic; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_importing_the_package_leaves_numpy_unloaded():

@@ -323,6 +323,14 @@ def test_every_config_level_rejects_an_unknown_key(eval_fixture_file, config, ke
     ({"seed": None}, "seed"),
     ({"backend": {"kind": "http", "endpoint": _HTTP, "timeout": None}}, "timeout"),
     ({"backend": {"kind": "scripted", "fixtures": None}}, "fixtures"),
+    ({"tree": {"depth_limit": 1.0, "decoding_schedule": [{"strategy": "greedy"}]}},
+     "depth_limit"),
+    ({"tree": {"depth_limit": 1,
+               "decoding_schedule": [{"strategy": "greedy", "max_tokens": 2.5}]}},
+     "max_tokens"),
+    ({"tree": {"depth_limit": 1,
+               "decoding_schedule": [{"strategy": "nucleus", "sample_count": True}]}},
+     "sample_count"),
 ])
 def test_config_values_of_the_wrong_type_are_rejected(eval_fixture_file, config, key):
     with pytest.raises(ValueError, match=rf"key {key} must be"):

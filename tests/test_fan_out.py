@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -275,16 +276,53 @@ def test_a_round_goes_out_in_one_wave_up_to_the_cap(stub, count, peak):
     assert stub.peak == peak
 
 
+def test_a_batch_is_written_whole_before_any_reply_is_read(stub):
+    everyone = threading.Event()
+    waited = []
+
+    def respond(path, body, arrival):
+        if arrival == 19:
+            everyone.set()
+        waited.append(everyone.wait(timeout=5))  # no reply before the 20th arrival
+        return 0.0, 200, {"label": "neutral"}
+
+    stub.respond = respond
+    verifier = HttpNliVerifier(stub.base + "/nli")
+    pairs = [(f"premise {index}", "hypothesis") for index in range(20)]
+    assert len(verifier.nli_batch(pairs)) == 20
+    assert waited == [True] * 20
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith("maieutic")]
+    everyone.clear()
+    stub.arrivals = 0
+    assert len(verifier.nli_batch(pairs)) == 20  # the same wave on warm connections
+    assert waited == [True] * 40
+    assert stub.connections == 20
+
+
+def test_a_wave_against_a_silent_server_waits_one_timeout_per_attempt():
+    # the server's backlog completes each connect, and nothing ever answers
+    with socket.create_server(("127.0.0.1", 0), backlog=32) as silent:
+        endpoint = f"http://127.0.0.1:{silent.getsockname()[1]}/nli"
+        verifier = HttpNliVerifier(endpoint, timeout=0.3, retries=2)
+        started = time.monotonic()
+        with pytest.raises(BackendUnavailable, match="after 2 attempts: timed out"):
+            verifier.nli_batch([(f"premise {index}", "hypothesis") for index in range(8)])
+        elapsed = time.monotonic() - started
+    # 2 attempts of 0.3 s; waiting out each request's timeout in turn takes 4.8 s
+    assert 0.6 <= elapsed < 1.5
+
+
 def test_close_idle_closes_every_pooled_connection(stub):
     stub.respond = lambda path, body, arrival: (0.002, 200, {"label": "neutral"})
     backend_module.close_connections()
     verifier = HttpNliVerifier(stub.base + "/nli")
     verifier.nli_batch([("a", "b"), ("b", "a"), ("a", "c")])
-    kept = list(backend_module._connections.values())
+    kept = [connection for idle in backend_module._idle.values() for connection in idle]
     assert kept and all(connection.sock is not None for connection in kept)
     backend_module.close_connections()
     assert all(connection.sock is None for connection in kept)
-    assert not backend_module._connections
+    assert not backend_module._idle
 
 
 def test_sequential_batches_open_at_most_one_connection_per_sending_thread(stub):

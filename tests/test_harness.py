@@ -3,17 +3,26 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from maieutic.backend import FixtureBuilder
-from maieutic.core import PromptExample, PromptMode, PromptSet, tree_to_dict
+from maieutic.backend import CachedBackend, FixtureBuilder
+from maieutic.core import (
+    NegationStrategy,
+    PromptExample,
+    PromptMode,
+    PromptSet,
+    TreeConfig,
+    tree_to_dict,
+)
 from maieutic.errors import MissingGold
 from maieutic.harness import (
     DatasetRecord,
     Engine,
     Method,
     _complete_pairs,
+    compile_question,
     evaluate,
     explain,
     infer,
@@ -26,6 +35,7 @@ from maieutic.harness import (
     result_to_json,
     run_manifest,
 )
+from maieutic.prompts import prefix_negation
 from scenarios import (
     EXPLANATION_PROMPTS,
     WAR_E_F,
@@ -37,6 +47,7 @@ from scenarios import (
     TRUTH_PROMPTS,
     ambiguous_world,
     eval_backend,
+    random_world,
     war_world,
     fixed_tree,
 )
@@ -156,6 +167,54 @@ def test_maieutic_falls_back_when_nothing_survives_pruning():
     assert result.tree is not None and result.tree.is_root_only()
     assert result.cnf is None and result.assignment is None
     assert result.true_propositions == []
+
+
+def test_a_fallback_sends_no_request_beyond_growing_the_tree():
+    # the direct answer is the root's own truth check, made while growing
+    question = "Everything here is perfectly ambiguous?"
+
+    def requests(run) -> int:
+        backend = CachedBackend(ambiguous_world().backend(), None)
+        run(Engine(backend=backend, tree_config=NARROW_CONFIG))
+        return backend.trace.backend_call_count()
+
+    grown = requests(lambda engine: compile_question(question, engine))
+    assert grown > 0
+    assert requests(lambda engine: infer_maieutic(question, engine)) == grown
+
+
+def _counted_batches(backend) -> list[str]:
+    """The primitive of each batch of at least one request that reaches ``backend``."""
+    primitives, batch = [], backend._batch
+
+    def counted(primitive, arguments):
+        if arguments:
+            primitives.append(primitive)
+        return batch(primitive, arguments)
+
+    backend._batch = counted
+    return primitives
+
+
+@pytest.mark.parametrize("negation,rounds", [
+    (NegationStrategy.PREFIX, ["_complete", "_score_answer"] * 2 + ["_completion_logprob"]),
+    (NegationStrategy.LM_GENERATED,
+     ["_complete", "_complete", "_score_answer"] * 2 + ["_completion_logprob"]),
+], ids=["prefix", "lm_generated"])
+def test_a_grown_question_takes_one_round_per_dependent_step(negation, rounds):
+    # depth 1 abductions, then the truth checks of the root and its
+    # children; the same at depth 2; then every edge log-likelihood
+    world, question = random_world(1)
+    for text in list(world.probs):
+        world.builder.negation(text, prefix_negation(text))
+    backend = world.backend()
+    batches = _counted_batches(backend)
+    engine = Engine(backend=backend,
+                    tree_config=replace(TreeConfig(), negation_strategy=negation))
+    result = infer(question, Method.MAIEUTIC, engine)
+    assert not result.fallback_used
+    assert any(node.depth == 2 for node in result.tree.nodes.values())
+    assert batches == rounds
 
 
 def test_result_dict_shape():

@@ -129,10 +129,10 @@ def test_build_tree_negates_with_the_model_in_rounds(tmp_path):
                       TRUTH_PROMPTS, ABDUCTIVE_PROMPTS)
     assert tree.node("F.0").negated_text == f"It is false that {for_false}"
     assert tree.node("F.0").integrity is Integrity.INTEGRAL_TRUE
-    # root negation, root truth pair, both abductions, both children's
-    # negations, then both children's truth pairs
+    # both abductions, the negations of the root and both children, then
+    # the truth pairs of the root and both children
     assert [entry["purpose"] for entry in read_trace(trace.path)] == (
-        ["completion"] + ["truth"] * 2 + ["completion"] * 4 + ["truth"] * 4)
+        ["completion"] * 2 + ["completion"] * 3 + ["truth"] * 6)
 
 
 def test_root_expands_even_when_integral():

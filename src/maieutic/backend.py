@@ -398,30 +398,8 @@ BACKOFF_S = 1.0
 MAX_IN_FLIGHT = 32
 
 
-class _Slots:
-    """The process-wide count of free places for requests in flight."""
-
-    def __init__(self, total: int):
-        self._free = total
-        self._freed = threading.Condition()
-
-    def take(self, wanted: int) -> int:
-        """As many slots as are free, up to ``wanted``, once at least one is:
-        a caller never holds slots while it waits for more."""
-        with self._freed:
-            while not self._free:
-                self._freed.wait()
-            taken = min(wanted, self._free)
-            self._free -= taken
-            return taken
-
-    def give(self, count: int) -> None:
-        with self._freed:
-            self._free += count
-            self._freed.notify_all()
-
-
-_slots = _Slots(MAX_IN_FLIGHT)
+# The places for requests in flight, shared by every HTTP client.
+_in_flight = threading.Semaphore(MAX_IN_FLIGHT)
 
 
 class _BadReply(OSError):
@@ -684,13 +662,16 @@ class HttpClient(ModelClient):
         """The first of ``requests``, as many as the process-wide in-flight
         count has room for (at least one), exchanged as one wave: each one's
         outcome, and the seconds from the wave's start to its reply."""
-        taken = _slots.take(len(requests))
+        _in_flight.acquire()  # waits for one place only, then takes what is free
+        taken = 1
+        while taken < len(requests) and _in_flight.acquire(blocking=False):
+            taken += 1
         try:
             started = time.monotonic()
             return [(outcome, replied - started)
                     for outcome, replied in self._exchange(requests[:taken])]
         finally:
-            _slots.give(taken)
+            _in_flight.release(taken)
 
     def _exchange(self, requests: Sequence[bytes],
                   reuse: bool = True) -> list[tuple[_Outcome, float]]:

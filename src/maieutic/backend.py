@@ -534,10 +534,12 @@ class HttpClient(ModelClient):
                  headers: Optional[dict] = None):
         if retries < 1:
             raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
-        try:  # .port raises on a port that is no number in 0-65535
+        try:  # .port raises on a port that is no number in 0-65535, and the
+            # IDNA encoding on a host name that no connection could resolve
             url = urlsplit(endpoint)
             usable = (url.scheme in ("http", "https") and bool(url.hostname)
-                      and url.port != 0 and " " not in url.path + url.query)
+                      and url.port != 0 and " " not in url.path + url.query
+                      and bool(url.hostname.encode("idna")))
         except ValueError:
             usable = False
         if not usable:

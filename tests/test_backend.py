@@ -633,13 +633,14 @@ def test_http_requires_endpoint():
 
 
 UNUSABLE_ENDPOINTS = ["http:///v1", "ftp://x/v1", "localhost:8000/v1",
-                      "http://127.0.0.1:99999/v1"]
+                      "http://127.0.0.1:99999/v1", f"http://{'a' * 64}.example/v1"]
 
 
 @pytest.mark.parametrize("client", [HttpLmBackend, HttpNliVerifier])
 @pytest.mark.parametrize("endpoint", UNUSABLE_ENDPOINTS)
 def test_http_clients_reject_an_unusable_endpoint_when_built(client, endpoint):
-    # no host, another scheme, no scheme, a port out of range
+    # no host, another scheme, no scheme, a port out of range, a host name
+    # label longer than 63 characters
     with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
         client(endpoint)
 

@@ -112,7 +112,7 @@ class ModelClient:
 
         A plain loop in the calling thread that calls the primitive once per
         request and stops at the first failure; an :class:`HttpClient` sends
-        the requests in waves instead.
+        the requests in waves instead, and retries together the ones pending.
         """
         call = getattr(self, primitive)
         for args in arguments:
@@ -379,17 +379,6 @@ class FixtureBuilder:
 
 # --- HTTP transport and backend ---
 
-def _retry_after(value: Optional[bytes], timeout: float) -> Optional[float]:
-    """Seconds a ``Retry-After`` header asks for, capped at the client timeout."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        return None  # absent, or an HTTP date: keep the exponential backoff
-    if not math.isfinite(seconds) or seconds < 0:
-        return None
-    return min(seconds, timeout)
-
-
 # Seconds before the second attempt of a request; each later wait doubles.
 BACKOFF_S = 1.0
 
@@ -404,6 +393,11 @@ _in_flight = threading.Semaphore(MAX_IN_FLIGHT)
 
 class _BadReply(OSError):
     """A reply that is not well-formed HTTP/1.x; retried like any transport error."""
+
+
+class _Retry(Exception):
+    """``_Retry(reason, wait)``: an exchange whose request is sent again, after
+    the backoff (``wait`` is ``None``) or the ``wait`` a 429's ``Retry-After`` asks."""
 
 
 _STATUS_LINE = re.compile(rb"HTTP/1\.([01]) +(\d{3})(?: .*)?")
@@ -523,9 +517,13 @@ class HttpClient(ModelClient):
 
     ``_WIRE`` names, per primitive, the method that builds a request's JSON
     body from its arguments and the method that reads the answer from the
-    decoded reply and the same arguments. A batch goes out in waves
-    (:meth:`_batch`); a primitive's one-request form (:meth:`_one`) is a
-    batch of one.
+    decoded reply and the same arguments. Each attempt of a batch
+    (:meth:`_batch`) sends its pending requests in waves; a transport error
+    (a malformed reply among them), a 5xx or a 429 leaves its request
+    pending, within ``retries`` attempts one wait apart: the longest that a
+    pending request asks for, its exponential backoff from ``BACKOFF_S`` or
+    its 429's ``Retry-After`` (at most ``timeout``). A primitive's
+    one-request form (:meth:`_one`) is a batch of one.
     """
 
     _WIRE: dict[str, tuple[Callable[..., dict], Callable[..., Any]]] = {}
@@ -534,6 +532,8 @@ class HttpClient(ModelClient):
                  headers: Optional[dict] = None):
         if retries < 1:
             raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
+        if not (isinstance(timeout, (int, float)) and 0 < timeout < math.inf):
+            raise ValueError(f"timeout must be a finite number of seconds > 0, not {timeout!r}")
         try:  # .port raises on a port that is no number in 0-65535, and the
             # IDNA encoding on a host name that no connection could resolve
             url = urlsplit(endpoint)
@@ -565,64 +565,64 @@ class HttpClient(ModelClient):
 
     def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
         """Each request's answer, in request order, with the seconds from the
-        start of its wave to its reply (and through its retries).
-
-        Every request body is built before any is sent. The requests then go
-        out in waves, each as large as the process-wide ``MAX_IN_FLIGHT``
-        count has room for (:meth:`_wave`). A request whose exchange failed,
-        or that got a 5xx or a 429, is then retried alone by :meth:`_post`,
-        its wave counting as the first attempt. So every request has been
-        sent before the first failure in request order is raised; the
-        requests after that failure are not retried.
-        """
+        start of its first wave to its last reply. Every body is built before
+        any request is sent, and only the requests before the first failure
+        are retried, so every request is sent before that failure is raised."""
         build, read = self._WIRE[primitive]
         requests = [self._request(build(self, *args)) for args in arguments]
-        sent: list[tuple[_Outcome, float]] = []
-        while len(sent) < len(requests):
-            sent += self._wave(requests[len(sent):])
-        for request, args, (outcome, seconds) in zip(requests, arguments, sent):
-            started = time.monotonic()
-            answer = read(self, self._post(request, outcome), *args)
-            yield answer, seconds + time.monotonic() - started
+        answers, began = [None] * len(requests), {}
+        pending, failed, failure = list(range(len(requests))), len(requests), None
+        for attempt in range(self.retries):
+            if not pending:
+                break
+            if attempt:  # one wait, the longest that a pending request asks for
+                time.sleep(max(BACKOFF_S * 2 ** (attempt - 1) if wait is None else wait
+                               for _, wait in retried.values()))
+            sent: list[tuple[_Outcome, float, float]] = []
+            while len(sent) < len(pending):
+                sent += self._wave([requests[index] for index in pending[len(sent):]])
+            retried = {}  # the (reason, wait) of each request left pending
+            for index, (outcome, started, replied) in zip(pending, sent):
+                began.setdefault(index, started)
+                try:
+                    answers[index] = (read(self, self._decoded(outcome), *arguments[index]),
+                                      replied - began[index])
+                except _Retry as exc:
+                    retried[index] = exc.args
+                except Exception as exc:  # raised once the requests before it are settled
+                    failed, failure = index, exc
+                    break
+            pending = list(retried)  # all before the failure, where settling stopped
+        if pending:
+            failed, failure = pending[0], BackendUnavailable(
+                f"request failed after {self.retries} attempts: {retried[pending[0]][0]}")
+        yield from answers[:failed]
+        if failure:
+            raise failure
 
     def _request(self, body: dict) -> bytes:
         blob = json.dumps(body).encode("utf-8")
         return b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(blob), blob)
 
-    def _post(self, request: bytes, outcome: _Outcome) -> Any:
-        """The decoded JSON reply to one request, whose first attempt a wave
-        made with ``outcome``.
-
-        Transport errors (a malformed reply among them), 5xx and 429 are
-        retried within ``retries`` attempts, each a wave of its own, after
-        an exponential backoff from ``BACKOFF_S`` or the delay a 429's
-        ``Retry-After`` names; any other status but 200 fails at once with
-        ``BackendUnavailable``, as does running out of attempts.
-        """
-        last_error: Optional[Exception] = None
-        delay: Optional[float] = None
-        for attempt in range(self.retries):
-            if attempt:
-                time.sleep(BACKOFF_S * (2 ** (attempt - 1)) if delay is None else delay)
-                outcome = self._wave([request])[0][0]
-            delay = None
-            if isinstance(outcome, OSError):
-                last_error = outcome
-                continue
-            status, retry_after, raw = outcome
-            if status >= 500 or status == 429:
-                last_error = BackendUnavailable(f"server returned {status}")
-                if status == 429:
-                    delay = _retry_after(retry_after, self.timeout)
-                continue
-            if status != 200:
-                text = raw.decode("utf-8", errors="replace")
-                raise BackendUnavailable(f"server returned {status}: {text[:200]}")
-            try:
-                return json.loads(raw)
-            except ValueError as exc:
-                raise MalformedResponse(f"response body is not JSON: {exc}") from exc
-        raise BackendUnavailable(f"request failed after {self.retries} attempts: {last_error}")
+    def _decoded(self, outcome: _Outcome) -> Any:
+        """The JSON body of one exchange's 200 reply; ``_Retry`` where another attempt may help."""
+        if isinstance(outcome, OSError):
+            raise _Retry(outcome, None)
+        status, retry_after, raw = outcome
+        if status >= 500 or status == 429:
+            try:  # a 429's Retry-After in seconds; absent, or an HTTP date: the backoff
+                seconds = float(retry_after) if status == 429 else math.nan
+            except (TypeError, ValueError):
+                seconds = math.nan
+            raise _Retry(f"server returned {status}",
+                         min(seconds, self.timeout) if 0 <= seconds < math.inf else None)
+        if status != 200:
+            text = raw.decode("utf-8", errors="replace")
+            raise BackendUnavailable(f"server returned {status}: {text[:200]}")
+        try:
+            return json.loads(raw)
+        except ValueError as exc:
+            raise MalformedResponse(f"response body is not JSON: {exc}") from exc
 
     def _connect(self) -> _Connection:
         """A new connection to the endpoint; an https client's first one makes
@@ -660,17 +660,17 @@ class HttpClient(ModelClient):
             thread.join()
         return opened
 
-    def _wave(self, requests: Sequence[bytes]) -> list[tuple[_Outcome, float]]:
+    def _wave(self, requests: Sequence[bytes]) -> list[tuple[_Outcome, float, float]]:
         """The first of ``requests``, as many as the process-wide in-flight
         count has room for (at least one), exchanged as one wave: each one's
-        outcome, and the seconds from the wave's start to its reply."""
+        outcome, with the ``time.monotonic()`` of the wave's start and its reply."""
         _in_flight.acquire()  # waits for one place only, then takes what is free
         taken = 1
         while taken < len(requests) and _in_flight.acquire(blocking=False):
             taken += 1
         try:
             started = time.monotonic()
-            return [(outcome, replied - started)
+            return [(outcome, started, replied)
                     for outcome, replied in self._exchange(requests[:taken])]
         finally:
             _in_flight.release(taken)

@@ -25,6 +25,19 @@ CRITERIA = {
 }
 
 
+# A socket or file that a test leaves open fails that test. The filters stay
+# out of ``benchmarks/``, whose tests run from the same root.
+LEAK_FILTERS = ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            # put first, so that a test's own filterwarnings mark still wins
+            item.add_marker(pytest.mark.filterwarnings(*LEAK_FILTERS), append=False)
+
+
 @pytest.fixture()
 def data_dir() -> Path:
     return Path(__file__).parent / "data"

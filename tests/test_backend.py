@@ -645,6 +645,17 @@ def test_http_clients_reject_an_unusable_endpoint_when_built(client, endpoint):
         client(endpoint)
 
 
+UNUSABLE_TIMEOUTS = [0, -1, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("client", [HttpLmBackend, HttpNliVerifier])
+@pytest.mark.parametrize("timeout", UNUSABLE_TIMEOUTS)
+def test_http_clients_reject_an_unusable_timeout_when_built(client, timeout):
+    with pytest.raises(ValueError, match=re.escape(f"timeout must be a finite number "
+                                                   f"of seconds > 0, not {timeout!r}")):
+        client("http://127.0.0.1:9/v1", timeout=timeout)
+
+
 # --- the reply reader, against replies written byte for byte ---
 
 _TRUTH_REPLY = json.dumps({"choices": [{"logprobs": {"top_logprobs": [

@@ -251,6 +251,17 @@ def test_build_engine_rejects_an_unusable_endpoint(eval_fixture_file, section, e
         build_engine(EngineConfig.from_dict(config))
 
 
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+@pytest.mark.parametrize("section", ["backend", "verifier"])
+def test_build_engine_rejects_an_unusable_timeout(eval_fixture_file, section, timeout):
+    config = {"backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},
+              "verifier": {"kind": "http", "endpoint": "http://127.0.0.1:9/nli"}}
+    config[section] = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1",
+                       "timeout": timeout}
+    with pytest.raises(ValueError, match=re.escape(f"not {timeout!r}")):
+        build_engine(EngineConfig.from_dict(config))
+
+
 def test_build_engine_verifier_mode_needs_a_verifier(eval_fixture_file):
     config = EngineConfig.from_dict({
         "backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -107,10 +108,10 @@ class _Handler(BaseHTTPRequestHandler):
             server.arrivals += 1
             server.in_flight += 1
             server.peak = max(server.peak, server.in_flight)
-        try:
-            delay, status, payload = server.respond(self.path, body, arrival)
+        try:  # respond may add a dict of reply headers
+            delay, status, payload, *headers = server.respond(self.path, body, arrival)
         except KeyError:
-            delay, status, payload = 0.0, 404, {"error": "unknown request"}
+            delay, status, payload, headers = 0.0, 404, {"error": "unknown request"}, []
         time.sleep(delay)
         blob = json.dumps(payload).encode("utf-8")
         with server.lock:
@@ -119,6 +120,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(blob)
 
@@ -311,6 +314,75 @@ def test_a_wave_against_a_silent_server_waits_one_timeout_per_attempt():
         elapsed = time.monotonic() - started
     # 2 attempts of 0.3 s; waiting out each request's timeout in turn takes 4.8 s
     assert 0.6 <= elapsed < 1.5
+
+
+def _refused_once(refusals: dict):
+    """A stub reply that refuses each premise's first request with the
+    (status, headers) ``refusals`` names for it, and answers every other."""
+    seen, lock = set(), threading.Lock()
+
+    def respond(path, body, arrival):
+        with lock:
+            first = body["premise"] not in seen
+            seen.add(body["premise"])
+        if first and body["premise"] in refusals:
+            status, headers = refusals[body["premise"]]
+            return 0.0, status, {"error": "refused"}, headers
+        return 0.0, 200, {"label": "neutral"}
+    return respond
+
+
+def _recorded_sleeps(monkeypatch) -> list:
+    """The waits the HTTP client asks for, which it no longer sleeps; only
+    the client's ``time`` is replaced, so the stub still holds its replies."""
+    slept = []
+    monkeypatch.setattr(backend_module, "time", types.SimpleNamespace(
+        monotonic=time.monotonic, sleep=slept.append))
+    return slept
+
+
+def test_rate_limited_requests_of_a_batch_wait_out_their_retry_after_together(stub):
+    pairs = [(f"premise {index}", "hypothesis") for index in range(8)]
+    stub.respond = _refused_once({premise: (429, {"Retry-After": "0.2"})
+                                  for premise, _ in pairs})
+    verifier = HttpNliVerifier(stub.base + "/nli")
+    started = time.monotonic()
+    assert len(verifier.nli_batch(pairs)) == 8
+    # one shared wait of 0.2 s; waiting it out once per request takes 1.6 s
+    assert time.monotonic() - started < 0.6
+    assert stub.arrivals == 16
+
+
+def test_a_batch_waits_once_for_the_longest_wait_its_pending_requests_ask(stub, monkeypatch):
+    slept = _recorded_sleeps(monkeypatch)
+    stub.respond = _refused_once({"limited": (429, {"Retry-After": "0.25"}),
+                                  "unavailable": (503, {})})
+    verifier = HttpNliVerifier(stub.base + "/nli")
+    assert len(verifier.nli_batch([("limited", "x"), ("fine", "x"),
+                                   ("unavailable", "x")])) == 3
+    assert slept == [0.25]  # the 503's backoff (10 ms) is the shorter
+    assert stub.arrivals == 5
+
+
+def test_refused_requests_beyond_one_wave_are_retried_in_waves_after_one_wait(stub,
+                                                                               monkeypatch):
+    slept = _recorded_sleeps(monkeypatch)
+    pairs = [(f"premise {index}", "hypothesis") for index in range(2 * MAX_IN_FLIGHT)]
+    stub.respond = _refused_once({premise: (503, {}) for premise, _ in pairs})
+    verifier = HttpNliVerifier(stub.base + "/nli")
+    assert len(verifier.nli_batch(pairs)) == len(pairs)
+    assert stub.arrivals == 2 * len(pairs)
+    assert stub.peak <= MAX_IN_FLIGHT
+    assert slept == [0.01]
+
+
+def test_a_batch_retries_only_the_requests_before_its_first_failure(stub):
+    stub.respond = _refused_once({"first": (503, {}), "forbidden": (403, {}),
+                                  "third": (503, {})})
+    verifier = HttpNliVerifier(stub.base + "/nli")
+    with pytest.raises(BackendUnavailable, match="403"):
+        verifier.nli_batch([("first", "x"), ("forbidden", "x"), ("third", "x")])
+    assert stub.arrivals == 4  # the first request twice, the others once
 
 
 def test_close_idle_closes_every_pooled_connection(stub):

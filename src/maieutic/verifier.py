@@ -12,12 +12,12 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import partialmethod
+from functools import cache, partialmethod
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
-from .core import ClauseOrigin, MaieuticTree, WeightedClause, variable_map
+from .core import ClauseOrigin, Literal, MaieuticTree, WeightedClause, variable_map
 from .errors import MalformedResponse, MissingFixture
 
 PROB_ORDER = ("entail", "contradict", "neutral")
@@ -30,22 +30,19 @@ class NliLabel(str, Enum):
 
 
 _LABELS = {label.value: label for label in NliLabel}
-# the labels in PROB_ORDER, and each label's certain probabilities
+# the labels in PROB_ORDER
 _LABEL_ORDER = tuple(_LABELS[name] for name in PROB_ORDER)
-_ONE_HOT = {label: tuple(1.0 if other is label else 0.0 for other in _LABEL_ORDER)
-            for label in NliLabel}
 
 
 @dataclass(frozen=True)
 class NliJudgment:
-    """Three-way judgment over an ordered sentence pair.
+    """Three-way judgment of one ordered sentence pair. It holds only
+    what a clause reads, the label and its probabilities, not the pair.
 
     ``label_probs`` follows the fixed order (entail, contradict,
     neutral), sums to one and must rank the chosen label first.
     """
 
-    premise: str
-    hypothesis: str
     label: NliLabel
     label_probs: tuple[float, float, float]
 
@@ -69,6 +66,12 @@ class NliJudgment:
         return self.label_probs[_LABEL_ORDER.index(self.label)]
 
 
+# each label's certain judgment, checked once and shared by every reply
+# that states no probabilities
+_CERTAIN = {label: NliJudgment(label, tuple(float(other is label) for other in _LABEL_ORDER))
+            for label in NliLabel}
+
+
 class NliVerifier(ModelClient):
     """Interface: judge one ordered (premise, hypothesis) pair, or many."""
 
@@ -82,7 +85,7 @@ class NliVerifier(ModelClient):
         return [judgment for judgment, _ in self._batch("nli", pairs)]
 
 
-def _judgment_from_record(premise: str, hypothesis: str, record: Any) -> NliJudgment:
+def _judgment_from_record(record: Any) -> NliJudgment:
     """The judgment a fixture record or service reply states.
 
     Raises ``MalformedResponse`` naming the record when it is not an
@@ -93,10 +96,10 @@ def _judgment_from_record(premise: str, hypothesis: str, record: Any) -> NliJudg
         label = _LABELS[str(record["label"]).lower()]
         probs = record.get("probs")
         if probs is None:
-            return NliJudgment(premise, hypothesis, label, _ONE_HOT[label])
+            return _CERTAIN[label]
         if not isinstance(probs, (list, tuple)):
             raise TypeError(f"probs must be a list, not {type(probs).__name__}")
-        return NliJudgment(premise, hypothesis, label, tuple(map(float, probs)))
+        return NliJudgment(label, tuple(map(float, probs)))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedResponse(f"unusable NLI record {record!r}: {exc}") from exc
 
@@ -105,9 +108,9 @@ class ScriptedNliVerifier(NliVerifier):
     """Fixture-driven verifier for offline tests.
 
     The fixture is a list of ``{premise, hypothesis, label, probs?}``
-    records. Identical sentence pairs entail reflexively without a
-    fixture entry. Unlisted pairs raise ``MissingFixture`` when strict
-    (the default) and judge Neutral otherwise.
+    records, each checked whenever it is judged. Identical sentence
+    pairs entail reflexively without a fixture entry. Unlisted pairs
+    raise ``MissingFixture`` when strict (the default), else judge Neutral.
     """
 
     verifier_id = "scripted-nli"
@@ -134,13 +137,11 @@ class ScriptedNliVerifier(NliVerifier):
             raise ValueError("premise and hypothesis must be non-empty")
         record = self._table.get((premise, hypothesis))
         if record is not None:
-            return _judgment_from_record(premise, hypothesis, record)
+            return _judgment_from_record(record)
         if premise == hypothesis:
-            return NliJudgment(premise, hypothesis, NliLabel.ENTAIL,
-                               _ONE_HOT[NliLabel.ENTAIL])
+            return _CERTAIN[NliLabel.ENTAIL]
         if not self.strict:
-            return NliJudgment(premise, hypothesis, NliLabel.NEUTRAL,
-                               _ONE_HOT[NliLabel.NEUTRAL])
+            return _CERTAIN[NliLabel.NEUTRAL]
         raise MissingFixture(f"no NLI fixture for ({premise!r}, {hypothesis!r})")
 
 
@@ -165,7 +166,7 @@ class HttpNliVerifier(HttpClient, NliVerifier):
         return {"premise": premise, "hypothesis": hypothesis}
 
     def _judgment(self, payload: Any, premise: str, hypothesis: str) -> NliJudgment:
-        return _judgment_from_record(premise, hypothesis, payload)
+        return _judgment_from_record(payload)
 
     _WIRE = {"nli": (_pair_body, _judgment)}
     nli = partialmethod(HttpClient._one, "nli")
@@ -194,8 +195,14 @@ class CachedVerifier(NliVerifier):
                        seconds)
 
         stored = self.cached.served(self.verifier_id, requests, ask)
-        return [_judgment_from_record(premise, hypothesis, record)
-                for (premise, hypothesis), record in zip(pairs, stored)]
+        return [_judgment_from_record(record) for record in stored]
+
+
+@cache
+def _nli_clause(literals: tuple[Literal, Literal]) -> WeightedClause:
+    """The NLI clause over a literal pair, built and checked on first use.
+    Clauses are frozen, so one per pair serves every tree in the process."""
+    return WeightedClause(literals, 1.0, ClauseOrigin.NLI)
 
 
 def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[WeightedClause]:
@@ -203,12 +210,13 @@ def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[Weighted
 
     All pairs are judged as one batch and visited in pre-order; clauses
     with an identical literal set (for instance a contradiction judged
-    in both orders) merge into one, keeping the first.
+    in both orders) merge into one, keeping the first. Each clause is
+    the shared one of its literal pair (``_nli_clause``).
     """
     texts = {var: tree.nodes[node_id].text for var, node_id in variable_map(tree).items()}
     pairs = [(first, second) for first in texts for second in texts if first != second]
     judgments = verifier.nli_batch([(texts[first], texts[second]) for first, second in pairs])
-    entail, neutral, nli = NliLabel.ENTAIL, NliLabel.NEUTRAL, ClauseOrigin.NLI
+    entail, neutral = NliLabel.ENTAIL, NliLabel.NEUTRAL
     merged: dict[tuple, WeightedClause] = {}
     for (first, second), judgment in zip(pairs, judgments):
         label = judgment.label
@@ -219,5 +227,5 @@ def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[Weighted
         # orders yields one key
         literals = (premise, hypothesis) if first < second else (hypothesis, premise)
         if literals not in merged:
-            merged[literals] = WeightedClause(literals, 1.0, nli)
+            merged[literals] = _nli_clause(literals)
     return list(merged.values())

@@ -48,7 +48,7 @@ from maieutic.harness import (
 from maieutic.solver import export_wcnf, import_wcnf, solve, solve_brute
 from maieutic.tree_builder import build_tree, prune
 from maieutic.verifier import ScriptedNliVerifier
-from scenarios import (
+from worlds import (
     ABDUCTIVE_PROMPTS,
     WAR_E_T,
     WAR_E_TT,

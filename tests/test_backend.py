@@ -46,7 +46,7 @@ from maieutic.errors import (
 )
 from maieutic.prompts import render_abductive_prompt
 from maieutic.verifier import HttpNliVerifier
-from scenarios import ABDUCTIVE_PROMPTS, EXPLANATION_PROMPTS, GREEDY, TRUTH_PROMPTS
+from worlds import ABDUCTIVE_PROMPTS, EXPLANATION_PROMPTS, GREEDY, TRUTH_PROMPTS
 
 NUCLEUS_PAIR = DecodingParams(DecodingStrategy.NUCLEUS, nucleus_p=0.9,
                               sample_count=2)

@@ -28,7 +28,7 @@ from maieutic.core import (
 )
 from maieutic.errors import DegenerateBelief, EmptyTree
 from maieutic.verifier import ScriptedNliVerifier
-from scenarios import (
+from worlds import (
     ABDUCTIVE_PROMPTS,
     WAR_NLI_RECORDS,
     NARROW_CONFIG,

@@ -23,7 +23,7 @@ from maieutic.prompts import default_prompt_set
 from maieutic.solver import import_wcnf
 from maieutic.harness import Method, evaluate, load_dataset
 from maieutic.verifier import CachedVerifier, HttpNliVerifier, NliLabel, ScriptedNliVerifier
-from scenarios import (
+from worlds import (
     EVAL_ROWS,
     WAR_NLI_RECORDS,
     WAR_QUESTION,

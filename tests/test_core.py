@@ -31,7 +31,7 @@ from maieutic.core import (
     tree_to_json,
     variable_map,
 )
-from scenarios import NARROW_CONFIG, fixed_tree
+from worlds import NARROW_CONFIG, fixed_tree
 
 PRE_ORDER = ["root", "T.0", "T.0.T.0", "T.0.F.0", "F.0"]
 

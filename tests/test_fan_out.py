@@ -33,7 +33,7 @@ from maieutic.backend import (
 from maieutic.compiler import CompileMode, cnf_to_json
 from maieutic.errors import BackendUnavailable, MissingFixture
 from maieutic.verifier import HttpNliVerifier, ScriptedNliVerifier
-from scenarios import TRUTH_PROMPTS, random_world
+from worlds import TRUTH_PROMPTS, random_world
 
 
 class _Tables:

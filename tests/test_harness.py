@@ -36,7 +36,7 @@ from maieutic.harness import (
     run_manifest,
 )
 from maieutic.prompts import prefix_negation
-from scenarios import (
+from worlds import (
     EXPLANATION_PROMPTS,
     WAR_E_F,
     WAR_E_T,

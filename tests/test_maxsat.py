@@ -22,7 +22,7 @@ from maieutic.solver import (
     solve,
     solve_brute,
 )
-from scenarios import random_cnf
+from worlds import random_cnf
 
 
 def _cnf(clause_specs, n_vars):

@@ -16,7 +16,7 @@ from maieutic.core import (
 )
 from maieutic.prompts import prefix_negation
 from maieutic.tree_builder import _checked_propositions, _Pending, build_tree, prune
-from scenarios import (
+from worlds import (
     ABDUCTIVE_PROMPTS,
     NARROW_CONFIG,
     TRUTH_PROMPTS,

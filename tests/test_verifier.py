@@ -1,6 +1,7 @@
 """NLI verifier tests: judgment validation, scripted lookups, clause shapes."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import threading
@@ -8,16 +9,24 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from maieutic.core import ClauseOrigin, Integrity, MaieuticTree, Proposition, tree_nodes
+from maieutic.core import (
+    ClauseOrigin,
+    Integrity,
+    MaieuticTree,
+    Proposition,
+    WeightedClause,
+    tree_nodes,
+)
 from maieutic.errors import BackendUnavailable, MalformedResponse, MissingFixture
 from maieutic.verifier import (
+    PROB_ORDER,
     HttpNliVerifier,
     NliJudgment,
     NliLabel,
     ScriptedNliVerifier,
     relation_clauses,
 )
-from scenarios import WAR_NLI_RECORDS, NARROW_CONFIG, fixed_tree
+from worlds import WAR_NLI_RECORDS, NARROW_CONFIG, fixed_tree
 
 
 def _pair_tree():
@@ -34,7 +43,7 @@ def _pair_tree():
 # --- judgments ---
 
 def test_judgment_accepts_consistent_probabilities():
-    judgment = NliJudgment("a", "b", NliLabel.CONTRADICT, (0.2, 0.7, 0.1))
+    judgment = NliJudgment(NliLabel.CONTRADICT, (0.2, 0.7, 0.1))
     assert judgment.label_prob() == pytest.approx(0.7)
 
 
@@ -58,7 +67,7 @@ def test_judgment_accepts_consistent_probabilities():
 ])
 def test_judgment_rejects_inconsistent_probabilities(probs):
     with pytest.raises(ValueError):
-        NliJudgment("a", "b", NliLabel.CONTRADICT, probs)
+        NliJudgment(NliLabel.CONTRADICT, probs)
 
 
 @pytest.mark.parametrize("label, probs, expected", [
@@ -67,10 +76,14 @@ def test_judgment_rejects_inconsistent_probabilities(probs):
     (NliLabel.NEUTRAL, [0.0, 0.0, 1.0], 1.0),
 ])
 def test_judgment_stores_a_list_as_a_tuple(label, probs, expected):
-    judgment = NliJudgment("a", "b", label, probs)
+    judgment = NliJudgment(label, probs)
     assert type(judgment.label_probs) is tuple
     assert judgment.label_probs == tuple(probs)
     assert judgment.label_prob() == expected
+
+
+def test_judgment_holds_only_the_label_and_its_probabilities():
+    assert [field.name for field in dataclasses.fields(NliJudgment)] == ["label", "label_probs"]
 
 
 # --- scripted verifier ---
@@ -148,6 +161,43 @@ def test_scripted_record_probabilities_pass_through():
     assert verifier.nli("a", "b").label_prob() == pytest.approx(0.8)
 
 
+def _certain(label):
+    """A fresh verifier's judgment of a record that states ``label`` without probs."""
+    records = [{"premise": "x", "hypothesis": "y", "label": label.value}]
+    return ScriptedNliVerifier(fixtures=records).nli("x", "y")
+
+
+@pytest.mark.parametrize("label, premise, hypothesis, records", [
+    (NliLabel.CONTRADICT, "a", "b", [{"premise": "a", "hypothesis": "b", "label": "contradict"}]),
+    (NliLabel.ENTAIL, "Same sentence.", "Same sentence.", []),
+    (NliLabel.NEUTRAL, "One claim.", "Another claim.", []),
+], ids=["one-hot-record", "reflexive", "non-strict-miss"])
+def test_certain_judgments_are_shared(label, premise, hypothesis, records):
+    verifier = ScriptedNliVerifier(fixtures=records, strict=False)
+    judgment = verifier.nli(premise, hypothesis)
+    assert judgment is verifier.nli(premise, hypothesis) is _certain(label)
+    assert judgment.label is label
+    assert judgment.label_prob() == 1.0
+
+
+def test_record_probabilities_hold_on_every_call():
+    records = [{"premise": "a", "hypothesis": "b", "label": "contradict",
+                "probs": [0.1, 0.7, 0.2]}]
+    verifier = ScriptedNliVerifier(fixtures=records)
+    for _ in range(3):
+        judgment = verifier.nli("a", "b")
+        assert judgment.label is NliLabel.CONTRADICT
+        assert judgment.label_probs == (0.1, 0.7, 0.2)
+
+
+def test_malformed_record_raises_whenever_it_is_judged():
+    records = [{"premise": "a", "hypothesis": "b", "label": "entail", "probs": [0.2, 0.7, 0.1]}]
+    verifier = ScriptedNliVerifier(fixtures=records)
+    for _ in range(2):
+        with pytest.raises(MalformedResponse, match="unusable NLI record"):
+            verifier.nli("a", "b")
+
+
 # --- relation clauses ---
 
 def test_entailment_points_at_the_hypothesis():
@@ -205,6 +255,40 @@ def test_relation_clauses_asks_once_per_ordered_pair():
     assert len(calls) == count * (count - 1) == 20
     assert calls == [(texts[first], texts[second]) for first in range(count)
                      for second in range(count) if first != second]
+
+
+def _dense_scene(count: int = 19):
+    """A flat tree of ``count`` nodes and a verifier that judges every
+    ordered pair, two thirds of them entail or contradict."""
+    texts = [f"Statement {index}." for index in range(count)]
+    nodes = {"root": Proposition(id="root", text=texts[0])}
+    nodes.update((f"N.{index}", Proposition(id=f"N.{index}", text=texts[index]))
+                  for index in range(1, count))
+    tree = MaieuticTree(nodes=nodes, children={
+        "root": [(index % 2 == 1, f"N.{index}") for index in range(1, count)]})
+    records = [{"premise": texts[first], "hypothesis": texts[second],
+                "label": PROB_ORDER[(7 * first + second) % 3]}
+               for first in range(count) for second in range(count) if first != second]
+    return tree, ScriptedNliVerifier(fixtures=records)
+
+
+def test_recompiling_a_tree_builds_no_clause(monkeypatch):
+    tree, verifier = _dense_scene()
+    checked = WeightedClause.__post_init__
+    built = []
+
+    def counted(clause):
+        built.append(clause.literals)
+        checked(clause)
+    monkeypatch.setattr(WeightedClause, "__post_init__", counted)
+    first = relation_clauses(tree, verifier)
+    first_built = len(built)
+    second = relation_clauses(tree, verifier)
+    assert len(first) > 150
+    assert first_built <= len(first)
+    assert len(built) == first_built
+    assert second == first
+    assert all(again is clause for again, clause in zip(second, first))
 
 
 def test_strict_verifier_requires_full_coverage():

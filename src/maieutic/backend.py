@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from functools import partialmethod
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
@@ -57,21 +57,6 @@ def logprob_request(prompt: str, completion: str) -> dict:
     return {"kind": "logprob", "prompt": prompt, "completion": completion}
 
 
-# Per primitive: its request, and its answer as stored (in the cache and
-# the scripted fixture table) and back.
-_FORMS: dict[str, tuple[Callable[..., dict], Callable[[Any], dict], Callable[[dict], Any]]] = {
-    "_score_answer": (truth_request,
-                      lambda raw: dict(zip(("true_prob", "false_prob"), raw)),
-                      lambda stored: (stored["true_prob"], stored["false_prob"])),
-    "_complete": (completion_request,
-                  lambda raw: {"completions": raw},
-                  lambda stored: stored["completions"]),
-    "_completion_logprob": (logprob_request,
-                            lambda raw: {"logprob": raw},
-                            lambda stored: stored["logprob"]),
-}
-
-
 def request_digest(request: dict) -> str:
     """Stable identifier of one backend request."""
     return _sha256(json.dumps(request, sort_keys=True, separators=(",", ":")))
@@ -103,7 +88,11 @@ class TruthResponse:
 
 class ModelClient:
     """What the LM backend and the NLI verifier share: sending a batch of
-    independent requests."""
+    independent requests, and ``_FORMS``: per primitive (named by its method),
+    its request, and its answer as stored (in the response cache and the
+    scripted fixture table) and back."""
+
+    _FORMS: dict[str, tuple[Callable[..., dict], Callable[[Any], dict], Callable[[Any], Any]]] = {}
 
     def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
         """The answer of the primitive (named by its method) to each argument
@@ -120,6 +109,10 @@ class ModelClient:
             answer = call(*args)
             yield answer, time.monotonic() - started
 
+    def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
+        """One primitive (named by its method) over many argument tuples, as one batch."""
+        return [answer for answer, _ in self._batch(primitive, arguments)]
+
 
 class LmBackend(ModelClient):
     """Query interface over a completion-style language model.
@@ -131,6 +124,17 @@ class LmBackend(ModelClient):
     """
 
     backend_id: str = "lm"
+    _FORMS = {
+        "_score_answer": (truth_request,
+                          lambda raw: dict(zip(("true_prob", "false_prob"), raw)),
+                          lambda stored: (stored["true_prob"], stored["false_prob"])),
+        "_complete": (completion_request,
+                      lambda raw: {"completions": raw},
+                      lambda stored: stored["completions"]),
+        "_completion_logprob": (logprob_request,
+                                lambda raw: {"logprob": raw},
+                                lambda stored: stored["logprob"]),
+    }
 
     # --- primitives a concrete backend implements ---
 
@@ -143,10 +147,6 @@ class LmBackend(ModelClient):
 
     def _completion_logprob(self, prompt: str, completion: str) -> float:
         raise NotImplementedError
-
-    def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
-        """One primitive (named by its method) over many argument tuples, as one batch."""
-        return [answer for answer, _ in self._batch(primitive, arguments)]
 
     # --- public operations ---
 
@@ -250,6 +250,15 @@ def _nonempty(kept: list[str]) -> list[str]:
     return kept
 
 
+def _answered(answer_form: Callable[[Any], Any], request: dict, stored: Any, source: str) -> Any:
+    """A stored answer in answer form; ``MalformedResponse`` names the
+    request kind when it has the wrong shape."""
+    try:
+        return answer_form(stored)
+    except (KeyError, TypeError) as exc:
+        raise MalformedResponse(f"unusable {request['kind']} {source} {stored!r}: {exc!r}") from exc
+
+
 def negate_all(statements: Sequence[str], strategy: NegationStrategy,
                backend: Optional[LmBackend] = None) -> list[str]:
     """Produce the negated surface form of each statement.
@@ -288,18 +297,13 @@ class ScriptedBackend(LmBackend):
         self._table: dict[str, dict] = table
 
     def _lookup(self, primitive: str, *args) -> Any:
-        build, _, answer_form = _FORMS[primitive]
+        build, _, answer_form = self._FORMS[primitive]
         request = build(*args)
         digest = request_digest(request)
         if digest not in self._table:
             raise MissingFixture(
                 f"no fixture for {request['kind']} request {digest[:12]}...")
-        response = self._table[digest]
-        try:
-            return answer_form(response)
-        except (KeyError, TypeError) as exc:
-            raise MalformedResponse(
-                f"unusable {request['kind']} fixture {response!r}: {exc!r}") from exc
+        return _answered(answer_form, request, self._table[digest], "fixture")
 
     _score_answer = partialmethod(_lookup, "_score_answer")
     _complete = partialmethod(_lookup, "_complete")
@@ -930,8 +934,9 @@ class CachedBackend(LmBackend):
     Truth and log-likelihood queries and greedy completions are always
     cached; stochastic completions are cached only when a run seed is
     provided, since without one two runs are not expected to agree.
-    With ``cache=None`` the wrapper only records the call trace. An NLI
-    verifier shares both through :meth:`served` (``CachedVerifier``).
+    With ``cache=None`` the wrapper only records the call trace. Its
+    batches and an NLI verifier's (``CachedVerifier``) take one path,
+    :meth:`served`.
     """
 
     def __init__(self, inner: LmBackend, cache: Optional[ResponseCache],
@@ -943,30 +948,26 @@ class CachedBackend(LmBackend):
         self.backend_id = inner.backend_id
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
-        build, stored_form, answer_form = _FORMS[primitive]
+        return self.served(self.backend_id, self.inner, primitive, arguments)
 
-        def ask(misses: list[int]) -> Iterator[tuple[dict, float]]:
-            for answer, seconds in self.inner._batch(primitive,
-                                                     [arguments[index] for index in misses]):
-                yield stored_form(answer), seconds
+    def served(self, owner_id: str, inner: ModelClient, primitive: str,
+               arguments: Sequence[tuple]) -> list:
+        """The answers of ``inner``'s primitive (named by its method) to one
+        batch of argument tuples, in request order.
 
-        stored = self.served(self.backend_id, [build(*args) for args in arguments], ask)
-        return [answer_form(answer) for answer in stored]
-
-    def served(self, owner_id: str, requests: Sequence[dict],
-               ask: Callable[[list[int]], Iterable[tuple[dict, float]]]) -> list[dict]:
-        """Answers (in stored form) of one batch of requests, in request order.
-
-        Hits come from the cache; ``ask(misses)`` sends the misses (by
-        index) on as one batch and yields their answers, each with the
-        seconds it took, in request order. Each request is digested
-        once: the digest keys the trace, and with ``owner_id`` (and the
-        seed, for a stochastic completion) the cache. A request
-        repeating an earlier miss of the same batch is a hit on that
-        miss's answer, as it would be when asked after it. Trace and
+        Each request is built by the primitive's entry in ``inner._FORMS``
+        and digested once: the digest keys the trace, and with ``owner_id``
+        (and the seed, for a stochastic completion) the cache. Hits come
+        from the cache; the misses go on to ``inner._batch`` as one batch.
+        A request repeating an earlier miss of the same batch is a hit on
+        that miss's answer, as it would be when asked after it. Trace and
         cache entries are made in request order, up to the first request
-        that failed, and each goes out in one append per batch.
+        that failed, and each goes out in one append per batch. Every
+        answer, hit or miss, passes through its stored form once, and a
+        stored answer of the wrong shape raises ``MalformedResponse``.
         """
+        build, stored_form, answer_form = inner._FORMS[primitive]
+        requests = [build(*args) for args in arguments]
         digests = [request_digest(request) for request in requests]
         stored: list[Optional[dict]] = [None] * len(requests)
         # None for a cache hit, else the index of the miss that asks the model
@@ -991,8 +992,9 @@ class CachedBackend(LmBackend):
             misses.append(index)
         latency = [0.0] * len(requests)
         try:
-            for index, (answer, seconds) in zip(misses, ask(misses)):
-                stored[index], latency[index] = answer, seconds
+            asked = inner._batch(primitive, [arguments[index] for index in misses])
+            for index, (answer, seconds) in zip(misses, asked):
+                stored[index], latency[index] = stored_form(answer), seconds
         finally:
             records, fresh = [], {}
             for index, origin in enumerate(answered_by):
@@ -1006,5 +1008,6 @@ class CachedBackend(LmBackend):
             self.trace.record(records)
             if fresh:
                 self.cache.put(fresh)
-        return [stored[index if origin is None else origin]
-                for index, origin in enumerate(answered_by)]
+        return [_answered(answer_form, request, stored[index if origin is None else origin],
+                          "cache entry")
+                for index, (request, origin) in enumerate(zip(requests, answered_by))]

@@ -9,10 +9,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from inspect import signature
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Union, get_args,
+                    get_origin, get_type_hints)
 
 from .errors import DegenerateBelief
 
@@ -64,27 +65,44 @@ def check_keys(what: str, data: Mapping, known: Iterable[str]) -> None:
         raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
-def check_fields(what: str, data: Mapping, types: Mapping[str, Optional[type]],
-                 owner: Callable) -> None:
+def check_fields(what: str, data: Mapping, types: Mapping[str, Any], owner: Callable) -> None:
     """Raise ``ValueError`` naming the keys of ``data`` that are not in
     ``types``, or a key whose value is not of its type there: an int passes
-    for a float, a bool only for a bool, and null only where the key's
-    default in ``owner``'s signature is None. A key typed None takes any value."""
+    for a float, a bool only for a bool, a list for ``list[T]`` when each
+    item is a T, and null only where the key's default in ``owner``'s
+    signature is None. A key typed None takes any value."""
     check_keys(what, data, types)
     for key, value in data.items():
         want = types[key]
-        if want is None or type(value) is want or (want, type(value)) == (float, int) or (
-                value is None and signature(owner).parameters[key].default is None):
+        if _fits(value, want) or value is None and getattr(
+                signature(owner).parameters.get(key), "default", ...) is None:
             continue
-        raise ValueError(f"{what} key {key} must be {want.__name__}, not {value!r}")
+        name = want.__name__ if isinstance(want, type) else want
+        raise ValueError(f"{what} key {key} must be {name}, not {value!r}")
 
 
-def field_types(cls: type) -> dict[str, Optional[type]]:
-    """Each field of a dataclass with its type where that is bool, int, float
-    or str, else None (the fields' annotations may be strings)."""
-    plain = (bool, int, float, str)
-    return {f.name: next((kind for kind in plain if f.type in (kind, kind.__name__)), None)
-            for f in fields(cls)}
+def _fits(value: Any, want: Any) -> bool:
+    return (want is None or type(value) is want or (want, type(value)) == (float, int)
+            or get_origin(want) is list and type(value) is list
+            and all(_fits(item, get_args(want)[0]) for item in value))
+
+
+def field_types(cls: type) -> dict[str, Any]:
+    """Each field of a dataclass with the type its value takes in a config:
+    bool, int, float, str or dict as annotated (Optional dropped), dict for
+    a dataclass, ``list[T]`` for ``tuple[T, ...]``, else None."""
+    hints = get_type_hints(cls)
+    return {f.name: _config_type(hints[f.name]) for f in fields(cls)}
+
+
+def _config_type(hint: Any) -> Any:
+    if get_origin(hint) is Union:  # Optional[T]: null is checked against the default
+        hint = get_args(hint)[0]
+    if is_dataclass(hint):
+        return dict
+    if get_origin(hint) is tuple:
+        return list[_config_type(get_args(hint)[0])]
+    return hint if hint in (bool, int, float, str, dict) else None
 
 
 def _require_finite(name: str, value: Optional[float]) -> None:
@@ -236,7 +254,7 @@ class TreeConfig:
     def from_dict(cls, data: dict) -> TreeConfig:
         """Inverse of :meth:`to_dict`; an explicit ``width_schedule`` must
         match the decoding schedule's sample counts."""
-        check_fields("tree", data, {**field_types(cls), "width_schedule": None}, cls)
+        check_fields("tree", data, {**field_types(cls), "width_schedule": list[int]}, cls)
         kwargs = {key: value for key, value in data.items() if key != "width_schedule"}
         if "decoding_schedule" in data:
             kwargs["decoding_schedule"] = tuple(

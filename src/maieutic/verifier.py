@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partialmethod
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
 from .core import ClauseOrigin, Literal, MaieuticTree, WeightedClause, variable_map
@@ -72,19 +72,6 @@ _CERTAIN = {label: NliJudgment(label, tuple(float(other is label) for other in _
             for label in NliLabel}
 
 
-class NliVerifier(ModelClient):
-    """Interface: judge one ordered (premise, hypothesis) pair, or many."""
-
-    verifier_id: str = "nli"
-
-    def nli(self, premise: str, hypothesis: str) -> NliJudgment:
-        raise NotImplementedError
-
-    def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
-        """Judgments of independent pairs in request order, as one :meth:`_batch`."""
-        return [judgment for judgment, _ in self._batch("nli", pairs)]
-
-
 def _judgment_from_record(record: Any) -> NliJudgment:
     """The judgment a fixture record or service reply states.
 
@@ -102,6 +89,24 @@ def _judgment_from_record(record: Any) -> NliJudgment:
         return NliJudgment(label, tuple(map(float, probs)))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedResponse(f"unusable NLI record {record!r}: {exc}") from exc
+
+
+class NliVerifier(ModelClient):
+    """Interface: judge one ordered (premise, hypothesis) pair, or many."""
+
+    verifier_id: str = "nli"
+    _FORMS = {"nli": (lambda premise, hypothesis: {"kind": "nli", "premise": premise,
+                                                   "hypothesis": hypothesis},
+                      lambda judgment: {"label": judgment.label.value,
+                                        "probs": list(judgment.label_probs)},
+                      _judgment_from_record)}
+
+    def nli(self, premise: str, hypothesis: str) -> NliJudgment:
+        raise NotImplementedError
+
+    def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
+        """Judgments of independent pairs in request order, as one batch."""
+        return self._requests("nli", pairs)
 
 
 class ScriptedNliVerifier(NliVerifier):
@@ -174,7 +179,8 @@ class HttpNliVerifier(HttpClient, NliVerifier):
 
 class CachedVerifier(NliVerifier):
     """A verifier behind a :class:`~maieutic.backend.CachedBackend`'s
-    response cache and call trace; its entries are keyed by ``verifier_id``."""
+    response cache and call trace: its batches take the LM's path,
+    ``CachedBackend.served``, and its entries are keyed by ``verifier_id``."""
 
     def __init__(self, inner: NliVerifier, cached: CachedBackend):
         self.inner = inner
@@ -184,18 +190,8 @@ class CachedVerifier(NliVerifier):
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
         return self.nli_batch([(premise, hypothesis)])[0]
 
-    def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
-        requests = [{"kind": "nli", "premise": premise, "hypothesis": hypothesis}
-                    for premise, hypothesis in pairs]
-
-        def ask(misses: list[int]) -> Iterator[tuple[dict, float]]:
-            asked = [pairs[index] for index in misses]
-            for judgment, seconds in self.inner._batch("nli", asked):
-                yield ({"label": judgment.label.value, "probs": list(judgment.label_probs)},
-                       seconds)
-
-        stored = self.cached.served(self.verifier_id, requests, ask)
-        return [_judgment_from_record(record) for record in stored]
+    def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
+        return self.cached.served(self.verifier_id, self.inner, primitive, arguments)
 
 
 @cache

@@ -45,7 +45,7 @@ from maieutic.errors import (
     NotSupported,
 )
 from maieutic.prompts import render_abductive_prompt
-from maieutic.verifier import HttpNliVerifier
+from maieutic.verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
 from worlds import ABDUCTIVE_PROMPTS, EXPLANATION_PROMPTS, GREEDY, TRUTH_PROMPTS
 
 NUCLEUS_PAIR = DecodingParams(DecodingStrategy.NUCLEUS, nucleus_p=0.9,
@@ -394,6 +394,25 @@ def test_trace_only_wrapper_never_caches(tmp_path):
     replayed = read_trace(tmp_path / "trace.jsonl")
     assert [entry["cache_hit"] for entry in replayed] == [False, False]
     assert {entry["purpose"] for entry in replayed} == {"truth"}
+
+
+@pytest.mark.parametrize("kind, query", [
+    ("truth", lambda cached: cached.true_prob("Ice floats on water", TRUTH_PROMPTS)),
+    ("nli", lambda cached: CachedVerifier(
+        ScriptedNliVerifier([{"premise": "a", "hypothesis": "b", "label": "entail"}]),
+        cached).nli("a", "b")),
+])
+def test_a_cache_entry_of_the_wrong_shape_is_malformed(tmp_path, kind, query):
+    query(CachedBackend(_truth_world(), ResponseCache(tmp_path)))
+    store = tmp_path / "responses.jsonl"
+    [entry] = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
+    store.write_text(json.dumps({"key": entry["key"], "response": [0.9, 0.1]}) + "\n",
+                     encoding="utf-8")
+    trace = TraceRecorder()
+    reopened = CachedBackend(ScriptedBackend({}), ResponseCache(tmp_path), trace=trace)
+    with pytest.raises(MalformedResponse, match=rf"(?i)unusable {kind} .*\[0\.9, 0\.1\]"):
+        query(reopened)
+    assert trace.backend_call_count() == 0  # the entry was a hit, read back in one place
 
 
 def test_the_connection_pool_closes_its_idle_connections_at_exit():

@@ -342,6 +342,20 @@ def test_every_config_level_rejects_an_unknown_key(eval_fixture_file, config, ke
     ({"tree": {"depth_limit": 1,
                "decoding_schedule": [{"strategy": "nucleus", "sample_count": True}]}},
      "sample_count"),
+    ({"tree": []}, "tree"),
+    ({"backend": "scripted"}, "backend"),
+    ({"verifier": 3}, "verifier"),
+    ({"tree": {"depth_limit": 2, "decoding_schedule": [1, 2]}}, "decoding_schedule"),
+    ({"tree": {"depth_limit": 1, "decoding_schedule": [{"strategy": "greedy"}],
+               "width_schedule": 5}}, "width_schedule"),
+    ({"tree": {"depth_limit": 1, "decoding_schedule": [{"strategy": "greedy"}],
+               "width_schedule": None}}, "width_schedule"),
+    ({"tree": {"depth_limit": 1,
+               "decoding_schedule": [{"strategy": "greedy", "stop_sequences": 5}]}},
+     "stop_sequences"),
+    ({"tree": {"depth_limit": 1,
+               "decoding_schedule": [{"strategy": "greedy", "stop_sequences": "ab"}]}},
+     "stop_sequences"),
 ])
 def test_config_values_of_the_wrong_type_are_rejected(eval_fixture_file, config, key):
     with pytest.raises(ValueError, match=rf"key {key} must be"):

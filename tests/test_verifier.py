@@ -9,6 +9,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from maieutic.backend import (
+    CachedBackend,
+    ResponseCache,
+    ScriptedBackend,
+    TraceRecorder,
+    read_trace,
+)
 from maieutic.core import (
     ClauseOrigin,
     Integrity,
@@ -20,6 +27,7 @@ from maieutic.core import (
 from maieutic.errors import BackendUnavailable, MalformedResponse, MissingFixture
 from maieutic.verifier import (
     PROB_ORDER,
+    CachedVerifier,
     HttpNliVerifier,
     NliJudgment,
     NliLabel,
@@ -196,6 +204,58 @@ def test_malformed_record_raises_whenever_it_is_judged():
     for _ in range(2):
         with pytest.raises(MalformedResponse, match="unusable NLI record"):
             verifier.nli("a", "b")
+
+
+# --- cached verifier ---
+
+_CACHED_RECORDS = [
+    {"premise": "a", "hypothesis": "b", "label": "entail", "probs": [0.7, 0.2, 0.1]},
+    {"premise": "b", "hypothesis": "c", "label": "contradict"},
+    {"premise": "c", "hypothesis": "a", "label": "neutral", "probs": [0.25, 0.25, 0.5]},
+]
+
+
+def _cached_verifier(directory, records):
+    """A strict scripted verifier behind a response cache and a traced call
+    log in ``directory``, and the pairs that reach it."""
+    inner, asked = ScriptedNliVerifier(records), []
+    judge = inner.nli
+    inner.nli = lambda *pair: asked.append(pair) or judge(*pair)
+    cached = CachedBackend(ScriptedBackend({}), ResponseCache(directory),
+                           trace=TraceRecorder(directory / "trace.jsonl"))
+    return CachedVerifier(inner, cached), asked
+
+
+def test_a_cached_verifier_batch_is_served_like_an_lm_batch(tmp_path):
+    verifier, asked = _cached_verifier(tmp_path, _CACHED_RECORDS)
+    pairs = [("a", "b"), ("b", "c"), ("a", "b"), ("c", "a")]
+    judgments = verifier.nli_batch(pairs)
+    assert judgments == [ScriptedNliVerifier(_CACHED_RECORDS).nli(*pair) for pair in pairs]
+    assert asked == [("a", "b"), ("b", "c"), ("c", "a")]  # the repeat is asked once
+    assert [entry["cache_hit"] for entry in read_trace(tmp_path / "trace.jsonl")] == [
+        False, False, True, False]
+    assert {entry["purpose"] for entry in read_trace(tmp_path / "trace.jsonl")} == {"nli"}
+    assert len((tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()) == 3
+
+    # a rerun over the same cache reads back equal judgments and asks nothing
+    rerun, asked_again = _cached_verifier(tmp_path, [])
+    assert rerun.nli_batch(pairs) == judgments
+    assert asked_again == []
+    assert [entry["cache_hit"] for entry in read_trace(tmp_path / "trace.jsonl")][4:] == [
+        True] * 4
+
+
+def test_a_strict_miss_in_a_cached_verifier_batch_keeps_only_the_pairs_before_it(tmp_path):
+    verifier, asked = _cached_verifier(tmp_path, _CACHED_RECORDS)
+    with pytest.raises(MissingFixture):
+        verifier.nli_batch([("a", "b"), ("b", "c"), ("x", "y"), ("c", "a")])
+    assert asked == [("a", "b"), ("b", "c"), ("x", "y")]
+    assert [entry["cache_hit"] for entry in read_trace(tmp_path / "trace.jsonl")] == [
+        False, False]
+    stored = [json.loads(line)["response"] for line in
+              (tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert stored == [{"label": "entail", "probs": [0.7, 0.2, 0.1]},
+                      {"label": "contradict", "probs": [0.0, 1.0, 0.0]}]
 
 
 # --- relation clauses ---

@@ -136,7 +136,7 @@ class LmBackend(ModelClient):
                                 lambda stored: stored["logprob"]),
     }
 
-    # --- primitives a concrete backend implements ---
+    # --- primitives an in-process backend implements (HTTP clients have only _batch) ---
 
     def _score_answer(self, prompt: str) -> tuple[float, float]:
         """Raw (not necessarily normalized) probabilities of the answer tokens."""
@@ -322,46 +322,46 @@ class FixtureBuilder:
         self.responses: dict[str, dict] = {}
         self.sidecar: dict[str, dict] = {}
 
-    def _add(self, request: dict, response: dict) -> str:
+    def _add(self, primitive: str, arguments: tuple, raw: Any) -> str:
+        """Record ``raw`` as the primitive's answer to ``arguments``: its
+        request and stored form come from ``LmBackend._FORMS``."""
+        build, stored_form, _ = LmBackend._FORMS[primitive]
+        request = build(*arguments)
         digest = request_digest(request)
-        self.responses[digest] = response
+        self.responses[digest] = stored_form(raw)
         self.sidecar[digest] = request
         return digest
 
     def truth(self, statement: str, prompts: PromptSet,
               true_prob: float, false_prob: float) -> str:
         prompt = prompt_templates.render_truth_prompt(statement, prompts)
-        return self._add(truth_request(prompt),
-                         {"true_prob": true_prob, "false_prob": false_prob})
+        return self._add("_score_answer", (prompt,), (true_prob, false_prob))
 
     def explained_answer(self, question: str, explanation: str, prompts: PromptSet,
                          true_prob: float, false_prob: float) -> str:
         prompt = prompt_templates.render_explained_answer_prompt(
             question, explanation, prompts)
-        return self._add(truth_request(prompt),
-                         {"true_prob": true_prob, "false_prob": false_prob})
+        return self._add("_score_answer", (prompt,), (true_prob, false_prob))
 
     def abductive(self, question: str, label: bool, prompts: PromptSet,
                   decoding: DecodingParams, completions: list[str]) -> str:
         prompt = prompt_templates.render_abductive_prompt(question, label, prompts)
-        return self._add(completion_request(prompt, decoding),
-                         {"completions": list(completions)})
+        return self._add("_complete", (prompt, decoding), list(completions))
 
     def explanation_samples(self, question: str, prompts: PromptSet,
                             completions: list[str]) -> str:
         prompt = prompt_templates.render_explanation_prompt(question, prompts)
-        return self._add(completion_request(prompt, DEFAULT_EXPLANATION_DECODING),
-                         {"completions": list(completions)})
+        return self._add("_complete", (prompt, DEFAULT_EXPLANATION_DECODING),
+                         list(completions))
 
     def logprob(self, explanation: str, question: str, label: bool,
                 prompts: PromptSet, value: float) -> str:
         prompt = prompt_templates.render_abductive_prompt(question, label, prompts)
-        return self._add(logprob_request(prompt, explanation), {"logprob": value})
+        return self._add("_completion_logprob", (prompt, explanation), value)
 
     def negation(self, statement: str, completion: str) -> str:
         prompt = prompt_templates.render_negation_prompt(statement)
-        return self._add(completion_request(prompt, DEFAULT_NEGATION_DECODING),
-                         {"completions": [completion]})
+        return self._add("_complete", (prompt, DEFAULT_NEGATION_DECODING), [completion])
 
     def merge(self, other: "FixtureBuilder") -> None:
         self.responses.update(other.responses)
@@ -526,8 +526,9 @@ class HttpClient(ModelClient):
     (a malformed reply among them), a 5xx or a 429 leaves its request
     pending, within ``retries`` attempts one wait apart: the longest that a
     pending request asks for, its exponential backoff from ``BACKOFF_S`` or
-    its 429's ``Retry-After`` (at most ``timeout``). A primitive's
-    one-request form (:meth:`_one`) is a batch of one.
+    its 429's ``Retry-After`` (at most ``timeout``). A client sends only
+    through :meth:`_batch` and implements no primitive: a single request is
+    its interface's batch of one.
     """
 
     _WIRE: dict[str, tuple[Callable[..., dict], Callable[..., Any]]] = {}
@@ -562,10 +563,6 @@ class HttpClient(ModelClient):
         self.timeout, self.retries = timeout, retries
         self._context: Any = None  # the TLS context, made at the first https connection
         self._context_lock = threading.Lock()
-
-    def _one(self, primitive: str, *args) -> Any:
-        """One request of the primitive: a batch of one."""
-        return next(self._batch(primitive, [args]))[0]
 
     def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
         """Each request's answer, in request order, with the seconds from the
@@ -837,9 +834,6 @@ class HttpLmBackend(HttpClient, LmBackend):
     _WIRE = {"_score_answer": (_truth_body, _truth_answer),
              "_complete": (_completion_body, _completion_answer),
              "_completion_logprob": (_logprob_body, _logprob_answer)}
-    _score_answer = partialmethod(HttpClient._one, "_score_answer")
-    _complete = partialmethod(HttpClient._one, "_complete")
-    _completion_logprob = partialmethod(HttpClient._one, "_completion_logprob")
 
 
 # --- response cache and call trace ---

@@ -12,7 +12,6 @@ from a natural-language-inference model over all node pairs.
 """
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
@@ -27,6 +26,7 @@ from .core import (
     WeightedClause,
     WeightedCnf,
     belief_from_probs,  # re-exported: callers import it from here
+    canonical_json,
     tree_leaves,
     variable_map,
 )
@@ -173,5 +173,4 @@ def cnf_to_dict(cnf: WeightedCnf) -> dict:
 
 
 def cnf_to_json(cnf: WeightedCnf) -> str:
-    return json.dumps(cnf_to_dict(cnf), sort_keys=False,
-                      separators=(",", ": "), indent=2) + "\n"
+    return canonical_json(cnf_to_dict(cnf))

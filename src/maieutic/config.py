@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from inspect import Parameter, signature
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -121,9 +120,6 @@ def _client(section: str, table: dict) -> Any:
     client, types = _CLIENTS[section, kind]
     given = {key: value for key, value in table.items() if key != "kind"}
     check_fields(f"{kind} {section}", given, types, client)
-    for key, parameter in signature(client).parameters.items():
-        if parameter.default is Parameter.empty and key not in given:
-            raise ValueError(f"{kind} {section} needs the key {key}")
     return client(**given)
 
 

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from inspect import signature
+from inspect import Parameter, signature
 from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Union, get_args,
                     get_origin, get_type_hints)
 
@@ -67,18 +67,23 @@ def check_keys(what: str, data: Mapping, known: Iterable[str]) -> None:
 
 def check_fields(what: str, data: Mapping, types: Mapping[str, Any], owner: Callable) -> None:
     """Raise ``ValueError`` naming the keys of ``data`` that are not in
-    ``types``, or a key whose value is not of its type there: an int passes
-    for a float, a bool only for a bool, a list for ``list[T]`` when each
-    item is a T, and null only where the key's default in ``owner``'s
+    ``types``, a key whose value is not of its type there, or a parameter
+    of ``owner``'s signature without a default that ``data`` lacks. An int
+    passes for a float, a bool only for a bool, a list for ``list[T]`` when
+    each item is a T, and null only where the key's default in ``owner``'s
     signature is None. A key typed None takes any value."""
     check_keys(what, data, types)
+    parameters = signature(owner).parameters
     for key, value in data.items():
         want = types[key]
         if _fits(value, want) or value is None and getattr(
-                signature(owner).parameters.get(key), "default", ...) is None:
+                parameters.get(key), "default", ...) is None:
             continue
         name = want.__name__ if isinstance(want, type) else want
         raise ValueError(f"{what} key {key} must be {name}, not {value!r}")
+    for key, parameter in parameters.items():
+        if parameter.default is Parameter.empty and key not in data:
+            raise ValueError(f"{what} needs the key {key}")
 
 
 def _fits(value: Any, want: Any) -> bool:
@@ -484,7 +489,10 @@ class WeightedCnf:
 
 # --- serialization ---
 
-_CANONICAL = {"sort_keys": False, "separators": (",", ": "), "indent": 2}
+def canonical_json(data: Any) -> str:
+    """The one JSON form of every dump a user reads (tree, clauses, result):
+    keys in insertion order, indented by two, ending in a newline."""
+    return json.dumps(data, sort_keys=False, separators=(",", ": "), indent=2) + "\n"
 
 
 def _proposition_to_dict(node: Proposition) -> dict:
@@ -538,7 +546,7 @@ def tree_from_dict(data: dict) -> MaieuticTree:
 
 
 def tree_to_json(tree: MaieuticTree) -> str:
-    return json.dumps(tree_to_dict(tree), **_CANONICAL) + "\n"
+    return canonical_json(tree_to_dict(tree))
 
 
 def tree_from_json(text: str) -> MaieuticTree:

@@ -25,6 +25,7 @@ from .core import (
     PromptSet,
     TreeConfig,
     WeightedCnf,
+    canonical_json,
     label_word,
     tree_nodes,
     tree_to_dict,
@@ -82,8 +83,7 @@ def result_to_dict(result: InferenceResult) -> dict:
 
 
 def result_to_json(result: InferenceResult) -> str:
-    return json.dumps(result_to_dict(result), sort_keys=False,
-                      separators=(",", ": "), indent=2) + "\n"
+    return canonical_json(result_to_dict(result))
 
 
 # Per key of a config's prompts table: the engine field it sets and the mode

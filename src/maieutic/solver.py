@@ -33,6 +33,7 @@ from .errors import ParseError, TooManyVariables, UnassignedVariable, WeightOver
 MAX_BRUTE_VARIABLES = 24
 _CHUNK = 1 << 20
 
+# A WCNF file holds each weight times this, rounded to an integer.
 WCNF_SCALE = 10 ** 6
 _MAX_WCNF_WEIGHT = 2 ** 63 - 1
 
@@ -294,19 +295,19 @@ def _sidecar_path(path: Union[str, Path]) -> Path:
     return Path(str(path) + ".map.json")
 
 
-def _scaled_weight(weight: float, scale: int) -> int:
-    scaled = int(round(weight * scale))
+def _scaled_weight(weight: float) -> int:
+    scaled = int(round(weight * WCNF_SCALE))
     if scaled == 0:
         scaled = 1  # the format cannot express a zero-weight soft clause
     if scaled > _MAX_WCNF_WEIGHT:
-        raise WeightOverflow(f"weight {weight} exceeds the integer range at scale {scale}")
+        raise WeightOverflow(f"weight {weight} exceeds the integer range at scale {WCNF_SCALE}")
     return scaled
 
 
-def export_wcnf(cnf: WeightedCnf, path: Union[str, Path], scale: int = WCNF_SCALE) -> Path:
+def export_wcnf(cnf: WeightedCnf, path: Union[str, Path]) -> Path:
     """Write ``p wcnf`` format with integerized weights plus a sidecar map.
 
-    Weights are multiplied by ``scale`` and rounded (values rounding to
+    Weights are multiplied by ``WCNF_SCALE`` and rounded (values rounding to
     zero are clamped to 1); the header's top value is the total plus
     one, so no soft clause ever reaches it. The sidecar JSON records
     the scale, the file-variable to node-id map and each clause's
@@ -315,7 +316,7 @@ def export_wcnf(cnf: WeightedCnf, path: Union[str, Path], scale: int = WCNF_SCAL
     path = Path(path)
     ids = sorted(cnf.variables)
     index = {var: position + 1 for position, var in enumerate(ids)}
-    weights = [_scaled_weight(clause.weight, scale) for clause in cnf.clauses]
+    weights = [_scaled_weight(clause.weight) for clause in cnf.clauses]
     top = sum(weights) + 1
     if top > _MAX_WCNF_WEIGHT:
         raise WeightOverflow(f"total weight {top} exceeds the integer range")
@@ -326,7 +327,7 @@ def export_wcnf(cnf: WeightedCnf, path: Union[str, Path], scale: int = WCNF_SCAL
         lines.append(f"{weight} {rendered} 0")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     sidecar = {
-        "scale": scale,
+        "scale": WCNF_SCALE,
         "variables": {str(index[var]): cnf.variables[var] for var in ids},
         "origins": [clause.origin.value for clause in cnf.clauses],
     }

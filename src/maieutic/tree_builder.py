@@ -25,6 +25,7 @@ from .core import (
     Proposition,
     TreeConfig,
     child_id,
+    tree_nodes,
 )
 from .prompts import normalize_statement
 
@@ -139,34 +140,22 @@ def build_tree(question: str, config: TreeConfig, backend: backend_ops.LmBackend
 
 
 def prune(tree: MaieuticTree) -> MaieuticTree:
-    """Drop non-integral leaves until none remain; the root always stays.
+    """The unique maximal subtree in which every non-root leaf is integral.
 
-    Removing a leaf can expose its parent as the next non-integral
-    leaf, so removal cascades. The result is the unique maximal subtree
-    in which every non-root leaf is integral; a node with an integral
-    descendant is therefore never removed.
+    A node stays exactly when it is the root, is integral or keeps a
+    child, so a node with an integral descendant is never removed. One
+    walk in reverse pre-order decides each node after its children,
+    without recursion, since a tree read from a file may be deeper than
+    Python's recursion limit. The input is validated first; a subtree of
+    a valid tree that keeps every kept node's parent is valid too.
     """
-    nodes = dict(tree.nodes)
-    children = {parent: list(edges) for parent, edges in tree.children.items() if edges}
-    parents = {cid: parent for parent, edges in children.items() for _, cid in edges}
-    changed = True
-    while changed:
-        changed = False
-        for node_id in list(nodes):
-            if node_id == tree.root_id or children.get(node_id):
-                continue
-            if nodes[node_id].integrity.is_integral:
-                continue
-            del nodes[node_id]
-            parent_id = parents.pop(node_id)
-            remaining = [(label, cid) for label, cid in children[parent_id]
-                         if cid != node_id]
-            if remaining:
-                children[parent_id] = remaining
-            else:
-                del children[parent_id]
-            changed = True
-    pruned = MaieuticTree(nodes=nodes, children=children, config=tree.config,
-                          root_id=tree.root_id)
-    pruned.validate()
-    return pruned
+    tree.validate()
+    kept: set[str] = set()
+    for node in reversed(tree_nodes(tree)):
+        if (node.id == tree.root_id or node.integrity.is_integral
+                or any(cid in kept for _, cid in tree.children_of(node.id))):
+            kept.add(node.id)
+    children = {parent: edges for parent, all_edges in tree.children.items()
+                if (edges := [edge for edge in all_edges if edge[1] in kept])}
+    return MaieuticTree(nodes={key: node for key, node in tree.nodes.items() if key in kept},
+                        children=children, config=tree.config, root_id=tree.root_id)

@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partialmethod
+from functools import cache
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -102,7 +102,9 @@ class NliVerifier(ModelClient):
                       _judgment_from_record)}
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
-        raise NotImplementedError
+        """One pair's judgment: a batch of one. An in-process verifier
+        implements it as its primitive."""
+        return self.nli_batch([(premise, hypothesis)])[0]
 
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
         """Judgments of independent pairs in request order, as one batch."""
@@ -174,7 +176,6 @@ class HttpNliVerifier(HttpClient, NliVerifier):
         return _judgment_from_record(payload)
 
     _WIRE = {"nli": (_pair_body, _judgment)}
-    nli = partialmethod(HttpClient._one, "nli")
 
 
 class CachedVerifier(NliVerifier):
@@ -186,9 +187,6 @@ class CachedVerifier(NliVerifier):
         self.inner = inner
         self.cached = cached
         self.verifier_id = inner.verifier_id
-
-    def nli(self, premise: str, hypothesis: str) -> NliJudgment:
-        return self.nli_batch([(premise, hypothesis)])[0]
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
         return self.cached.served(self.verifier_id, self.inner, primitive, arguments)

@@ -396,6 +396,34 @@ def test_trace_only_wrapper_never_caches(tmp_path):
     assert {entry["purpose"] for entry in replayed} == {"truth"}
 
 
+def test_fixture_entries_are_the_stored_form_the_cache_writes(tmp_path):
+    """The builder and the cache take each primitive's stored form from one
+    table, so what the cache writes for a request is the builder's entry."""
+    question, explanation = "Ice floats on water", "Ice is less dense."
+    builder = FixtureBuilder()
+    digests = [
+        builder.truth(question, TRUTH_PROMPTS, 0.8, 0.2),
+        builder.explained_answer(question, explanation, EXPLANATION_PROMPTS, 0.7, 0.1),
+        builder.abductive(question, True, ABDUCTIVE_PROMPTS, GREEDY, [explanation]),
+        builder.explanation_samples(question, EXPLANATION_PROMPTS, [explanation]),
+        builder.logprob(explanation, question, True, ABDUCTIVE_PROMPTS, -2.5),
+        builder.negation(question, "Ice sinks in water"),
+    ]
+    cached = CachedBackend(builder.backend(), ResponseCache(tmp_path))
+    cached.true_prob(question, TRUTH_PROMPTS)
+    cached.explained_answer_prob(question, explanation, EXPLANATION_PROMPTS)
+    cached.abductive_samples([(question, True)], ABDUCTIVE_PROMPTS, GREEDY)
+    cached.sample_explanations(question, EXPLANATION_PROMPTS)
+    cached.sequence_logprobs([(explanation, question, True)], ABDUCTIVE_PROMPTS)
+    cached.lm_negations([question])
+    lines = (tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert [entry["key"] for entry in entries] == [cache_key("scripted", digest)
+                                                   for digest in digests]
+    assert [entry["response"] for entry in entries] == [builder.responses[digest]
+                                                        for digest in digests]
+
+
 @pytest.mark.parametrize("kind, query", [
     ("truth", lambda cached: cached.true_prob("Ice floats on water", TRUTH_PROMPTS)),
     ("nli", lambda cached: CachedVerifier(

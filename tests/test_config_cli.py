@@ -362,6 +362,16 @@ def test_config_values_of_the_wrong_type_are_rejected(eval_fixture_file, config,
         _built(config, eval_fixture_file)
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"tree": {"depth_limit": 1, "decoding_schedule": [{}]}},
+     "decoding needs the key strategy"),
+    ({"backend": {"kind": "scripted"}}, "scripted backend needs the key fixtures"),
+])
+def test_a_missing_required_key_is_named(eval_fixture_file, config, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        _built(config, eval_fixture_file)
+
+
 @pytest.mark.parametrize("section, table, attribute, value", [
     ("backend", {"kind": "http", "endpoint": _HTTP, "model": None}, "model", None),
     ("verifier", {"kind": "http", "endpoint": None}, "endpoint", "http://127.0.0.1:9/nli"),
@@ -531,6 +541,16 @@ def test_cli_wcnf_refuses_a_bare_root(capsys, tmp_path):
 
 def _tie_world_fixtures(tmp_path):
     return ambiguous_world().builder.write(tmp_path / "ambiguous.json")
+
+
+def test_cli_names_a_missing_decoding_strategy_without_a_traceback(capsys, tmp_path):
+    path = tmp_path / "engine.json"
+    path.write_text(json.dumps({"tree": {"depth_limit": 1, "decoding_schedule": [{}]}}),
+                    encoding="utf-8")
+    rc = cli.main(["infer", "q?", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: decoding needs the key strategy\n"
 
 
 def test_cli_reports_errors_and_exits_nonzero(capsys, tmp_path,

@@ -1,6 +1,9 @@
 """Tree construction tests: integrity checks, expansion rules, pruning."""
 from __future__ import annotations
 
+import sys
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from maieutic.core import (
     Integrity,
     NegationStrategy,
     TreeConfig,
+    tree_from_dict,
     tree_nodes,
     tree_to_dict,
 )
@@ -227,6 +231,34 @@ def test_prune_does_not_mutate_its_input():
     before = tree_to_dict(tree)
     prune(tree)
     assert tree_to_dict(tree) == before
+
+
+def _chain(length: int, integral_depth: Optional[int]):
+    """A valid tree that is one chain of ``length`` nodes, root included,
+    where only the node at ``integral_depth`` (if any) is integral."""
+    ids = ["root"] + [f"n{depth}" for depth in range(1, length)]
+    nodes = [{"id": node_id, "text": f"Statement {depth}.",
+              "negated_text": f"Not statement {depth}.", "path_label": "T" * depth,
+              "integrity": "not_integral", "true_prob": 0.6, "neg_true_prob": 0.6}
+             for depth, node_id in enumerate(ids)]
+    if integral_depth is not None:
+        nodes[integral_depth].update(integrity="integral_true", true_prob=0.9,
+                                     neg_true_prob=0.1)
+    edges = [{"parent": parent, "label": True, "child": child}
+             for parent, child in zip(ids, ids[1:])]
+    config = {"depth_limit": length - 1,
+              "decoding_schedule": [{"strategy": "greedy"}] * (length - 1)}
+    return tree_from_dict({"root": "root", "nodes": nodes, "edges": edges, "config": config})
+
+
+def test_prune_walks_a_chain_deeper_than_the_recursion_limit():
+    length = 2000
+    assert length > sys.getrecursionlimit()
+    deepest_integral = _chain(length, length - 1)
+    kept = prune(deepest_integral)
+    assert list(kept.nodes) == list(deepest_integral.nodes)
+    assert kept.children == deepest_integral.children
+    assert prune(_chain(length, None)).is_root_only()
 
 
 def test_random_scenarios_respect_the_node_budget():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import io
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
-from .core import DecodingParams, DecodingStrategy, NegationStrategy, PromptMode, PromptSet
+from .core import DecodingParams, DecodingStrategy, NegationStrategy, PromptSet
 from .errors import (
     BackendUnavailable,
     CacheCorrupt,
@@ -153,8 +154,6 @@ class LmBackend(ModelClient):
     def true_probs(self, statements: Sequence[str],
                    prompts: PromptSet) -> list[TruthResponse]:
         """Probability of the True answer token for each bare statement."""
-        if not all(statement.strip() for statement in statements):
-            raise ValueError("statement must be non-empty")
         rendered = [prompt_templates.render_truth_prompt(statement, prompts)
                     for statement in statements]
         return [self._normalized(raw)
@@ -178,8 +177,6 @@ class LmBackend(ModelClient):
         ``decoding.sample_count`` strings may come back, none at all
         when every completion was blank; duplicates are kept.
         """
-        if prompts.mode is not PromptMode.ABDUCTIVE_TRIPLES:
-            raise ValueError("abductive sampling requires abductive_triples prompts")
         rendered = [prompt_templates.render_abductive_prompt(question, label, prompts)
                     for question, label in queries]
         return self._cleaned_completions(rendered, decoding)
@@ -203,12 +200,7 @@ class LmBackend(ModelClient):
             raise ValueError("explanation must be non-empty")
         arguments = [(prompt_templates.render_abductive_prompt(question, label, prompts),
                       explanation) for explanation, question, label in queries]
-        values = self._requests("_completion_logprob", arguments)
-        for value in values:
-            if type(value) not in (int, float) or not math.isfinite(value) or value > 0.0:
-                raise MalformedResponse(
-                    f"log-likelihood {value!r} is not a finite value <= 0")
-        return values
+        return [_logprob(value) for value in self._requests("_completion_logprob", arguments)]
 
     def sequence_logprob(self, explanation: str, question: str, label: bool,
                          prompts: PromptSet) -> float:
@@ -267,8 +259,6 @@ def negate_all(statements: Sequence[str], strategy: NegationStrategy,
     and treats the pair as an involution; this function is only the
     forward step and must not be applied to an already negated text.
     """
-    if not all(statement.strip() for statement in statements):
-        raise ValueError("statement must be non-empty")
     if strategy is NegationStrategy.PREFIX:
         return [prompt_templates.prefix_negation(statement) for statement in statements]
     if backend is None:
@@ -462,7 +452,11 @@ class _Connection:
         elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
             body = self._chunked()
         elif length and length.isdigit():
-            body = self._take(int(length))
+            try:
+                size = int(length)
+            except ValueError:  # more digits than ``int`` converts
+                raise _BadReply(f"a Content-Length of {len(length)} digits") from None
+            body = self._take(size)
         else:  # the body runs until the server closes the connection
             body, keep = self._reader.read(), False
         return status, headers.get(b"retry-after"), body, keep
@@ -475,10 +469,15 @@ class _Connection:
         return line.rstrip(b"\r\n")
 
     def _take(self, size: int) -> bytes:
-        data = self._reader.read(size)
-        if len(data) < size:
-            raise _BadReply(f"the reply was cut short after {len(data)} of {size} bytes")
-        return data
+        """The next ``size`` bytes, read at most a buffer at a time, so that
+        memory grows with the bytes that arrive, not with a declared size."""
+        parts, left = [], size
+        while left and (part := self._reader.read1(min(left, io.DEFAULT_BUFFER_SIZE))):
+            parts.append(part)
+            left -= len(part)
+        if left:
+            raise _BadReply(f"the reply was cut short after {size - left} of {size} bytes")
+        return b"".join(parts)
 
     def _match(self, pattern: re.Pattern) -> re.Match:
         line = self._line()
@@ -740,10 +739,10 @@ _ANSWER_TRUE, _ANSWER_FALSE = prompt_templates.ANSWER_TOKENS
 
 
 def _logprob(value: Any) -> float:
-    """A token log-probability from a reply; anything but a finite number
-    <= 0 is malformed."""
+    """A log-probability from a reply or a stored answer; anything but a
+    finite number <= 0 is malformed."""
     if type(value) not in (int, float) or not -math.inf < value <= 0.0:
-        raise MalformedResponse(f"token log-probability {value!r} is not a finite number <= 0")
+        raise MalformedResponse(f"log-probability {value!r} is not a finite number <= 0")
     return value
 
 

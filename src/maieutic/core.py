@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from inspect import Parameter, signature
 from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Union, get_args,
                     get_origin, get_type_hints)
@@ -65,13 +66,16 @@ def check_keys(what: str, data: Mapping, known: Iterable[str]) -> None:
         raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
-def check_fields(what: str, data: Mapping, types: Mapping[str, Any], owner: Callable) -> None:
-    """Raise ``ValueError`` naming the keys of ``data`` that are not in
-    ``types``, a key whose value is not of its type there, or a parameter
-    of ``owner``'s signature without a default that ``data`` lacks. An int
-    passes for a float, a bool only for a bool, a list for ``list[T]`` when
-    each item is a T, and null only where the key's default in ``owner``'s
-    signature is None. A key typed None takes any value."""
+def check_fields(what: str, data: Any, types: Mapping[str, Any], owner: Callable) -> None:
+    """Raise ``ValueError`` if ``data`` is not a mapping; else one naming
+    the keys of ``data`` that are not in ``types``, a key whose value is
+    not of its type there, or a parameter of ``owner``'s signature without
+    a default that ``data`` lacks. An int passes for a float, a bool only
+    for a bool, a list for ``list[T]`` when each item is a T, and null only
+    where the key's default in ``owner``'s signature is None. A key typed
+    None takes any value."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be an object, not {type(data).__name__}")
     check_keys(what, data, types)
     parameters = signature(owner).parameters
     for key, value in data.items():
@@ -92,10 +96,12 @@ def _fits(value: Any, want: Any) -> bool:
             and all(_fits(item, get_args(want)[0]) for item in value))
 
 
+@cache
 def field_types(cls: type) -> dict[str, Any]:
     """Each field of a dataclass with the type its value takes in a config:
     bool, int, float, str or dict as annotated (Optional dropped), dict for
-    a dataclass, ``list[T]`` for ``tuple[T, ...]``, else None."""
+    a dataclass, ``list[T]`` for ``tuple[T, ...]``, else None. Worked out
+    once per class; callers share the dict and do not change it."""
     hints = get_type_hints(cls)
     return {f.name: _config_type(hints[f.name]) for f in fields(cls)}
 
@@ -108,11 +114,6 @@ def _config_type(hint: Any) -> Any:
     if get_origin(hint) is tuple:
         return list[_config_type(get_args(hint)[0])]
     return hint if hint in (bool, int, float, str, dict) else None
-
-
-def _require_finite(name: str, value: Optional[float]) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def belief_from_probs(true_prob: float, neg_true_prob: float) -> float:
@@ -304,8 +305,6 @@ class Proposition:
             raise ValueError("checked propositions must carry a negated text")
         if any(ch not in "TF" for ch in self.path_label):
             raise ValueError("path_label may contain only 'T' and 'F'")
-        _require_finite("true_prob", self.true_prob)
-        _require_finite("neg_true_prob", self.neg_true_prob)
         for name in ("true_prob", "neg_true_prob"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
@@ -510,16 +509,9 @@ def _proposition_to_dict(node: Proposition) -> dict:
 
 
 def _proposition_from_dict(data: dict) -> Proposition:
-    return Proposition(
-        id=data["id"],
-        text=data["text"],
-        negated_text=data.get("negated_text", ""),
-        path_label=data.get("path_label", ""),
-        source_answer=data.get("source_answer"),
-        integrity=Integrity(data.get("integrity", "unchecked")),
-        true_prob=data.get("true_prob"),
-        neg_true_prob=data.get("neg_true_prob"),
-    )
+    check_fields("tree node", data, {**field_types(Proposition), "belief": None}, Proposition)
+    data = {key: value for key, value in data.items() if key != "belief"}  # derived
+    return Proposition(**{**data, "integrity": Integrity(data.get("integrity", "unchecked"))})
 
 
 def tree_to_dict(tree: MaieuticTree) -> dict:
@@ -529,12 +521,18 @@ def tree_to_dict(tree: MaieuticTree) -> dict:
             "config": tree.config.to_dict()}
 
 
-def tree_from_dict(data: dict) -> MaieuticTree:
-    nodes = {d["id"]: _proposition_from_dict(d) for d in data["nodes"]}
+def tree_from_dict(data: Any) -> MaieuticTree:
+    """Inverse of :func:`tree_to_dict`. Data that is not a tree raises
+    ``ValueError`` naming the key that is missing, unknown or of the wrong
+    type, or the rule of a tree that it breaks."""
+    check_fields("tree", data, {"root": str, "nodes": list[dict], "edges": list[dict],
+                                "config": dict}, lambda root, nodes, edges, config={}: None)
+    nodes = {node.id: node for node in map(_proposition_from_dict, data["nodes"])}
     children: dict[str, list[Edge]] = {}
     for edge in data["edges"]:
-        children.setdefault(edge["parent"], []).append(
-            (bool(edge["label"]), edge["child"]))
+        check_fields("tree edge", edge, {"parent": str, "label": bool, "child": str},
+                     lambda parent, label, child: None)
+        children.setdefault(edge["parent"], []).append((edge["label"], edge["child"]))
     tree = MaieuticTree(
         nodes=nodes,
         children=children,

@@ -138,8 +138,6 @@ def infer_explanation_based(question: str, backend: LmBackend,
     direct scoring (with the same demonstrations minus explanations)
     and the fallback flag is raised.
     """
-    if prompts.mode is not PromptMode.QA_EXPLANATION_TRIPLES:
-        raise ValueError("explanation-based inference needs qa_explanation_triples prompts")
     try:
         explanation = backend.sample_explanations(question, prompts)[0]
     except EmptyGeneration:

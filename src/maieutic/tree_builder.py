@@ -110,10 +110,10 @@ def build_tree(question: str, config: TreeConfig, backend: backend_ops.LmBackend
     abductions, whose failure is therefore raised first. At the default
     depth of 2 a tree takes 4 rounds (6 with ``lm_generated`` negation).
     """
+    # the truth renderer checks this too, but only after the depth-1
+    # abductions went out: checked here, a wrong set costs no request
     if truth_prompts.mode is not PromptMode.QA_PAIRS:
         raise ValueError("integrity checking requires qa_pairs prompts")
-    if abductive_prompts.mode is not PromptMode.ABDUCTIVE_TRIPLES:
-        raise ValueError("tree growth requires abductive_triples prompts")
     root = _Pending(ROOT_ID, normalize_statement(question), "", None)
     nodes: dict[str, Proposition] = {}
     children: dict[str, list[Edge]] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
 from .core import ClauseOrigin, Literal, MaieuticTree, WeightedClause, variable_map
@@ -109,6 +109,12 @@ class NliVerifier(ModelClient):
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliJudgment]:
         """Judgments of independent pairs in request order, as one batch."""
         return self._requests("nli", pairs)
+
+    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+        # the in-process loop calls ``nli``, which here is the batch of one
+        if type(self).nli is NliVerifier.nli:
+            raise NotImplementedError(f"{type(self).__name__} implements neither nli nor _batch")
+        return super()._batch(primitive, arguments)
 
 
 class ScriptedNliVerifier(NliVerifier):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -178,6 +179,15 @@ def test_sequence_logprob_validates_range():
     with pytest.raises(MalformedResponse):
         bad.backend().sequence_logprob("Ice is less dense.", "Ice floats on water",
                                        True, ABDUCTIVE_PROMPTS)
+
+
+@pytest.mark.parametrize("value", [0.5, math.nan, "-3.5"], ids=["positive", "nan", "string"])
+def test_sequence_logprobs_rejects_a_stored_value_that_is_no_log_probability(value):
+    builder = FixtureBuilder()
+    builder.logprob("Ice is less dense.", "Ice floats on water", True, ABDUCTIVE_PROMPTS, value)
+    with pytest.raises(MalformedResponse):
+        builder.backend().sequence_logprobs(
+            [("Ice is less dense.", "Ice floats on water", True)], ABDUCTIVE_PROMPTS)
 
 
 def test_negate_prefix_and_lm():
@@ -794,6 +804,36 @@ def test_http_retries_a_reply_cut_inside_its_body(raw_stub):
     raw_stub.replies += [(_reply(_TRUTH_REPLY)[:-10], True), (_reply(_TRUTH_REPLY), False)]
     assert _truth(HttpLmBackend(raw_stub.endpoint)) == pytest.approx(0.8)
     assert raw_stub.requests == 2
+
+
+@pytest.mark.parametrize("head", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000000\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nFFFFFFFFFFFFFF\r\n{}",
+], ids=["content-length", "chunk-size"])
+def test_http_a_hostile_declared_length_is_retried_then_unavailable(raw_stub, head):
+    raw_stub.replies += [(head, True)] * 2
+    with pytest.raises(BackendUnavailable, match="after 2 attempts"):
+        _truth(HttpLmBackend(raw_stub.endpoint, retries=2))
+    assert raw_stub.requests == 2
+
+
+def test_http_memory_grows_with_the_bytes_received_not_the_declared_length(raw_stub):
+    raw_stub.replies.append((b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % 2 ** 26,
+                             True))
+    client = HttpLmBackend(raw_stub.endpoint, retries=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BackendUnavailable, match="cut short after 2 of 67108864 bytes"):
+            _truth(client)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_http_reads_a_large_body_whole(raw_stub):
+    raw_stub.replies.append((_reply(_TRUTH_REPLY + b" " * 5_000_000), False))
+    assert _truth(HttpLmBackend(raw_stub.endpoint, retries=1)) == pytest.approx(0.8)
 
 
 # --- HTTPS against a self-signed certificate ---

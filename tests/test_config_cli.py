@@ -509,6 +509,17 @@ def test_cli_tree_converts_both_ways(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["{}", '{"nodes": null}', "[]"])
+def test_cli_tree_reports_a_file_that_is_no_tree_without_a_traceback(capsys, tmp_path, text):
+    source = tmp_path / "tree.json"
+    source.write_text(text, encoding="utf-8")
+    assert cli.main(["tree", str(source), "--to", "dot"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tree ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_wcnf_exports_instance_and_sidecar(capsys, tmp_path,
                                                narrow_config_file):
     out = tmp_path / "instance.wcnf"

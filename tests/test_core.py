@@ -66,6 +66,13 @@ def test_integrity_requires_matching_belief_sign(integrity, belief):
                     path_label="T", integrity=integrity, **probs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["true_prob", "neg_true_prob"])
+def test_a_probability_that_is_no_finite_number_is_out_of_range(name, value):
+    with pytest.raises(ValueError):
+        Proposition(id="x", text="a claim", **{name: value})
+
+
 def test_belief_is_derived_from_the_stored_probabilities():
     node = Proposition(id="x", text="a claim", true_prob=0.9, neg_true_prob=0.15)
     assert node.belief == (0.9 - 0.15) / (0.9 + 0.15)
@@ -268,6 +275,24 @@ def test_tree_dot_round_trip_and_colors():
     colored = tree_to_dot(tree, assignment={node: True for node in PRE_ORDER})
     assert "palegreen" in colored
     assert tree_to_dict(tree_from_dot(colored)) == tree_to_dict(tree)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "tree needs the key root"),
+    ([], "tree must be an object, not list"),
+    ({"root": "root", "nodes": None, "edges": []}, "tree key nodes must be list"),
+    ({"root": "root", "nodes": [3], "edges": []}, "tree key nodes must be list"),
+    ({"root": "root", "nodes": [{"id": "root"}], "edges": []}, "tree node needs the key text"),
+    ({"root": "root", "nodes": [{"id": "root", "text": "q", "negated_text": None}],
+      "edges": []}, "tree node key negated_text must be str, not None"),
+    ({"root": "root", "nodes": [{"id": "root", "text": "q"}], "edges": [{"parent": "root"}]},
+     "tree edge needs the key label"),
+    ({"root": "root", "nodes": [{"id": "root", "text": "q"}], "edges": [], "config": None},
+     "tree key config must be dict, not None"),
+])
+def test_tree_from_dict_names_what_is_missing_or_of_the_wrong_type(data, message):
+    with pytest.raises(ValueError, match=message):
+        tree_from_dict(data)
 
 
 def test_tree_from_dot_requires_embedded_payload():

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
-from maieutic.core import PromptExample, PromptMode, PromptSet
+from maieutic.backend import CachedBackend, ScriptedBackend, TraceRecorder, negate_all
+from maieutic.core import (DecodingParams, DecodingStrategy, NegationStrategy, PromptExample,
+                           PromptMode, PromptSet, TreeConfig)
+from maieutic.harness import infer_explanation_based
 from maieutic.prompts import (
     ANSWER_TOKENS,
     EXPLANATION_STOP_SEQUENCES,
@@ -19,6 +22,7 @@ from maieutic.prompts import (
     render_negation_prompt,
     render_truth_prompt,
 )
+from maieutic.tree_builder import build_tree
 
 QA = PromptSet(PromptMode.QA_PAIRS, (
     PromptExample("Rain falls from clouds?", True),
@@ -175,3 +179,31 @@ def test_load_or_default_reads_files(tmp_path):
     with pytest.raises(ValueError):
         load_or_default(path, PromptMode.ABDUCTIVE_TRIPLES)
     assert load_or_default(None, PromptMode.QA_PAIRS).mode is PromptMode.QA_PAIRS
+
+
+GREEDY = DecodingParams(DecodingStrategy.GREEDY)
+
+# Each rule that a renderer owns, broken through each public operation
+# that sends what the renderer renders: a blank statement, and a prompt
+# set of the wrong mode.
+BROKEN_RULES = {
+    "true_probs-blank": lambda lm: lm.true_probs(["Rain falls.", " "], QA),
+    "negate_all-prefix-blank": lambda lm: negate_all(["Rain falls.", " "],
+                                                     NegationStrategy.PREFIX, lm),
+    "negate_all-lm-blank": lambda lm: negate_all(["Rain falls.", " "],
+                                                 NegationStrategy.LM_GENERATED, lm),
+    "abductive_samples-mode": lambda lm: lm.abductive_samples([("Rain falls?", True)], QA,
+                                                              GREEDY),
+    "build_tree-abductive-mode": lambda lm: build_tree("Rain falls?", TreeConfig(), lm, QA, QA),
+    "build_tree-truth-mode": lambda lm: build_tree("Rain falls?", TreeConfig(), lm,
+                                                   ABDUCTIVE, ABDUCTIVE),
+    "infer_explanation_based-mode": lambda lm: infer_explanation_based("Rain falls?", lm, QA),
+}
+
+
+@pytest.mark.parametrize("operation", BROKEN_RULES.values(), ids=BROKEN_RULES)
+def test_a_broken_rule_raises_before_any_request(operation):
+    trace = TraceRecorder()
+    with pytest.raises(ValueError):  # a request sent first would miss its fixture
+        operation(CachedBackend(ScriptedBackend({}), None, trace=trace))
+    assert trace.backend_call_count() == 0

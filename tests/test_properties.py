@@ -2,13 +2,19 @@
 exhaustive oracle at every weight scale and at tree scale, and ignores
 clause order; pruning is idempotent, NLI clauses match a reference
 loop, the WCNF exchange format round-trips, and the response cache
-reads back what it stored."""
+reads back what it stored. The readers of outside input (the HTTP reply
+reader, the tree readers) return what they read or raise the error they
+document, whatever the input."""
 from __future__ import annotations
 
-from hypothesis import given, settings
+import io
+import json
+import types
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maieutic.backend import ResponseCache
+from maieutic.backend import ResponseCache, _Connection
 from maieutic.core import (
     ROOT_ID,
     ClauseOrigin,
@@ -17,10 +23,14 @@ from maieutic.core import (
     Proposition,
     WeightedClause,
     WeightedCnf,
+    tree_from_dot,
+    tree_from_json,
     tree_nodes,
     tree_to_dict,
+    tree_to_json,
     variable_map,
 )
+from maieutic.errors import MaieuticError
 from maieutic.solver import export_wcnf, import_wcnf, solve, solve_brute
 from maieutic.tree_builder import prune
 from maieutic.verifier import NliLabel, ScriptedNliVerifier, relation_clauses
@@ -234,3 +244,67 @@ def test_a_reopened_cache_reads_back_every_put(tmp_path_factory, batches):
     reopened = ResponseCache(directory)
     for key in set(latest) | {"never stored"}:
         assert reopened.get(key) == cache.get(key) == latest.get(key)
+
+
+# --- readers of outside input ---
+
+# the pieces a reply is made of; stray bytes go between them
+REPLY_PARTS = st.sampled_from([
+    b"HTTP/1.1 200 OK\r\n", b"HTTP/1.0 429 Slow down\r\n", b"HTTP/1.1 204 No Content\r\n",
+    b"Content-Length: ", b"Transfer-Encoding: chunked\r\n", b"Connection: keep-alive\r\n",
+    b"Retry-After: 1\r\n", b"\r\n", b"0", b"2", b"FFFFFFFFFFFFFF", b";ext", b"{}"])
+
+
+@PROPERTY
+@given(stream=st.lists(st.one_of(REPLY_PARTS, st.binary(max_size=6)), max_size=12)
+       .map(b"".join))
+@example(stream=b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n{}")
+def test_the_reply_reader_returns_a_reply_or_raises_an_os_error(stream):
+    connection = _Connection.__new__(_Connection)  # over the stream, with no socket
+    connection.sock = types.SimpleNamespace(settimeout=lambda timeout: None)
+    connection._reader = io.BufferedReader(io.BytesIO(stream))
+    try:
+        status, retry_after, body, keep = connection.receive(1.0)
+    except OSError:
+        return
+    assert type(status) is int and type(body) is bytes and type(keep) is bool
+
+
+# any JSON value, from scalars to nested containers
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def broken_tree_dicts(draw):
+    """A valid tree's dict with one key dropped, or one value anywhere in
+    it replaced by any JSON value."""
+    data = json.loads(json.dumps(tree_to_dict(draw(trees()))))
+    parent, key, value = None, None, data
+    while isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        parent, key = value, draw(st.sampled_from(list(value) if isinstance(value, dict)
+                                                  else range(len(value))))
+        value = parent[key]
+    if parent is None:
+        return draw(JSON)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON)
+    return data
+
+
+@PROPERTY
+@given(value=st.one_of(JSON, broken_tree_dicts()))
+def test_the_tree_readers_return_a_tree_or_raise_a_documented_error(value):
+    text = json.dumps(value)
+    for read, source in ((tree_from_json, text),
+                         (tree_from_dot, f"digraph t {{\n  // tree-json: {text}\n}}\n")):
+        try:
+            tree = read(source)
+        except (ValueError, MaieuticError):
+            continue
+        assert tree_to_dict(tree_from_json(tree_to_json(tree))) == tree_to_dict(tree)

@@ -31,6 +31,7 @@ from maieutic.verifier import (
     HttpNliVerifier,
     NliJudgment,
     NliLabel,
+    NliVerifier,
     ScriptedNliVerifier,
     relation_clauses,
 )
@@ -213,6 +214,20 @@ _CACHED_RECORDS = [
     {"premise": "b", "hypothesis": "c", "label": "contradict"},
     {"premise": "c", "hypothesis": "a", "label": "neutral", "probs": [0.25, 0.25, 0.5]},
 ]
+
+
+def test_a_verifier_implementing_neither_nli_nor_batch_raises_not_implemented():
+    class Half(NliVerifier):
+        pass
+
+    with pytest.raises(NotImplementedError, match="Half implements neither nli nor _batch"):
+        Half().nli("a", "b")
+    with pytest.raises(NotImplementedError):
+        CachedVerifier(Half(), CachedBackend(ScriptedBackend({}), None)).nli("a", "b")
+    # the clients that implement the primitive or the batch still answer a single pair
+    cached = CachedVerifier(ScriptedNliVerifier(strict=False),
+                            CachedBackend(ScriptedBackend({}), None))
+    assert cached.nli("a", "b").label is NliLabel.NEUTRAL
 
 
 def _cached_verifier(directory, records):

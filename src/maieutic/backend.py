@@ -27,7 +27,8 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
-from .core import DecodingParams, DecodingStrategy, NegationStrategy, PromptSet
+from .core import (DecodingParams, DecodingStrategy, NegationStrategy, PromptSet,
+                   parse_json)
 from .errors import (
     BackendUnavailable,
     CacheCorrupt,
@@ -281,7 +282,7 @@ class ScriptedBackend(LmBackend):
     def __init__(self, fixtures: Union[str, Path, Mapping[str, dict]]):
         if isinstance(fixtures, (str, Path)):
             with open(fixtures, "r", encoding="utf-8") as handle:
-                table = json.load(handle)
+                table = parse_json(handle.read())
         else:
             table = dict(fixtures)
         self._table: dict[str, dict] = table
@@ -620,7 +621,7 @@ class HttpClient(ModelClient):
             text = raw.decode("utf-8", errors="replace")
             raise BackendUnavailable(f"server returned {status}: {text[:200]}")
         try:
-            return json.loads(raw)
+            return parse_json(raw)
         except ValueError as exc:
             raise MalformedResponse(f"response body is not JSON: {exc}") from exc
 
@@ -741,9 +742,13 @@ _ANSWER_TRUE, _ANSWER_FALSE = prompt_templates.ANSWER_TOKENS
 def _logprob(value: Any) -> float:
     """A log-probability from a reply or a stored answer; anything but a
     finite number <= 0 is malformed."""
-    if type(value) not in (int, float) or not -math.inf < value <= 0.0:
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.nan
+    if not -math.inf < number <= 0.0:
         raise MalformedResponse(f"log-probability {value!r} is not a finite number <= 0")
-    return value
+    return number
 
 
 class HttpLmBackend(HttpClient, LmBackend):
@@ -872,7 +877,7 @@ class ResponseCache:
             os.truncate(self.path, end)
         for number, line in enumerate(blob[:end].split(b"\n")[:-1], 1):
             try:
-                entry = json.loads(line)
+                entry = parse_json(line)
                 self._entries[entry["key"]] = entry["response"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise CacheCorrupt(f"{self.path} line {number} is not a cache entry") from exc
@@ -917,7 +922,7 @@ def read_trace(path: Union[str, Path]) -> list[dict]:
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             if line.strip():
-                records.append(json.loads(line))
+                records.append(parse_json(line))
     return records
 
 

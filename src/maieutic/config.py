@@ -7,7 +7,6 @@ credentials never live in the file; they come from the environment.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -23,7 +22,7 @@ except ModuleNotFoundError:  # Python 3.10
 from . import harness
 from .backend import CachedBackend, HttpLmBackend, ResponseCache, ScriptedBackend, TraceRecorder
 from .compiler import CompileMode
-from .core import TreeConfig, check_fields, check_keys, field_types
+from .core import TreeConfig, check_fields, check_keys, field_types, parse_json
 from .prompts import load_or_default
 from .verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
 
@@ -90,10 +89,10 @@ class EngineConfig:
                 raise ValueError("TOML configs need Python 3.11+ or the tomli package; "
                                  "JSON configs work everywhere")
             with open(path, "rb") as handle:
-                data = tomllib.load(handle)
+                data = parse_json(handle, tomllib.load)
         else:
             with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+                data = parse_json(handle.read())
         return cls.from_dict(data, base_dir=path.parent)
 
     def to_dict(self) -> dict:

@@ -398,16 +398,6 @@ class MaieuticTree:
         for node_id in self.nodes:
             if node_id != self.root_id and node_id not in parents:
                 raise ValueError(f"{node_id!r} is disconnected from the root")
-        reached = set()
-        stack = [self.root_id]
-        while stack:
-            current = stack.pop()
-            if current in reached:
-                raise ValueError("cycle detected")
-            reached.add(current)
-            stack.extend(cid for _, cid in self.children_of(current))
-        if reached != set(self.nodes):
-            raise ValueError("children map does not span the node set")
         bound = self.config.max_nodes_excluding_root()
         if self.node_count() - 1 > bound:
             raise ValueError(
@@ -494,6 +484,16 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=False, separators=(",", ": "), indent=2) + "\n"
 
 
+def parse_json(source: Any, parse: Callable[[Any], Any] = json.loads) -> Any:
+    """``parse(source)``, by default the JSON value of a str or bytes; input
+    nested too deeply to parse raises ``ValueError``, as other malformed
+    input does, not ``RecursionError``."""
+    try:
+        return parse(source)
+    except RecursionError:
+        raise ValueError("input nested too deeply to parse") from None
+
+
 def _proposition_to_dict(node: Proposition) -> dict:
     return {
         "id": node.id,
@@ -548,7 +548,7 @@ def tree_to_json(tree: MaieuticTree) -> str:
 
 
 def tree_from_json(text: str) -> MaieuticTree:
-    return tree_from_dict(json.loads(text))
+    return tree_from_dict(parse_json(text))
 
 
 _DOT_JSON_MARKER = "// tree-json: "
@@ -590,7 +590,7 @@ def tree_from_dot(text: str) -> MaieuticTree:
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.startswith(_DOT_JSON_MARKER):
-            return tree_from_dict(json.loads(stripped[len(_DOT_JSON_MARKER):]))
+            return tree_from_dict(parse_json(stripped[len(_DOT_JSON_MARKER):]))
     raise ValueError("DOT input carries no embedded tree JSON")
 
 
@@ -604,7 +604,14 @@ def prompt_set_to_dict(prompts: PromptSet) -> dict:
     }
 
 
-def prompt_set_from_dict(data: dict) -> PromptSet:
+def prompt_set_from_dict(data: Any) -> PromptSet:
+    """The prompt set a dict holds; ``ValueError`` naming the key that is
+    missing, unknown or of the wrong type."""
+    check_fields("prompt set", data, {"_comment": None, "mode": str, "examples": list[dict]},
+                 lambda mode, examples, _comment=None: None)
+    for example in data["examples"]:
+        check_fields("prompt example", example,
+                     {"question": str, "answer": None, "explanation": str}, PromptExample)
     return PromptSet(
         mode=PromptMode(data["mode"]),
         examples=tuple(
@@ -617,7 +624,7 @@ def prompt_set_from_dict(data: dict) -> PromptSet:
 
 def load_prompt_set(path) -> PromptSet:
     with open(path, "r", encoding="utf-8") as handle:
-        return prompt_set_from_dict(json.load(handle))
+        return prompt_set_from_dict(parse_json(handle.read()))
 
 
 def label_word(label: bool) -> str:

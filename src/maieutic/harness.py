@@ -27,6 +27,7 @@ from .core import (
     WeightedCnf,
     canonical_json,
     label_word,
+    parse_json,
     tree_nodes,
     tree_to_dict,
     tree_to_dot,
@@ -264,7 +265,7 @@ def load_dataset(path: Union[str, Path], adapter: str = "native") -> list[Datase
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
+                data = parse_json(line)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: not valid JSON: {exc}") from exc
             if not isinstance(data, dict):

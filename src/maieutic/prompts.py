@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .core import PromptMode, PromptSet, label_word, load_prompt_set, prompt_set_from_dict
+from .core import (PromptMode, PromptSet, label_word, load_prompt_set, parse_json,
+                   prompt_set_from_dict)
 
 ANSWER_TOKENS = (" True", " False")
 
@@ -122,11 +123,9 @@ def default_prompt_set(mode: PromptMode) -> PromptSet:
     These six examples are stand-ins written for offline use; swap in
     your own prompt files for any serious run.
     """
-    import json
-
     name = _DEFAULT_PROMPT_FILES[mode]
     resource = resources.files("maieutic").joinpath("data").joinpath("prompts").joinpath(name)
-    return prompt_set_from_dict(json.loads(resource.read_text("utf-8")))
+    return prompt_set_from_dict(parse_json(resource.read_text("utf-8")))
 
 
 def load_or_default(path, mode: PromptMode) -> PromptSet:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import ClauseOrigin, Literal, WeightedClause, WeightedCnf
+from .core import ClauseOrigin, Literal, WeightedClause, WeightedCnf, parse_json
 from .errors import ParseError, TooManyVariables, UnassignedVariable, WeightOverflow
 
 MAX_BRUTE_VARIABLES = 24
@@ -261,12 +261,11 @@ def solve(cnf: WeightedCnf) -> Assignment:
     they decide for the lexicographically smallest one, which makes the
     optimum unique. One search (propagation, a remaining-weight upper
     bound, branching on the variable with the most incident weight,
-    lowest id on a tie, heavier polarity first) from a greedy incumbent
-    records the values of its best leaf, which therefore match
-    ``solve_brute``. The search state (:class:`_Search`) holds an
-    occurrence list per literal and running totals of incident, unit,
-    undecided and banked weight, so an assignment touches only the
-    clauses that hold its variable.
+    lowest id on a tie, heavier polarity first) records the values of
+    its best leaf, which therefore match ``solve_brute``. The search
+    state (:class:`_Search`) holds an occurrence list per literal and
+    running totals of incident, unit, undecided and banked weight, so
+    an assignment touches only the clauses that hold its variable.
     """
     ids = sorted(cnf.variables)
     count = len(ids)
@@ -275,12 +274,8 @@ def solve(cnf: WeightedCnf) -> Assignment:
                 weight << count)
                for clause, weight in zip(cnf.clauses, _integer_weights(cnf))]
     clauses += [((2 * pos,), 1 << (count - 1 - pos)) for pos in range(count)]
-    root = _Search(clauses, count)
-    greedy = root.branch()
-    for pos in range(count):  # the incumbent: in id order, each takes its heavier polarity
-        greedy.assign(pos, greedy.incident[2 * pos + 1] > greedy.incident[2 * pos])
-    best = {"weight": greedy.banked, "values": greedy.values}
-    _optimize(root, best)
+    best = {"weight": -1, "values": None}  # weights are >= 0: the first leaf is kept
+    _optimize(_Search(clauses, count), best)
     return _finish(cnf, dict(zip(ids, best["values"])))
 
 
@@ -367,7 +362,7 @@ def import_wcnf(path: Union[str, Path],
     origins: list[ClauseOrigin] = []
     if sidecar is not None:
         try:
-            mapping = json.loads(Path(sidecar).read_text(encoding="utf-8"))
+            mapping = parse_json(Path(sidecar).read_text(encoding="utf-8"))
             scale = mapping.get("scale", WCNF_SCALE)
             names = {int(key): str(value)
                      for key, value in mapping.get("variables", {}).items()}

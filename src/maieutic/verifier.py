@@ -8,7 +8,6 @@ not-hypothesis, neutral to nothing. Every clause weighs 1.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
-from .core import ClauseOrigin, Literal, MaieuticTree, WeightedClause, variable_map
+from .core import ClauseOrigin, Literal, MaieuticTree, WeightedClause, parse_json, variable_map
 from .errors import MalformedResponse, MissingFixture
 
 PROB_ORDER = ("entail", "contradict", "neutral")
@@ -132,7 +131,7 @@ class ScriptedNliVerifier(NliVerifier):
                  strict: bool = True):
         if isinstance(fixtures, (str, Path)):
             with open(fixtures, "r", encoding="utf-8") as handle:
-                records = json.load(handle)
+                records = parse_json(handle.read())
         else:
             records = list(fixtures or ())
         self._table: dict[tuple[str, str], Mapping] = {}

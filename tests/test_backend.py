@@ -190,6 +190,15 @@ def test_sequence_logprobs_rejects_a_stored_value_that_is_no_log_probability(val
             [("Ice is less dense.", "Ice floats on water", True)], ABDUCTIVE_PROMPTS)
 
 
+def test_sequence_logprobs_rejects_a_stored_integer_beyond_the_float_range():
+    builder = FixtureBuilder()
+    builder.logprob("Ice is less dense.", "Ice floats on water", True, ABDUCTIVE_PROMPTS,
+                    -10 ** 400)
+    with pytest.raises(MalformedResponse):
+        builder.backend().sequence_logprobs(
+            [("Ice is less dense.", "Ice floats on water", True)], ABDUCTIVE_PROMPTS)
+
+
 def test_negate_prefix_and_lm():
     assert negate_all(["Ice floats."], NegationStrategy.PREFIX) == \
         ["It is wrong to say that ice floats."]
@@ -676,6 +685,23 @@ def test_http_lm_malformed_reply(stub, payload, kind):
     assert len(stub.requests) == 1
 
 
+@pytest.mark.parametrize("payload,kind", [
+    (_top_logprobs({" True": -10 ** 400, " False": -1.0}), "truth"),
+    ({"choices": [{"logprobs": {"token_logprobs": [None, -10 ** 400],
+                                "text_offset": [0, 10 ** 9]}}]}, "logprob"),
+], ids=["truth", "logprob"])
+def test_http_a_log_probability_beyond_the_float_range_is_malformed(stub, payload, kind):
+    stub.script.append((200, payload))
+    client = _client(stub)
+    with pytest.raises(MalformedResponse):
+        if kind == "truth":
+            client.true_prob("Ice floats on water", TRUTH_PROMPTS)
+        else:
+            client.sequence_logprob("Ice is less dense.", "Ice floats on water", True,
+                                    ABDUCTIVE_PROMPTS)
+    assert len(stub.requests) == 1
+
+
 def test_http_api_key_from_environment(stub, monkeypatch):
     monkeypatch.setenv("MAIEUTIC_API_KEY", "env-key")
     stub.script.append((200, {"choices": [{"logprobs": {"top_logprobs": [
@@ -815,6 +841,14 @@ def test_http_a_hostile_declared_length_is_retried_then_unavailable(raw_stub, he
     with pytest.raises(BackendUnavailable, match="after 2 attempts"):
         _truth(HttpLmBackend(raw_stub.endpoint, retries=2))
     assert raw_stub.requests == 2
+
+
+def test_http_a_reply_nested_too_deep_to_parse_is_malformed_and_not_retried(raw_stub):
+    raw_stub.replies.append((_reply(b"[" * 100_000), False))
+    with pytest.raises(MalformedResponse, match="not JSON"):
+        HttpLmBackend(raw_stub.endpoint, retries=3).true_probs(["Ice floats on water"],
+                                                               TRUTH_PROMPTS)
+    assert raw_stub.requests == 1
 
 
 def test_http_memory_grows_with_the_bytes_received_not_the_declared_length(raw_stub):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from maieutic import cli
-from maieutic.backend import CachedBackend, FixtureBuilder, ScriptedBackend, read_trace
+from maieutic.backend import (CachedBackend, FixtureBuilder, ResponseCache, ScriptedBackend,
+                              read_trace)
 from maieutic.compiler import CompileMode
 from maieutic.config import EngineConfig, build_engine
 from maieutic.core import (
@@ -16,9 +17,13 @@ from maieutic.core import (
     PromptMode,
     PromptSet,
     TreeConfig,
+    load_prompt_set,
     prompt_set_to_dict,
+    tree_from_dot,
+    tree_from_json,
     tree_to_json,
 )
+from maieutic.errors import CacheCorrupt, ParseError
 from maieutic.prompts import default_prompt_set
 from maieutic.solver import import_wcnf
 from maieutic.harness import Method, evaluate, load_dataset
@@ -577,3 +582,61 @@ def test_cli_reports_errors_and_exits_nonzero(capsys, tmp_path,
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:")
+
+
+# --- JSON nested deeper than a parser recurses ---
+
+DEEP = "[" * 100_000
+
+
+def _written(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("read,error", [
+    (lambda tmp: tree_from_json(DEEP), ValueError),
+    (lambda tmp: tree_from_dot(f"digraph t {{\n  // tree-json: {DEEP}\n}}\n"), ValueError),
+    (lambda tmp: EngineConfig.from_file(_written(tmp / "c.json", DEEP)), ValueError),
+    (lambda tmp: EngineConfig.from_file(_written(tmp / "c.toml", "a = " + DEEP)), ValueError),
+    (lambda tmp: load_dataset(_written(tmp / "d.jsonl", DEEP + "\n")), ValueError),
+    (lambda tmp: ScriptedBackend(_written(tmp / "f.json", DEEP)), ValueError),
+    (lambda tmp: ScriptedNliVerifier(_written(tmp / "n.json", DEEP)), ValueError),
+    (lambda tmp: load_prompt_set(_written(tmp / "p.json", DEEP)), ValueError),
+    (lambda tmp: ResponseCache(_written(tmp / "responses.jsonl", DEEP + "\n").parent),
+     CacheCorrupt),
+    (lambda tmp: import_wcnf(_written(tmp / "i.wcnf", "p wcnf 1 1 2\n1 1 0\n"),
+                             _written(tmp / "i.map.json", DEEP)), ParseError),
+    (lambda tmp: read_trace(_written(tmp / "t.jsonl", DEEP + "\n")), ValueError),
+], ids=["tree-json", "tree-dot", "config-json", "config-toml", "dataset", "lm-fixtures",
+        "nli-fixtures", "prompt-set", "cache", "wcnf-sidecar", "trace"])
+def test_each_json_reader_raises_its_own_error_on_nesting_too_deep_to_parse(tmp_path, read,
+                                                                           error):
+    with pytest.raises(error):
+        read(tmp_path)
+
+
+def test_cli_tree_reports_nesting_too_deep_to_parse_without_a_traceback(capsys, tmp_path):
+    source = _written(tmp_path / "tree.json", DEEP)
+    assert cli.main(["tree", str(source), "--to", "dot"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{}", "prompt set needs the key mode"),
+    ("[]", "prompt set must be an object, not list"),
+    ('{"mode": "qa_pairs", "examples": null}', "prompt set key examples must be"),
+    ('{"mode": "qa_pairs", "examples": [{"answer": true}]}',
+     "prompt example needs the key question"),
+], ids=["empty", "list", "null-examples", "example-without-question"])
+def test_cli_reports_a_prompt_set_file_that_is_not_one(capsys, tmp_path, eval_fixture_file,
+                                                       text, message):
+    config = _written(tmp_path / "engine.json", json.dumps({
+        "backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},
+        "prompts": {"truth": str(_written(tmp_path / "truth.json", text))},
+    }))
+    assert cli.main(["infer", "q?", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")

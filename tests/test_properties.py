@@ -1,8 +1,9 @@
 """Property-based checks of the core invariants: the solver equals the
 exhaustive oracle at every weight scale and at tree scale, and ignores
-clause order; pruning is idempotent, NLI clauses match a reference
-loop, the WCNF exchange format round-trips, and the response cache
-reads back what it stored. The readers of outside input (the HTTP reply
+clause order; the tree check accepts exactly the node and edge maps
+that a walk from the root accepts; pruning is idempotent, NLI clauses
+match a reference loop, the WCNF exchange format round-trips, and the
+response cache reads back what it stored. The readers of outside input (the HTTP reply
 reader, the tree readers) return what they read or raise the error they
 document, whatever the input."""
 from __future__ import annotations
@@ -18,9 +19,12 @@ from maieutic.backend import ResponseCache, _Connection
 from maieutic.core import (
     ROOT_ID,
     ClauseOrigin,
+    DecodingParams,
+    DecodingStrategy,
     Integrity,
     MaieuticTree,
     Proposition,
+    TreeConfig,
     WeightedClause,
     WeightedCnf,
     tree_from_dot,
@@ -168,6 +172,88 @@ def test_prune_is_idempotent(tree):
     for node in tree_nodes(pruned):
         if node.id != pruned.root_id and not pruned.children_of(node.id):
             assert node.integrity.is_integral
+
+
+# the default shape (18 generated nodes, depth 2), and shapes of one
+# node per label and depth, 1 and 4 deep (2 and 30 generated nodes)
+SHAPES = [TreeConfig()] + [
+    TreeConfig(depth_limit=depth,
+               decoding_schedule=(DecodingParams(DecodingStrategy.GREEDY),) * depth)
+    for depth in (1, 4)]
+
+
+@st.composite
+def node_edge_maps(draw) -> MaieuticTree:
+    """A tree of up to six nodes, each under an earlier one (the root at
+    least half the time), then up to two changes that may break it: an
+    edge added between any two ends, either perhaps a missing node; an
+    edge copied to a drawn parent; an edge dropped; a path label redrawn;
+    or a node removed."""
+    ids = [ROOT_ID] + draw(st.lists(st.sampled_from("abcde"), max_size=5, unique=True))
+    labels, edges = {ROOT_ID: ""}, []
+    for index, node_id in enumerate(ids[1:], start=1):
+        parent, label = draw(st.sampled_from(ids[:1] * index + ids[:index])), draw(st.booleans())
+        edges.append((parent, label, node_id))
+        labels[node_id] = labels[parent] + "FT"[label]
+    ends = st.sampled_from(ids + ["ghost"])
+    for change in draw(st.lists(st.sampled_from(["edge", "copy", "drop", "label", "remove"]),
+                                max_size=2)):
+        if change == "edge":
+            edges.append((draw(ends), draw(st.booleans()), draw(ends)))
+        elif change == "copy" and edges:
+            _, label, child = draw(st.sampled_from(edges))
+            edges.append((draw(st.sampled_from(ids)), label, child))
+        elif change == "drop" and edges:
+            del edges[draw(st.integers(0, len(edges) - 1))]
+        elif change == "label":
+            labels[draw(st.sampled_from(ids))] = draw(st.text(alphabet="TF", max_size=3))
+        elif change == "remove":
+            labels.pop(draw(st.sampled_from(ids)), None)
+    children: dict[str, list] = {}
+    for parent, label, child in edges:
+        children.setdefault(parent, []).append((label, child))
+    nodes = {node_id: Proposition(id=node_id, text=f"Statement {node_id}.", path_label=label)
+             for node_id, label in labels.items()}
+    return MaieuticTree(nodes=nodes, children=children, config=draw(st.sampled_from(SHAPES)))
+
+
+def accepted_by_walk(tree: MaieuticTree) -> bool:
+    """Oracle for validate: a walk from the root reaches each node exactly
+    once along edges that extend the path label by one letter, the keys of
+    the children map are all reached, and the map keeps within the node
+    and depth bounds."""
+    if tree.root_id not in tree.nodes or tree.root.path_label != "":
+        return False
+    reached, stack = set(), [tree.root_id]
+    while stack:
+        current = stack.pop()
+        if current in reached:
+            return False
+        reached.add(current)
+        for label, cid in tree.children.get(current, []):
+            if (cid not in tree.nodes or tree.nodes[cid].path_label
+                    != tree.nodes[current].path_label + ("T" if label else "F")):
+                return False
+            stack.append(cid)
+    return (reached == set(tree.nodes) and reached.issuperset(tree.children)
+            and len(tree.nodes) - 1 <= tree.config.max_nodes_excluding_root()
+            and all(len(node.path_label) <= tree.config.depth_limit
+                    for node in tree.nodes.values()))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(tree=node_edge_maps())
+@example(tree=MaieuticTree(  # a child under a parent that is no node
+    nodes={ROOT_ID: Proposition(id=ROOT_ID, text="Statement root."),
+           "a": Proposition(id="a", text="Statement a.", path_label="T")},
+    children={"ghost": [(True, "a")]}))
+def test_validate_accepts_exactly_the_maps_a_walk_from_the_root_accepts(tree):
+    try:
+        tree.validate()
+    except ValueError:
+        assert not accepted_by_walk(tree)
+    else:
+        assert accepted_by_walk(tree)
 
 
 def reference_relation_clauses(tree, verifier):

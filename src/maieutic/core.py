@@ -77,17 +77,23 @@ def check_fields(what: str, data: Any, types: Mapping[str, Any], owner: Callable
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be an object, not {type(data).__name__}")
     check_keys(what, data, types)
-    parameters = signature(owner).parameters
+    defaults = _defaults(owner)
     for key, value in data.items():
         want = types[key]
-        if _fits(value, want) or value is None and getattr(
-                parameters.get(key), "default", ...) is None:
+        if _fits(value, want) or value is None and defaults.get(key, ...) is None:
             continue
         name = want.__name__ if isinstance(want, type) else want
         raise ValueError(f"{what} key {key} must be {name}, not {value!r}")
-    for key, parameter in parameters.items():
-        if parameter.default is Parameter.empty and key not in data:
+    for key, default in defaults.items():
+        if default is Parameter.empty and key not in data:
             raise ValueError(f"{what} needs the key {key}")
+
+
+@cache
+def _defaults(owner: Callable) -> dict[str, Any]:
+    """Each parameter of ``owner``'s signature with its default, worked out
+    once per owner; callers share the dict and do not change it."""
+    return {key: parameter.default for key, parameter in signature(owner).parameters.items()}
 
 
 def _fits(value: Any, want: Any) -> bool:
@@ -387,8 +393,6 @@ class MaieuticTree:
                     raise ValueError(f"unknown child {cid!r}")
                 if cid in parents:
                     raise ValueError(f"{cid!r} has more than one parent")
-                if cid == self.root_id:
-                    raise ValueError("root cannot be a child")
                 parents[cid] = parent_id
                 child = self.nodes[cid]
                 expected = self.nodes[parent_id].path_label + ("T" if label else "F")
@@ -521,17 +525,27 @@ def tree_to_dict(tree: MaieuticTree) -> dict:
             "config": tree.config.to_dict()}
 
 
+# Owners for ``check_fields`` of the objects that have no class of their
+# own: each signature names the keys required and the keys that take null.
+def _tree_keys(root, nodes, edges, config={}):
+    """A tree's keys; never called."""
+
+
+def _edge_keys(parent, label, child):
+    """A tree edge's keys; never called."""
+
+
 def tree_from_dict(data: Any) -> MaieuticTree:
     """Inverse of :func:`tree_to_dict`. Data that is not a tree raises
     ``ValueError`` naming the key that is missing, unknown or of the wrong
     type, or the rule of a tree that it breaks."""
     check_fields("tree", data, {"root": str, "nodes": list[dict], "edges": list[dict],
-                                "config": dict}, lambda root, nodes, edges, config={}: None)
+                                "config": dict}, _tree_keys)
     nodes = {node.id: node for node in map(_proposition_from_dict, data["nodes"])}
     children: dict[str, list[Edge]] = {}
     for edge in data["edges"]:
         check_fields("tree edge", edge, {"parent": str, "label": bool, "child": str},
-                     lambda parent, label, child: None)
+                     _edge_keys)
         children.setdefault(edge["parent"], []).append((edge["label"], edge["child"]))
     tree = MaieuticTree(
         nodes=nodes,
@@ -604,11 +618,15 @@ def prompt_set_to_dict(prompts: PromptSet) -> dict:
     }
 
 
+def _prompt_set_keys(mode, examples, _comment=None):
+    """A prompt set's keys, for ``check_fields``; never called."""
+
+
 def prompt_set_from_dict(data: Any) -> PromptSet:
     """The prompt set a dict holds; ``ValueError`` naming the key that is
     missing, unknown or of the wrong type."""
     check_fields("prompt set", data, {"_comment": None, "mode": str, "examples": list[dict]},
-                 lambda mode, examples, _comment=None: None)
+                 _prompt_set_keys)
     for example in data["examples"]:
         check_fields("prompt example", example,
                      {"question": str, "answer": None, "explanation": str}, PromptExample)

@@ -18,6 +18,14 @@ each literal's incident and unit weight, the weight still undecided
 and the weight already banked. Assigning a variable updates only the
 clauses on its two occurrence lists, and the test for a forced literal
 is two lookups per unassigned variable, not a scan of the clauses.
+
+A subproblem is pruned when the banked and undecided weight, less what
+its unit clauses must lose, cannot beat the best leaf so far. Each
+unassigned variable loses at least the lighter of its two unit weights,
+on x and on ¬x: the simplest unit-propagation lower bound of Li, Manyà
+and Planes (CP 2005). An open clause with one unassigned literal counts
+in that literal's unit weight alone and closes only when its variable
+is assigned, so the losses of different variables are disjoint.
 """
 from __future__ import annotations
 
@@ -36,6 +44,9 @@ _CHUNK = 1 << 20
 # A WCNF file holds each weight times this, rounded to an integer.
 WCNF_SCALE = 10 ** 6
 _MAX_WCNF_WEIGHT = 2 ** 63 - 1
+# import_wcnf holds a name for each variable its header declares; a header
+# declaring more than this is refused, not allocated.
+MAX_WCNF_VARIABLES = 1 << 16
 
 
 @dataclass
@@ -156,20 +167,20 @@ class _Search:
     """
 
     def __init__(self, clauses: list[tuple[tuple[int, ...], int]], count: int):
-        self.clauses = clauses
-        self.occurs: list[list[int]] = [[] for _ in range(2 * count)]
-        self.incident = [0] * (2 * count)
-        self.unit = [0] * (2 * count)
+        occurs: list[list[int]] = [[] for _ in range(2 * count)]
+        incident, unit, left, undecided = [0] * (2 * count), [0] * (2 * count), [], 0
         for index, (literals, weight) in enumerate(clauses):
             for lit in literals:
-                self.occurs[lit].append(index)
-                self.incident[lit] += weight
+                occurs[lit].append(index)
+                incident[lit] += weight
             if len(literals) == 1:
-                self.unit[literals[0]] += weight
-        self.left = [len(literals) for literals, _ in clauses]
+                unit[literals[0]] += weight
+            left.append(len(literals))
+            undecided += weight
+        self.clauses, self.occurs, self.left = clauses, occurs, left
+        self.incident, self.unit, self.undecided = incident, unit, undecided
         self.values: list[Optional[bool]] = [None] * count
         self.banked = 0
-        self.undecided = sum(weight for _, weight in clauses)
 
     def branch(self) -> _Search:
         """A copy to search one branch in; the clauses and occurrence lists stay shared."""
@@ -238,9 +249,11 @@ def _optimize(search: _Search, best: dict) -> None:
         if search.banked > best["weight"]:
             best["weight"], best["values"] = search.banked, search.values
         return
-    if search.banked + search.undecided <= best["weight"]:
+    incident, unit = search.incident, search.unit
+    lost = sum(min(unit[2 * pos], unit[2 * pos + 1])
+               for pos, value in enumerate(search.values) if value is None)
+    if search.banked + search.undecided - lost <= best["weight"]:
         return
-    incident = search.incident
     pos = max((pos for pos, value in enumerate(search.values) if value is None),
               key=lambda pos: incident[2 * pos] + incident[2 * pos + 1])
     first = incident[2 * pos + 1] > incident[2 * pos]
@@ -259,19 +272,23 @@ def solve(cnf: WeightedCnf) -> Assignment:
     the i-th variable in id order: together these weigh less than one
     unit of a shifted weight, so they only decide between optima, and
     they decide for the lexicographically smallest one, which makes the
-    optimum unique. One search (propagation, a remaining-weight upper
-    bound, branching on the variable with the most incident weight,
-    lowest id on a tie, heavier polarity first) records the values of
-    its best leaf, which therefore match ``solve_brute``. The search
-    state (:class:`_Search`) holds an occurrence list per literal and
-    running totals of incident, unit, undecided and banked weight, so
-    an assignment touches only the clauses that hold its variable.
+    optimum unique. One search (propagation, an upper bound of the
+    remaining weight less what the unit clauses must lose, branching on
+    the variable with the most incident weight, lowest id on a tie,
+    heavier polarity first) records the values of its best leaf. The
+    bound prunes only subproblems with nothing better than a leaf
+    already found, and the tie-break units are ordinary soft clauses
+    in it, so the unique optimum is never pruned and the values match
+    ``solve_brute``. The search state (:class:`_Search`) holds an
+    occurrence list per literal and running totals of incident, unit,
+    undecided and banked weight, so an assignment touches only the
+    clauses that hold its variable.
     """
     ids = sorted(cnf.variables)
     count = len(ids)
-    position = {var: pos for pos, var in enumerate(ids)}
-    clauses = [(tuple(2 * position[var] + polarity for var, polarity in clause.literals),
-                weight << count)
+    code = {(var, polarity): 2 * pos + polarity
+            for pos, var in enumerate(ids) for polarity in (False, True)}
+    clauses = [(tuple(map(code.__getitem__, clause.literals)), weight << count)
                for clause, weight in zip(cnf.clauses, _integer_weights(cnf))]
     clauses += [((2 * pos,), 1 << (count - 1 - pos)) for pos in range(count)]
     best = {"weight": -1, "values": None}  # weights are >= 0: the first leaf is kept
@@ -340,6 +357,8 @@ def _parse_header(tokens: list[str], line_no: int) -> tuple[int, int, int]:
         raise ParseError("header counts must be integers", line_no) from None
     if nvars < 0 or nclauses < 0 or top < 1:
         raise ParseError("header counts out of range", line_no)
+    if nvars > MAX_WCNF_VARIABLES:
+        raise ParseError(f"header declares more than {MAX_WCNF_VARIABLES} variables", line_no)
     return nvars, nclauses, top
 
 
@@ -351,8 +370,11 @@ def import_wcnf(path: Union[str, Path],
     automatically when present; without it, variables get synthetic
     names and every clause is tagged with the external origin. Clauses
     at or above the header's top value (hard clauses elsewhere) are
-    kept as very heavy soft clauses. Sidecar-level problems are
-    reported as :class:`ParseError` at line 0.
+    kept as very heavy soft clauses. Every fault of the input is a
+    :class:`ParseError` with its line, sidecar-level problems at line 0:
+    a line that is not UTF-8 text, a weight that is beyond the float
+    range at the file's scale, and a header declaring more than
+    ``MAX_WCNF_VARIABLES`` variables among them.
     """
     path = Path(path)
     if sidecar is None and _sidecar_path(path).exists():
@@ -375,10 +397,15 @@ def import_wcnf(path: Union[str, Path],
     header: Optional[tuple[int, int, int]] = None
     clauses: list[WeightedClause] = []
     last_line = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    # an undecodable byte is kept as a lone surrogate, which names its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
             last_line = line_no
             line = raw.strip()
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("line is not UTF-8 text", line_no) from None
             if not line or line.startswith("c"):
                 continue
             tokens = line.split()
@@ -413,6 +440,9 @@ def import_wcnf(path: Union[str, Path],
             try:
                 clauses.append(WeightedClause(literals=tuple(literals),
                                               weight=weight / scale, origin=origin))
+            except OverflowError:
+                raise ParseError(f"clause weight at scale {scale} is beyond the float range",
+                                 line_no) from None
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from exc
     if header is None:

@@ -11,8 +11,10 @@ from maieutic.errors import (
     UnassignedVariable,
     WeightOverflow,
 )
+from maieutic import solver
 from maieutic.solver import (
     MAX_BRUTE_VARIABLES,
+    MAX_WCNF_VARIABLES,
     WCNF_SCALE,
     Assignment,
     assignment_by_node,
@@ -125,6 +127,32 @@ def test_solvers_agree_on_a_dense_tree_sized_instance():
     assert fast.values == brute.values
     assert fast.satisfied_weight == brute.satisfied_weight
     assert fast.violated == brute.violated
+
+
+def test_the_unit_bound_prunes_a_dense_instance(monkeypatch):
+    # 19 variables with a belief unit clause each and weight-1 implications
+    # over 85% of the ordered pairs: with a bound of the remaining weight
+    # alone the search makes 73 calls here
+    rng = np.random.default_rng(20243)
+    n_vars = 19
+    specs = [([(var, bool(rng.integers(0, 2)))], float(rng.uniform(0.05, 1.0)))
+             for var in range(1, n_vars + 1)]
+    for first in range(1, n_vars + 1):
+        for second in range(1, n_vars + 1):
+            if first != second and rng.uniform() < 0.85:
+                specs.append(([(first, False), (second, bool(rng.integers(0, 2)))], 1.0))
+    cnf = _cnf(specs, n_vars=n_vars)
+    assert len(cnf.clauses) == 314
+    calls = []
+    optimize = solver._optimize
+
+    def counted(search, best):
+        calls.append(1)
+        optimize(search, best)
+
+    monkeypatch.setattr(solver, "_optimize", counted)
+    solve(cnf)
+    assert len(calls) == 13
 
 
 @pytest.mark.parametrize("n_vars, want", [(2, {1: False, 2: False}), (0, {})])
@@ -300,10 +328,15 @@ def test_import_sidecar_scale_applies(tmp_path):
     ("p wcnf 1 2 10\n1 1 0\n1 -1 0\n1 1 0\n", 4),  # more clauses than declared
     ("p wcnf 1 2 10\n1 1 0\n", 2),              # fewer clauses than declared
     ("c only comments\n", 1),                   # no header at all
+    pytest.param("p wcnf 1 1 10\n1" + "0" * 400 + " 1 0\n", 2,
+                 id="weight beyond the float range"),
+    pytest.param("p wcnf 1 1 10\nc \udcff\n1 1 0\n", 2, id="a line not UTF-8"),
+    pytest.param(f"p wcnf {MAX_WCNF_VARIABLES + 1} 0 1\n", 1, id="too many variables"),
 ])
 def test_import_rejects_malformed_files(tmp_path, body, line):
     path = tmp_path / "broken.wcnf"
-    path.write_text(body, encoding="utf-8")
+    # a lone surrogate stands for a byte that is not UTF-8
+    path.write_bytes(body.encode("utf-8", "surrogateescape"))
     with pytest.raises(ParseError) as err:
         import_wcnf(path)
     assert err.value.line == line

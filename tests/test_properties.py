@@ -4,8 +4,8 @@ clause order; the tree check accepts exactly the node and edge maps
 that a walk from the root accepts; pruning is idempotent, NLI clauses
 match a reference loop, the WCNF exchange format round-trips, and the
 response cache reads back what it stored. The readers of outside input (the HTTP reply
-reader, the tree readers) return what they read or raise the error they
-document, whatever the input."""
+reader, the tree readers, the WCNF reader) return what they read or raise the error
+they document, whatever the input."""
 from __future__ import annotations
 
 import io
@@ -34,7 +34,7 @@ from maieutic.core import (
     tree_to_json,
     variable_map,
 )
-from maieutic.errors import MaieuticError
+from maieutic.errors import MaieuticError, ParseError
 from maieutic.solver import export_wcnf, import_wcnf, solve, solve_brute
 from maieutic.tree_builder import prune
 from maieutic.verifier import NliLabel, ScriptedNliVerifier, relation_clauses
@@ -87,6 +87,36 @@ def tree_scale_cnfs(draw) -> WeightedCnf:
 @PROPERTY
 @given(cnf=tree_scale_cnfs())
 def test_solve_matches_the_oracle_at_tree_scale(cnf):
+    assert solve(cnf) == solve_brute(cnf)
+
+
+@st.composite
+def unit_bound_cnfs(draw) -> WeightedCnf:
+    """Dense instances on which the unit lower bound prunes: most variables
+    carry unit clauses on both polarities, under many weight-1.0 binary
+    clauses."""
+    count = draw(st.integers(10, 16))
+    clauses = []
+    for var in range(1, count + 1):
+        if draw(st.integers(0, 4)):
+            clauses += [WeightedClause(literals=((var, polarity),),
+                                       weight=draw(st.sampled_from([0.5, 1.0, 1.5])
+                                                   | st.floats(0.05, 2.0)),
+                                       origin=ClauseOrigin.BELIEF)
+                        for polarity in (False, True)]
+    for _ in range(draw(st.integers(2 * count, 5 * count))):
+        first, second = draw(st.lists(st.integers(1, count), min_size=2, max_size=2,
+                                      unique=True))
+        clauses.append(WeightedClause(
+            literals=((first, draw(st.booleans())), (second, draw(st.booleans()))),
+            weight=1.0, origin=ClauseOrigin.NLI))
+    return WeightedCnf(variables={var: f"n{var}" for var in range(1, count + 1)},
+                       clauses=clauses)
+
+
+@PROPERTY
+@given(cnf=unit_bound_cnfs())
+def test_solve_matches_the_oracle_where_the_unit_bound_prunes(cnf):
     assert solve(cnf) == solve_brute(cnf)
 
 
@@ -394,3 +424,39 @@ def test_the_tree_readers_return_a_tree_or_raise_a_documented_error(value):
         except (ValueError, MaieuticError):
             continue
         assert tree_to_dict(tree_from_json(tree_to_json(tree))) == tree_to_dict(tree)
+
+
+# the tokens a WCNF file is made of, a weight beyond the float range among them
+WCNF_TOKENS = st.one_of(
+    st.sampled_from(["p", "wcnf", "cnf", "c", "x", "1e3", "1" + "0" * 400, "70000"]),
+    st.integers(-4, 12).map(str))
+WCNF_LINES = st.one_of(
+    st.sampled_from(["p wcnf 3 2 10", "p wcnf 2 1 1", "p wcnf 1" + "0" * 400 + " 0 1"]),
+    st.lists(WCNF_TOKENS, max_size=6).map(" ".join))
+SIDECARS = st.one_of(
+    JSON, st.fixed_dictionaries({}, optional={
+        "scale": st.one_of(st.integers(-2, 10 ** 400), st.booleans(), st.floats()),
+        "variables": st.dictionaries(st.sampled_from(["1", "2", "x", "-1"]), JSON, max_size=3)
+        | JSON,
+        "origins": st.lists(st.sampled_from([o.value for o in ClauseOrigin]) | JSON,
+                            max_size=3) | JSON}))
+
+
+@PROPERTY
+@given(lines=st.lists(st.one_of(WCNF_LINES.map(str.encode), st.binary(max_size=4)),
+                      max_size=6),
+       sidecar=st.none() | SIDECARS.map(lambda value: json.dumps(value).encode())
+       | st.binary(max_size=6))
+@example(lines=[b"p wcnf 1 1 10", b"1" + b"0" * 400 + b" 1 0"], sidecar=None)
+@example(lines=[b"p wcnf 1 1 10", b"c \xff", b"1 1 0"], sidecar=None)
+def test_import_wcnf_returns_a_clause_set_or_raises_a_parse_error(tmp_path_factory, lines,
+                                                                   sidecar):
+    path = tmp_path_factory.mktemp("wcnf") / "input.wcnf"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    if sidecar is not None:
+        path.with_name("input.wcnf.map.json").write_bytes(sidecar)
+    try:
+        cnf = import_wcnf(path)
+    except ParseError:
+        return
+    assert isinstance(cnf, WeightedCnf)

@@ -7,7 +7,8 @@ render prompts, delegate to the primitives and validate what comes
 back. Requests are identified by a digest over the rendered prompt and
 decoding parameters, which is also the fixture key of the scripted
 backend. The caching wrapper digests each request once and derives its
-cache key from that digest.
+cache key from that digest. Digests, cache lines and trace lines are
+written by two JSON encoders built once, at import.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -59,9 +61,25 @@ def logprob_request(prompt: str, completion: str) -> dict:
     return {"kind": "logprob", "prompt": prompt, "completion": completion}
 
 
+def _sorted_json(item_separator: str, key_separator: str) -> Callable[[Any, int], Sequence[str]]:
+    """The C encoder that ``json.dumps(value, sort_keys=True, separators=...)``
+    builds anew on every call, built once: ``"".join(encode(value, 0))`` is
+    that call's text. It checks no cycles, as no value it writes has any,
+    so it keeps no state between calls and serves every thread at once."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        key_separator, item_separator, True, False, True)
+
+
+# the text a request digest hashes, and the text of a cache or trace line
+_DIGEST_JSON = _sorted_json(",", ":")
+_LINE_JSON = _sorted_json(", ", ": ")
+
+
 def request_digest(request: dict) -> str:
-    """Stable identifier of one backend request."""
-    return _sha256(json.dumps(request, sort_keys=True, separators=(",", ":")))
+    """Stable identifier of one backend request: the SHA-256 of its JSON
+    with sorted keys and no spaces."""
+    return _sha256("".join(_DIGEST_JSON(request, 0)))
 
 
 def cache_key(backend_id: str, digest: str, seed: Optional[int] = None) -> str:
@@ -220,7 +238,8 @@ class LmBackend(ModelClient):
     def _normalized(raw: tuple[float, float]) -> TruthResponse:
         p_true, p_false = raw
         for value in (p_true, p_false):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
+            # false for NaN, the infinities and an integer beyond the float range
+            if not (isinstance(value, (int, float)) and 0.0 <= value <= sys.float_info.max):
                 raise MalformedResponse(f"answer probability {value!r} is not usable")
         total = p_true + p_false
         if total <= 0.0:
@@ -274,7 +293,8 @@ class ScriptedBackend(LmBackend):
 
     The table maps request digests to response objects, each in the form
     the response cache stores, and is read-only after construction, so
-    instances are safe to share across threads.
+    instances are safe to share across threads. A fixture file that holds
+    anything but a JSON object raises ``ValueError`` naming the file.
     """
 
     backend_id = "scripted"
@@ -283,6 +303,8 @@ class ScriptedBackend(LmBackend):
         if isinstance(fixtures, (str, Path)):
             with open(fixtures, "r", encoding="utf-8") as handle:
                 table = parse_json(handle.read())
+            if not isinstance(table, dict):
+                raise ValueError(f"fixture file {fixtures} is not a JSON object of responses")
         else:
             table = dict(fixtures)
         self._table: dict[str, dict] = table
@@ -888,7 +910,7 @@ class ResponseCache:
 
     def put(self, entries: Mapping[str, dict]) -> None:
         """Store a batch of answers by key; their lines go out in one append."""
-        lines = [json.dumps({"key": key, "response": response}, sort_keys=True) + "\n"
+        lines = ["".join(_LINE_JSON({"key": key, "response": response}, 0)) + "\n"
                  for key, response in entries.items()]
         with self._lock:
             _append(self.path, lines)
@@ -909,7 +931,7 @@ class TraceRecorder:
         with self._lock:
             self._calls += sum(not entry["cache_hit"] for entry in entries)
             if self.path is not None and entries:
-                _append(self.path, [json.dumps(entry, sort_keys=True) + "\n"
+                _append(self.path, ["".join(_LINE_JSON(entry, 0)) + "\n"
                                     for entry in entries])
 
     def backend_call_count(self) -> int:

@@ -238,19 +238,32 @@ def _first_present(data: dict, names: Sequence[str], default=None):
     return next((data[name] for name in names if name in data), default)
 
 
+def _identifier(value, where: str, name: str) -> str:
+    """A record id or pair id as text: a string, or an integer but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{where}: {name} {value!r} is not a string or an integer")
+    return str(value)
+
+
 def _adapt(data: dict, fields: DatasetFields, path: Union[str, Path],
            line_no: int) -> DatasetRecord:
-    record_id = str(_first_present(data, fields.ids, f"r{line_no}"))
+    """One row as a record. A question that is not a string, or an id that
+    ``_identifier`` rejects, raises ``ValueError`` naming the path and line."""
+    where = f"{path}: line {line_no}"
+    record_id = _identifier(_first_present(data, fields.ids, f"r{line_no}"), where, "id")
     if fields.label not in data:
         raise MissingGold(f"record {record_id!r} has no gold label")
     gold = _parse_label(data[fields.label], record_id)
     question = _first_present(data, fields.question)
-    if question is None or not str(question).strip():
+    if question is not None and not isinstance(question, str):
+        raise ValueError(f"{where}: question {question!r} is not a string")
+    if question is None or not question.strip():
         names = " or ".join(repr(name) for name in fields.question)
-        raise ValueError(f"{path}: line {line_no}: no question text in {names}")
+        raise ValueError(f"{where}: no question text in {names}")
     pair_id = data.get(fields.pair_id) if fields.pair_id else None
-    return DatasetRecord(id=record_id, question=str(question), gold=gold,
-                         pair_id=None if pair_id is None else str(pair_id))
+    if pair_id is not None:
+        pair_id = _identifier(pair_id, where, "pair_id")
+    return DatasetRecord(id=record_id, question=question, gold=gold, pair_id=pair_id)
 
 
 def load_dataset(path: Union[str, Path], adapter: str = "native") -> list[DatasetRecord]:

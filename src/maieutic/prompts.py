@@ -1,9 +1,11 @@
 """Prompt rendering for the completion-style backends.
 
 Rendering is deterministic: the same prompt set, question and label
-always produce the identical string. The truth-scoring prompts end
-right after the question mark; the answer is read from the probability
-of the ``" True"`` and ``" False"`` continuations at that position.
+always produce the identical string. A prompt set's demonstrations are
+rendered once, on first use, and every later prompt of that set starts
+from that same prefix. The truth-scoring prompts end right after the
+question mark; the answer is read from the probability of the
+``" True"`` and ``" False"`` continuations at that position.
 """
 from __future__ import annotations
 
@@ -33,38 +35,50 @@ def _require_mode(prompts: PromptSet, mode: PromptMode) -> None:
         raise ValueError(f"prompt set mode {prompts.mode.value} where {mode.value} is required")
 
 
+# each mode's demonstration block, from one example
+_BLOCKS = {
+    PromptMode.QA_PAIRS:
+        lambda ex: f"{normalize_statement(ex.question)}? {label_word(ex.answer)}.",
+    PromptMode.ABDUCTIVE_TRIPLES:
+        lambda ex: (f"{normalize_statement(ex.question)}? {label_word(ex.answer)}, "
+                    f"because {ex.explanation}"),
+    PromptMode.QA_EXPLANATION_TRIPLES:
+        lambda ex: (f"{normalize_statement(ex.question)}? {ex.explanation} "
+                    f"{_ANSWER_CUE} {label_word(ex.answer)}."),
+}
+
+
+def _prefix(prompts: PromptSet) -> str:
+    """The demonstrations every prompt of the set's mode begins with, each
+    block followed by the separator. Rendered on first use and kept in the
+    frozen set's own ``__dict__``, as ``functools.cached_property`` keeps a
+    value: a set renders its demonstrations once, and equal sets alike.
+    Threads racing to the first use each render the same text."""
+    try:
+        return vars(prompts)["_prefix"]
+    except KeyError:
+        block = _BLOCKS[prompts.mode]
+        prefix = vars(prompts)["_prefix"] = "".join(
+            block(ex) + _EXAMPLE_SEPARATOR for ex in prompts.examples)
+        return prefix
+
+
 def render_truth_prompt(statement: str, prompts: PromptSet) -> str:
     """Few-shot question/answer prompt ending at the answer position."""
     _require_mode(prompts, PromptMode.QA_PAIRS)
-    blocks = [
-        f"{normalize_statement(ex.question)}? {label_word(ex.answer)}."
-        for ex in prompts.examples
-    ]
-    blocks.append(f"{normalize_statement(statement)}?")
-    return _EXAMPLE_SEPARATOR.join(blocks)
+    return f"{_prefix(prompts)}{normalize_statement(statement)}?"
 
 
 def render_abductive_prompt(question: str, label: bool, prompts: PromptSet) -> str:
     """Prompt that asks the model to rationalize the given answer label."""
     _require_mode(prompts, PromptMode.ABDUCTIVE_TRIPLES)
-    blocks = [
-        f"{normalize_statement(ex.question)}? {label_word(ex.answer)}, because {ex.explanation}"
-        for ex in prompts.examples
-    ]
-    blocks.append(f"{normalize_statement(question)}? {label_word(label)}, because")
-    return _EXAMPLE_SEPARATOR.join(blocks)
+    return f"{_prefix(prompts)}{normalize_statement(question)}? {label_word(label)}, because"
 
 
 def render_explanation_prompt(question: str, prompts: PromptSet) -> str:
     """Prompt that elicits an explanation before any answer is named."""
     _require_mode(prompts, PromptMode.QA_EXPLANATION_TRIPLES)
-    blocks = [
-        f"{normalize_statement(ex.question)}? {ex.explanation} "
-        f"{_ANSWER_CUE} {label_word(ex.answer)}."
-        for ex in prompts.examples
-    ]
-    blocks.append(f"{normalize_statement(question)}?")
-    return _EXAMPLE_SEPARATOR.join(blocks)
+    return f"{_prefix(prompts)}{normalize_statement(question)}?"
 
 
 def render_explained_answer_prompt(question: str, explanation: str,
@@ -73,13 +87,8 @@ def render_explained_answer_prompt(question: str, explanation: str,
     _require_mode(prompts, PromptMode.QA_EXPLANATION_TRIPLES)
     if not explanation.strip():
         raise ValueError("explanation must be non-empty")
-    blocks = [
-        f"{normalize_statement(ex.question)}? {ex.explanation} "
-        f"{_ANSWER_CUE} {label_word(ex.answer)}."
-        for ex in prompts.examples
-    ]
-    blocks.append(f"{normalize_statement(question)}? {explanation.strip()} {_ANSWER_CUE}")
-    return _EXAMPLE_SEPARATOR.join(blocks)
+    return (f"{_prefix(prompts)}{normalize_statement(question)}? {explanation.strip()} "
+            f"{_ANSWER_CUE}")
 
 
 _NEGATION_EXAMPLES = (

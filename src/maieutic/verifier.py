@@ -76,7 +76,7 @@ def _judgment_from_record(record: Any) -> NliJudgment:
 
     Raises ``MalformedResponse`` naming the record when it is not an
     object with a known ``label``, or when its optional ``probs`` are not
-    three numbers that fit the label.
+    three numbers in the float range that fit the label.
     """
     try:
         label = _LABELS[str(record["label"]).lower()]
@@ -86,7 +86,7 @@ def _judgment_from_record(record: Any) -> NliJudgment:
         if not isinstance(probs, (list, tuple)):
             raise TypeError(f"probs must be a list, not {type(probs).__name__}")
         return NliJudgment(label, tuple(map(float, probs)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedResponse(f"unusable NLI record {record!r}: {exc}") from exc
 
 
@@ -120,9 +120,15 @@ class ScriptedNliVerifier(NliVerifier):
     """Fixture-driven verifier for offline tests.
 
     The fixture is a list of ``{premise, hypothesis, label, probs?}``
-    records, each checked whenever it is judged. Identical sentence
-    pairs entail reflexively without a fixture entry. Unlisted pairs
-    raise ``MissingFixture`` when strict (the default), else judge Neutral.
+    records, premise and hypothesis strings; a fixture file that holds
+    anything else raises ``ValueError`` naming the file, and a record
+    without them ``ValueError`` naming the record. A record is parsed
+    the first time its pair is judged, and its judgment then kept for
+    every later call; a malformed record raises ``MalformedResponse``
+    whenever it is judged.
+    Identical sentence pairs entail reflexively without a fixture entry.
+    Unlisted pairs raise ``MissingFixture`` when strict (the default),
+    else judge Neutral.
     """
 
     verifier_id = "scripted-nli"
@@ -132,24 +138,31 @@ class ScriptedNliVerifier(NliVerifier):
         if isinstance(fixtures, (str, Path)):
             with open(fixtures, "r", encoding="utf-8") as handle:
                 records = parse_json(handle.read())
+            if not isinstance(records, list):
+                raise ValueError(f"NLI fixture file {fixtures} is not a JSON list of records")
         else:
             records = list(fixtures or ())
-        self._table: dict[tuple[str, str], Mapping] = {}
+        # a record, until its first judgment replaces it
+        self._table: dict[tuple[str, str], Union[Mapping, NliJudgment]] = {}
         for index, record in enumerate(records):
             try:
-                key = (str(record["premise"]), str(record["hypothesis"]))
+                key = (record["premise"], record["hypothesis"])
+                if type(key[0]) is not str or type(key[1]) is not str:
+                    raise TypeError("a premise or hypothesis that is not a string")
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"NLI fixture record {index} needs a premise and a "
-                                 f"hypothesis: {record!r}") from exc
+                                 f"hypothesis that are strings: {record!r}") from exc
             self._table[key] = record
         self.strict = strict
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
         if not premise.strip() or not hypothesis.strip():
             raise ValueError("premise and hypothesis must be non-empty")
-        record = self._table.get((premise, hypothesis))
-        if record is not None:
-            return _judgment_from_record(record)
+        entry = self._table.get((premise, hypothesis))
+        if entry is not None:
+            if type(entry) is not NliJudgment:  # threads racing here keep equal judgments
+                entry = self._table[premise, hypothesis] = _judgment_from_record(entry)
+            return entry
         if premise == hypothesis:
             return _CERTAIN[NliLabel.ENTAIL]
         if not self.strict:

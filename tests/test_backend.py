@@ -222,6 +222,14 @@ def test_fixture_file_round_trip(tmp_path):
     assert rendered.endswith("Ice floats on water?")
 
 
+@pytest.mark.parametrize("text", ["null", "1", "[]", '"x"', "true"])
+def test_a_fixture_file_that_is_not_an_object_names_the_file(tmp_path, text):
+    path = tmp_path / "fixtures.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"fixture file {path} is not a JSON object"):
+        ScriptedBackend(path)
+
+
 def test_fixture_builder_merge():
     left = FixtureBuilder()
     left.truth("Ice floats on water", TRUTH_PROMPTS, 0.8, 0.2)

@@ -323,6 +323,35 @@ def test_records_without_question_text_name_the_line(tmp_path, adapter, row):
         load_dataset(path, adapter)
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"question": ["a?"], "label": True}, r"question \['a\?'\] is not a string"),
+    ({"question": {"q": "a?"}, "label": True}, "question .* is not a string"),
+    ({"question": 7, "label": True}, "question 7 is not a string"),
+    ({"id": ["r1"], "question": "a?", "label": True}, "id .* is not a string or an integer"),
+    ({"id": {"n": 1}, "question": "a?", "label": True}, "id .* is not a string or an integer"),
+    ({"id": True, "question": "a?", "label": True}, "id True is not a string"),
+    ({"id": 1.5, "question": "a?", "label": True}, "id 1.5 is not a string"),
+    ({"question": "a?", "label": True, "pair_id": ["r1"]}, "pair_id .* is not a string"),
+    ({"question": "a?", "label": True, "pair_id": False}, "pair_id False is not a string"),
+], ids=["question-list", "question-object", "question-number", "id-list", "id-object",
+        "id-bool", "id-float", "pair-list", "pair-bool"])
+def test_values_that_are_not_text_or_ids_name_the_line(tmp_path, row, message):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps({"question": "a?", "label": True}) + "\n" + json.dumps(row)
+                    + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line 2: {message}"):
+        load_dataset(path)
+
+
+def test_integer_ids_become_text(tmp_path):
+    path = tmp_path / "ints.jsonl"
+    path.write_text(json.dumps({"id": 1, "question": "a?", "label": True, "pair_id": 2}) + "\n"
+                    + json.dumps({"id": 2, "question": "b?", "label": False, "pair_id": None})
+                    + "\n", encoding="utf-8")
+    assert load_dataset(path) == [DatasetRecord("1", "a?", True, "2"),
+                                  DatasetRecord("2", "b?", False, None)]
+
+
 def test_non_object_rows_name_the_line(tmp_path):
     path = tmp_path / "list.jsonl"
     path.write_text('["a?", true]\n', encoding="utf-8")

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -23,6 +25,7 @@ from maieutic.prompts import (
     render_truth_prompt,
 )
 from maieutic.tree_builder import build_tree
+from maieutic.verifier import ScriptedNliVerifier
 
 QA = PromptSet(PromptMode.QA_PAIRS, (
     PromptExample("Rain falls from clouds?", True),
@@ -207,3 +210,31 @@ def test_a_broken_rule_raises_before_any_request(operation):
     with pytest.raises(ValueError):  # a request sent first would miss its fixture
         operation(CachedBackend(ScriptedBackend({}), None, trace=trace))
     assert trace.backend_call_count() == 0
+
+
+def test_threads_sharing_a_fresh_prompt_set_and_verifier_read_what_one_thread_reads():
+    # a prefix and a judgment are each kept on their first use; threads that
+    # race to that first use must still all read the one value
+    prompts = PromptSet(QA.mode, QA.examples)
+    want = render_truth_prompt("Ice floats", QA)
+    records = [{"premise": f"p{i}", "hypothesis": "h", "label": "contradict",
+                "probs": [0.1, 0.7, 0.2]} for i in range(40)]
+    verifier = ScriptedNliVerifier(fixtures=records)
+    outcomes = []
+
+    def work():
+        outcomes.append((render_truth_prompt("Ice floats", prompts),
+                         {verifier.nli(f"p{i}", "h").label_probs for i in range(40)}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter lock often
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == [(want, {(0.1, 0.7, 0.2)})] * 8

@@ -3,19 +3,33 @@ exhaustive oracle at every weight scale and at tree scale, and ignores
 clause order; the tree check accepts exactly the node and edge maps
 that a walk from the root accepts; pruning is idempotent, NLI clauses
 match a reference loop, the WCNF exchange format round-trips, and the
-response cache reads back what it stored. The readers of outside input (the HTTP reply
-reader, the tree readers, the WCNF reader) return what they read or raise the error
+response cache reads back what it stored. Digests, cache lines and trace lines are
+the text ``json.dumps`` writes, and each prompt renderer equals the join of its blocks.
+The readers of outside input (the HTTP reply reader, the tree readers, the WCNF reader,
+the fixture files and the dataset reader) return what they read or raise the error
 they document, whatever the input."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import io
 import json
+import math
 import types
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maieutic.backend import ResponseCache, _Connection
+from maieutic.backend import (
+    ResponseCache,
+    ScriptedBackend,
+    TraceRecorder,
+    _Connection,
+    completion_request,
+    logprob_request,
+    request_digest,
+    truth_request,
+)
 from maieutic.core import (
     ROOT_ID,
     ClauseOrigin,
@@ -23,6 +37,9 @@ from maieutic.core import (
     DecodingStrategy,
     Integrity,
     MaieuticTree,
+    PromptExample,
+    PromptMode,
+    PromptSet,
     Proposition,
     TreeConfig,
     WeightedClause,
@@ -32,12 +49,22 @@ from maieutic.core import (
     tree_nodes,
     tree_to_dict,
     tree_to_json,
+    label_word,
     variable_map,
 )
 from maieutic.errors import MaieuticError, ParseError
+from maieutic.harness import load_dataset
+from maieutic.prompts import (
+    normalize_statement,
+    render_abductive_prompt,
+    render_explained_answer_prompt,
+    render_explanation_prompt,
+    render_truth_prompt,
+)
 from maieutic.solver import export_wcnf, import_wcnf, solve, solve_brute
 from maieutic.tree_builder import prune
-from maieutic.verifier import NliLabel, ScriptedNliVerifier, relation_clauses
+from maieutic.verifier import NliLabel, NliVerifier, ScriptedNliVerifier, relation_clauses
+from worlds import TRUTH_PROMPTS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -362,6 +389,133 @@ def test_a_reopened_cache_reads_back_every_put(tmp_path_factory, batches):
         assert reopened.get(key) == cache.get(key) == latest.get(key)
 
 
+# text with non-ASCII and control characters and lone surrogates, and every
+# kind of float JSON writes: NaN, the infinities and -0.0 among them
+TEXTS = st.text(st.characters(exclude_categories=())
+                | st.sampled_from(["\ud800", "\udfff", "\x00", "\x1f", "\x7f", "\u2028",
+                                   "é", "€", "😀", '"', "\\"]), max_size=10)
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+DECODINGS = st.one_of(
+    st.builds(DecodingParams, st.just(DecodingStrategy.GREEDY), max_tokens=st.integers(1, 512),
+              stop_sequences=st.lists(TEXTS, max_size=2)),
+    st.builds(DecodingParams, st.just(DecodingStrategy.NUCLEUS),
+              nucleus_p=st.floats(0.0, 1.0, exclude_min=True), max_tokens=st.integers(1, 512),
+              stop_sequences=st.lists(TEXTS, max_size=2), sample_count=st.integers(1, 8)))
+REQUESTS = st.one_of(st.builds(truth_request, TEXTS),
+                     st.builds(completion_request, TEXTS, DECODINGS),
+                     st.builds(logprob_request, TEXTS, TEXTS),
+                     st.builds(NliVerifier._FORMS["nli"][0], TEXTS, TEXTS))
+STORED = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | TEXTS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXTS, inner, max_size=3),
+    max_leaves=8)
+TRACE_RECORDS = st.fixed_dictionaries({"digest": TEXTS, "purpose": TEXTS, "latency_s": FLOATS,
+                                       "cache_hit": st.booleans()})
+
+
+@PROPERTY
+@given(requests=st.lists(REQUESTS, max_size=3),
+       responses=st.dictionaries(TEXTS, STORED, max_size=3),
+       records=st.lists(TRACE_RECORDS, max_size=3))
+def test_digests_and_cache_and_trace_lines_are_the_text_json_dumps_writes(
+        tmp_path_factory, requests, responses, records):
+    for request in requests:
+        text = json.dumps(request, sort_keys=True, separators=(",", ":"))
+        assert request_digest(request) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    directory = tmp_path_factory.mktemp("lines")
+    if responses:
+        ResponseCache(directory).put(responses)
+        assert (directory / "responses.jsonl").read_bytes() == "".join(
+            json.dumps({"key": key, "response": response}, sort_keys=True) + "\n"
+            for key, response in responses.items()).encode("utf-8")
+    TraceRecorder(directory / "trace.jsonl").record(records)
+    if records:
+        assert (directory / "trace.jsonl").read_bytes() == "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records).encode("utf-8")
+
+
+# --- prompt rendering ---
+
+# The renderers as they were before each prompt set kept its demonstrations:
+# every call joins all the blocks anew.
+
+def _mode(prompts: PromptSet, mode: PromptMode) -> None:
+    if prompts.mode is not mode:
+        raise ValueError(f"prompt set mode {prompts.mode.value} where {mode.value} is required")
+
+
+def joined_truth_prompt(statement, prompts):
+    _mode(prompts, PromptMode.QA_PAIRS)
+    blocks = [f"{normalize_statement(ex.question)}? {label_word(ex.answer)}."
+              for ex in prompts.examples]
+    blocks.append(f"{normalize_statement(statement)}?")
+    return "\n\n".join(blocks)
+
+
+def joined_abductive_prompt(question, label, prompts):
+    _mode(prompts, PromptMode.ABDUCTIVE_TRIPLES)
+    blocks = [f"{normalize_statement(ex.question)}? {label_word(ex.answer)}, because "
+              f"{ex.explanation}" for ex in prompts.examples]
+    blocks.append(f"{normalize_statement(question)}? {label_word(label)}, because")
+    return "\n\n".join(blocks)
+
+
+def joined_explanation_prompt(question, prompts):
+    _mode(prompts, PromptMode.QA_EXPLANATION_TRIPLES)
+    blocks = [f"{normalize_statement(ex.question)}? {ex.explanation} So the answer is "
+              f"{label_word(ex.answer)}." for ex in prompts.examples]
+    blocks.append(f"{normalize_statement(question)}?")
+    return "\n\n".join(blocks)
+
+
+def joined_explained_answer_prompt(question, explanation, prompts):
+    _mode(prompts, PromptMode.QA_EXPLANATION_TRIPLES)
+    if not explanation.strip():
+        raise ValueError("explanation must be non-empty")
+    blocks = [f"{normalize_statement(ex.question)}? {ex.explanation} So the answer is "
+              f"{label_word(ex.answer)}." for ex in prompts.examples]
+    blocks.append(f"{normalize_statement(question)}? {explanation.strip()} So the answer is")
+    return "\n\n".join(blocks)
+
+
+def _outcome(render, *args):
+    """What a renderer returns, or the class and message of what it raises."""
+    try:
+        return render(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# short sentences; some normalize to nothing ("?", ". ?"), which must raise
+SENTENCES = st.text(st.sampled_from("ab ?.\n\té"), min_size=1, max_size=6)
+LINES = SENTENCES.filter(str.strip)
+
+
+@st.composite
+def prompt_sets(draw) -> PromptSet:
+    mode = draw(st.sampled_from(list(PromptMode)))
+    explanations = st.none() if mode is PromptMode.QA_PAIRS else LINES
+    return PromptSet(mode, tuple(draw(st.lists(
+        st.builds(PromptExample, LINES, st.booleans(), explanations), min_size=1, max_size=4))))
+
+
+@PROPERTY
+@given(prompts=prompt_sets(), text=SENTENCES, label=st.booleans(), explanation=SENTENCES)
+def test_every_renderer_equals_the_join_of_its_blocks(prompts, text, label, explanation):
+    twin = PromptSet(prompts.mode, [dataclasses.replace(ex) for ex in prompts.examples])
+    assert twin == prompts and twin is not prompts
+    for render, joined, args in (
+            (render_truth_prompt, joined_truth_prompt, (text,)),
+            (render_abductive_prompt, joined_abductive_prompt, (text, label)),
+            (render_explanation_prompt, joined_explanation_prompt, (text,)),
+            (render_explained_answer_prompt, joined_explained_answer_prompt,
+             (text, explanation))):
+        want = _outcome(joined, *args, prompts)
+        # the first render, one from the kept prefix, and an equal set's own
+        for rendered in (prompts, prompts, twin):
+            assert _outcome(render, *args, rendered) == want
+
+
 # --- readers of outside input ---
 
 # the pieces a reply is made of; stray bytes go between them
@@ -460,3 +614,88 @@ def test_import_wcnf_returns_a_clause_set_or_raises_a_parse_error(tmp_path_facto
     except ParseError:
         return
     assert isinstance(cnf, WeightedCnf)
+
+
+
+# the one truth request the fixture backend's property asks, whose digest
+# some drawn tables hold
+ASKED = "Ice floats on water"
+ASKED_DIGEST = request_digest(truth_request(render_truth_prompt(ASKED, TRUTH_PROMPTS)))
+HUGE = 10 ** 400  # an integer beyond the float range
+FIXTURE_TABLES = st.dictionaries(
+    st.sampled_from([ASKED_DIGEST, "0" * 64]),
+    JSON | st.fixed_dictionaries({"true_prob": JSON | FLOATS, "false_prob": JSON | FLOATS}),
+    max_size=2)
+
+
+@PROPERTY
+@given(blob=st.one_of(st.binary(max_size=8), JSON.map(json.dumps).map(str.encode),
+                      FIXTURE_TABLES.map(json.dumps).map(str.encode)))
+@example(blob=json.dumps({ASKED_DIGEST: {"true_prob": HUGE, "false_prob": 1e300}}).encode())
+def test_the_fixture_backend_reads_a_table_or_raises_a_documented_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fixtures") / "lm.json"
+    path.write_bytes(blob)
+    try:
+        backend = ScriptedBackend(path)
+    except (ValueError, MaieuticError):
+        return
+    try:
+        (truth,) = backend.true_probs([ASKED], TRUTH_PROMPTS)
+    except MaieuticError:
+        return
+    assert 0.0 <= truth.true_prob <= 1.0 and truth.true_prob + truth.false_prob == 1.0
+
+
+NLI_RECORDS = st.fixed_dictionaries(
+    {"premise": st.sampled_from(["a", " "]) | JSON, "hypothesis": st.sampled_from(["b"]) | JSON},
+    optional={"label": st.sampled_from([label.value for label in NliLabel]) | JSON,
+              "probs": st.lists(JSON | FLOATS, max_size=4) | JSON})
+
+
+@PROPERTY
+@given(blob=st.one_of(st.binary(max_size=8), JSON.map(json.dumps).map(str.encode),
+                      st.lists(NLI_RECORDS | JSON, max_size=3).map(json.dumps).map(str.encode)))
+@example(blob=json.dumps([{"premise": "a", "hypothesis": "b", "label": "entail",
+                           "probs": [HUGE, 0, 0]}]).encode())
+def test_the_fixture_verifier_reads_records_or_raises_a_documented_error(tmp_path_factory,
+                                                                         blob):
+    path = tmp_path_factory.mktemp("fixtures") / "nli.json"
+    path.write_bytes(blob)
+    try:
+        verifier = ScriptedNliVerifier(path)
+    except (ValueError, MaieuticError):
+        return
+    for _ in range(2):  # a judgment parsed once, and then the one kept
+        for premise, hypothesis in list(verifier._table):
+            try:
+                judgment = verifier.nli(premise, hypothesis)
+            except (ValueError, MaieuticError):
+                continue
+            assert judgment.label in NliLabel
+
+
+# the values a dataset row holds, and rows whose fields hold any of them
+ROW_VALUES = JSON | st.sampled_from(["a?", " ", "yes", "r1"]) | st.integers()
+ROWS = st.fixed_dictionaries({"label": st.booleans() | ROW_VALUES}, optional={
+    name: ROW_VALUES for name in ("id", "question", "pair_id")})
+
+
+@PROPERTY
+@given(lines=st.lists(ROWS.map(json.dumps) | JSON.map(json.dumps) | TEXTS, max_size=4))
+def test_load_dataset_returns_text_records_or_raises_a_documented_error(tmp_path_factory,
+                                                                        lines):
+    path = tmp_path_factory.mktemp("dataset") / "rows.jsonl"
+    path.write_text("".join(line.replace("\n", " ") + "\n" for line in lines),
+                    encoding="utf-8", errors="surrogatepass")
+    try:
+        records = load_dataset(path)
+    except (ValueError, MaieuticError):
+        return
+    with open(path, encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle if line.strip()]
+    for record, row in zip(records, rows, strict=True):
+        # each value as the row holds it; an id that is an integer as its digits
+        assert type(row["question"]) is str and record.question == row["question"]
+        for name, value in (("id", record.id), ("pair_id", record.pair_id)):
+            if row.get(name) is not None:
+                assert type(row[name]) in (str, int) and value == str(row[name])

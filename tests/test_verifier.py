@@ -155,6 +155,16 @@ def test_scripted_fixture_needs_premise_and_hypothesis(missing):
         ScriptedNliVerifier(fixtures=records)
 
 
+@pytest.mark.parametrize("record", [
+    {"premise": ["a"], "hypothesis": "b", "label": "entail"},
+    {"premise": "a", "hypothesis": 1, "label": "entail"},
+    "a record", None,
+], ids=["premise-list", "hypothesis-number", "string", "null"])
+def test_scripted_fixture_sentences_must_be_strings(record):
+    with pytest.raises(ValueError, match="NLI fixture record 0 needs .* strings"):
+        ScriptedNliVerifier(fixtures=[record])
+
+
 def test_scripted_loads_fixture_files(tmp_path):
     path = tmp_path / "nli.json"
     path.write_text(json.dumps([{"premise": "a", "hypothesis": "b",
@@ -205,6 +215,24 @@ def test_malformed_record_raises_whenever_it_is_judged():
     for _ in range(2):
         with pytest.raises(MalformedResponse, match="unusable NLI record"):
             verifier.nli("a", "b")
+
+
+def test_a_record_with_probabilities_is_parsed_once_and_its_judgment_kept():
+    records = [{"premise": "a", "hypothesis": "b", "label": "contradict",
+                "probs": [0.1, 0.7, 0.2]}]
+    verifier = ScriptedNliVerifier(fixtures=records)
+    first = verifier.nli("a", "b")
+    records[0]["probs"] = "no longer read"
+    assert verifier.nli("a", "b") is first
+    assert first.label_probs == (0.1, 0.7, 0.2)
+
+
+@pytest.mark.parametrize("text", ["null", "1", "{}", '"x"', '{"premise": "a"}'])
+def test_an_nli_fixture_file_that_is_not_a_list_of_records_names_the_file(tmp_path, text):
+    path = tmp_path / "nli.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"NLI fixture file {path} is not a JSON list"):
+        ScriptedNliVerifier(fixtures=path)
 
 
 # --- cached verifier ---

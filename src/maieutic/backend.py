@@ -24,13 +24,14 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partialmethod
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
 from .core import (DecodingParams, DecodingStrategy, NegationStrategy, PromptSet,
-                   parse_json)
+                   parse_json, read_text)
 from .errors import (
     BackendUnavailable,
     CacheCorrupt,
@@ -114,24 +115,32 @@ class ModelClient:
 
     _FORMS: dict[str, tuple[Callable[..., dict], Callable[[Any], dict], Callable[[Any], Any]]] = {}
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+    def _batch(self, primitive: str, arguments: Sequence[tuple],
+               timed: bool = False) -> Iterator[Any]:
         """The answer of the primitive (named by its method) to each argument
-        tuple, with the seconds it took: independent requests, answered in
-        request order.
+        tuple: independent requests, answered in request order. ``timed``
+        pairs each answer with the seconds it took; only the traced path,
+        :meth:`CachedBackend.served` with a trace path, asks for them.
 
         A plain loop in the calling thread that calls the primitive once per
-        request and stops at the first failure; an :class:`HttpClient` sends
-        the requests in waves instead, and retries together the ones pending.
+        request and stops at the first failure; untimed, it reads no clock.
+        An :class:`HttpClient` sends the requests in waves instead, and
+        retries together the ones pending.
         """
         call = getattr(self, primitive)
-        for args in arguments:
-            started = time.monotonic()
-            answer = call(*args)
-            yield answer, time.monotonic() - started
+        return _timed_calls(call, arguments) if timed else starmap(call, arguments)
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
         """One primitive (named by its method) over many argument tuples, as one batch."""
-        return [answer for answer, _ in self._batch(primitive, arguments)]
+        return list(self._batch(primitive, arguments))
+
+
+def _timed_calls(call: Callable, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+    """``call`` over each argument tuple, each answer with the seconds it took."""
+    for args in arguments:
+        started = time.monotonic()
+        answer = call(*args)
+        yield answer, time.monotonic() - started
 
 
 class LmBackend(ModelClient):
@@ -301,8 +310,7 @@ class ScriptedBackend(LmBackend):
 
     def __init__(self, fixtures: Union[str, Path, Mapping[str, dict]]):
         if isinstance(fixtures, (str, Path)):
-            with open(fixtures, "r", encoding="utf-8") as handle:
-                table = parse_json(handle.read())
+            table = parse_json(read_text(fixtures))
             if not isinstance(table, dict):
                 raise ValueError(f"fixture file {fixtures} is not a JSON object of responses")
         else:
@@ -559,8 +567,9 @@ class HttpClient(ModelClient):
                  headers: Optional[dict] = None):
         if retries < 1:
             raise ValueError(f"retries counts attempts and must be at least 1, not {retries}")
-        if not (isinstance(timeout, (int, float)) and 0 < timeout < math.inf):
-            raise ValueError(f"timeout must be a finite number of seconds > 0, not {timeout!r}")
+        if not (isinstance(timeout, (int, float)) and 0 < timeout <= threading.TIMEOUT_MAX):
+            raise ValueError(f"timeout must be a finite number of seconds > 0, not {timeout!r} "
+                             f"(a socket's clock holds at most {threading.TIMEOUT_MAX} s)")
         try:  # .port raises on a port that is no number in 0-65535, and the
             # IDNA encoding on a host name that no connection could resolve
             url = urlsplit(endpoint)
@@ -586,14 +595,16 @@ class HttpClient(ModelClient):
         self._context: Any = None  # the TLS context, made at the first https connection
         self._context_lock = threading.Lock()
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
-        """Each request's answer, in request order, with the seconds from the
-        start of its first wave to its last reply. Every body is built before
-        any request is sent, and only the requests before the first failure
-        are retried, so every request is sent before that failure is raised."""
+    def _batch(self, primitive: str, arguments: Sequence[tuple],
+               timed: bool = False) -> Iterator[Any]:
+        """Each request's answer, in request order; ``timed`` pairs it with
+        the seconds from the start of its first wave to its last reply. Every
+        body is built before any request is sent, and only the requests before
+        the first failure are retried, so every request is sent before that
+        failure is raised."""
         build, read = self._WIRE[primitive]
         requests = [self._request(build(self, *args)) for args in arguments]
-        answers, began = [None] * len(requests), {}
+        answers, seconds, began = [None] * len(requests), [0.0] * len(requests), {}
         pending, failed, failure = list(range(len(requests))), len(requests), None
         for attempt in range(self.retries):
             if not pending:
@@ -608,8 +619,8 @@ class HttpClient(ModelClient):
             for index, (outcome, started, replied) in zip(pending, sent):
                 began.setdefault(index, started)
                 try:
-                    answers[index] = (read(self, self._decoded(outcome), *arguments[index]),
-                                      replied - began[index])
+                    answers[index] = read(self, self._decoded(outcome), *arguments[index])
+                    seconds[index] = replied - began[index]
                 except _Retry as exc:
                     retried[index] = exc.args
                 except Exception as exc:  # raised once the requests before it are settled
@@ -619,7 +630,7 @@ class HttpClient(ModelClient):
         if pending:
             failed, failure = pending[0], BackendUnavailable(
                 f"request failed after {self.retries} attempts: {retried[pending[0]][0]}")
-        yield from answers[:failed]
+        yield from zip(answers[:failed], seconds) if timed else answers[:failed]
         if failure:
             raise failure
 
@@ -878,13 +889,15 @@ def _append(path: Path, lines: Sequence[str]) -> None:
 class ResponseCache:
     """Model answers by cache key, in one append-only ``responses.jsonl``.
 
-    Each line is one entry, ``{"key": ..., "response": ...}``; a later
+    Each line is one entry, ``{"key": <string>, "response": <object>}``; a later
     line for a key wins. The file is read into memory on open, so ``get``
     is a dictionary lookup, and ``put`` appends a batch of entries in one
     write. A last line without its newline was torn by a writer that
     stopped mid-write: it is cut off on open, so the next append starts
     a line of its own. Any other line that is not an entry raises
-    ``CacheCorrupt``.
+    ``CacheCorrupt`` naming it, a key that is not a string and a response
+    that is neither an object nor a list among them; a stored answer of
+    the wrong shape raises ``MalformedResponse`` when it is looked up.
     """
 
     def __init__(self, directory: Union[str, Path]):
@@ -900,7 +913,13 @@ class ResponseCache:
         for number, line in enumerate(blob[:end].split(b"\n")[:-1], 1):
             try:
                 entry = parse_json(line)
-                self._entries[entry["key"]] = entry["response"]
+                key, response = entry["key"], entry["response"]
+                # a list may be a stored answer of the wrong shape, which a
+                # lookup reports as ``MalformedResponse`` naming its request kind
+                if type(key) is not str or type(response) not in (dict, list):
+                    raise TypeError("a key that is not a string, or a response that is "
+                                    "neither an object nor a list")
+                self._entries[key] = response
             except (ValueError, KeyError, TypeError) as exc:
                 raise CacheCorrupt(f"{self.path} line {number} is not a cache entry") from exc
 
@@ -978,7 +997,8 @@ class CachedBackend(LmBackend):
         Each request is built by the primitive's entry in ``inner._FORMS``
         and digested once: the digest keys the trace, and with ``owner_id``
         (and the seed, for a stochastic completion) the cache. Hits come
-        from the cache; the misses go on to ``inner._batch`` as one batch.
+        from the cache; the misses go on to ``inner._batch`` as one batch,
+        timed only with a trace path, the one place the seconds are written.
         A request repeating an earlier miss of the same batch is a hit on
         that miss's answer, as it would be when asked after it. Trace and
         cache entries are made in request order, up to the first request
@@ -1012,9 +1032,12 @@ class CachedBackend(LmBackend):
             misses.append(index)
         latency = [0.0] * len(requests)
         try:
-            asked = inner._batch(primitive, [arguments[index] for index in misses])
-            for index, (answer, seconds) in zip(misses, asked):
-                stored[index], latency[index] = stored_form(answer), seconds
+            timed = self.trace.path is not None  # without a trace file no one reads the seconds
+            asked = inner._batch(primitive, [arguments[index] for index in misses], timed)
+            for index, answer in zip(misses, asked):
+                if timed:
+                    answer, latency[index] = answer
+                stored[index] = stored_form(answer)
         finally:
             records, fresh = [], {}
             for index, origin in enumerate(answered_by):

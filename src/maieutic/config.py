@@ -22,7 +22,7 @@ except ModuleNotFoundError:  # Python 3.10
 from . import harness
 from .backend import CachedBackend, HttpLmBackend, ResponseCache, ScriptedBackend, TraceRecorder
 from .compiler import CompileMode
-from .core import TreeConfig, check_fields, check_keys, field_types, parse_json
+from .core import TreeConfig, check_fields, check_keys, field_types, parse_json, read_text
 from .prompts import load_or_default
 from .verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
 
@@ -88,11 +88,9 @@ class EngineConfig:
             if tomllib is None:
                 raise ValueError("TOML configs need Python 3.11+ or the tomli package; "
                                  "JSON configs work everywhere")
-            with open(path, "rb") as handle:
-                data = parse_json(handle, tomllib.load)
+            data = parse_json(read_text(path), tomllib.loads)
         else:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = parse_json(handle.read())
+            data = parse_json(read_text(path))
         return cls.from_dict(data, base_dir=path.parent)
 
     def to_dict(self) -> dict:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from inspect import Parameter, signature
+from pathlib import Path
 from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Union, get_args,
                     get_origin, get_type_hints)
 
@@ -488,6 +489,18 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=False, separators=(",", ": "), indent=2) + "\n"
 
 
+def read_text(path: Union[str, Path]) -> str:
+    """The text of a UTF-8 file. A file that is not UTF-8 raises
+    ``ValueError`` naming it and the line of its first byte that does not
+    decode."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def parse_json(source: Any, parse: Callable[[Any], Any] = json.loads) -> Any:
     """``parse(source)``, by default the JSON value of a str or bytes; input
     nested too deeply to parse raises ``ValueError``, as other malformed
@@ -641,8 +654,7 @@ def prompt_set_from_dict(data: Any) -> PromptSet:
 
 
 def load_prompt_set(path) -> PromptSet:
-    with open(path, "r", encoding="utf-8") as handle:
-        return prompt_set_from_dict(parse_json(handle.read()))
+    return prompt_set_from_dict(parse_json(read_text(path)))
 
 
 def label_word(label: bool) -> str:

@@ -9,6 +9,7 @@ pairwise accuracy.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -28,6 +29,7 @@ from .core import (
     canonical_json,
     label_word,
     parse_json,
+    read_text,
     tree_nodes,
     tree_to_dict,
     tree_to_dot,
@@ -273,17 +275,17 @@ def load_dataset(path: Union[str, Path], adapter: str = "native") -> list[Datase
                          f"available: {', '.join(sorted(DATASET_ADAPTERS))}")
     fields = DATASET_ADAPTERS[adapter]
     records: list[DatasetRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = parse_json(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: not valid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ValueError(f"{path}: line {line_no}: not a JSON object")
-            records.append(_adapt(data, fields, path, line_no))
+    # lines split as ``open`` splits them, at "\n", "\r\n" and "\r"
+    for line_no, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            data = parse_json(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: line {line_no}: not a JSON object")
+        records.append(_adapt(data, fields, path, line_no))
     return records
 
 

@@ -29,7 +29,6 @@ is assigned, so the losses of different variables are disjoint.
 """
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,27 +60,28 @@ class Assignment:
         return self.values[var]
 
 
-def _clause_satisfied(literals: Sequence[Literal], values: Mapping[int, bool]) -> bool:
-    for var, polarity in literals:
-        if var not in values:
-            raise UnassignedVariable(f"variable {var} has no value")
-        if values[var] == polarity:
-            return True
-    return False
-
-
 def evaluate(cnf: WeightedCnf, values: Mapping[int, bool]) -> tuple[float, list[int]]:
-    """Satisfied weight plus the indices of falsified clauses."""
+    """Satisfied weight plus the indices of falsified clauses.
+
+    Raises ``UnassignedVariable`` when a declared variable has no value,
+    and when evaluation reaches a variable without one in a clause
+    appended after the clause set was built.
+    """
     for var in cnf.variables:
         if var not in values:
             raise UnassignedVariable(f"variable {var} has no value")
     satisfied = 0.0
     violated: list[int] = []
-    for index, clause in enumerate(cnf.clauses):
-        if _clause_satisfied(clause.literals, values):
-            satisfied += clause.weight
-        else:
-            violated.append(index)
+    try:
+        for index, clause in enumerate(cnf.clauses):
+            for var, polarity in clause.literals:
+                if values[var] == polarity:
+                    satisfied += clause.weight
+                    break
+            else:
+                violated.append(index)
+    except KeyError as exc:
+        raise UnassignedVariable(f"variable {exc.args[0]} has no value") from None
     return satisfied, violated
 
 
@@ -90,15 +90,20 @@ def _finish(cnf: WeightedCnf, values: dict[int, bool]) -> Assignment:
     return Assignment(values=values, satisfied_weight=satisfied, violated=violated)
 
 
-def _integer_weights(cnf: WeightedCnf) -> list[int]:
-    """Clause weights as integers in exact proportion to the float weights.
+def _integer_weights(cnf: WeightedCnf, shift: int = 0) -> list[int]:
+    """Clause weights as integers in exact proportion to the float weights,
+    times ``2 ** shift``.
 
     Every finite float is a dyadic rational, so scaling each by the
-    largest denominator among them loses nothing.
+    largest denominator among them loses nothing. Each distinct weight
+    is converted once: most clauses of a tree weigh 1.0.
     """
-    ratios = [clause.weight.as_integer_ratio() for clause in cnf.clauses]
-    scale = max((denominator for _, denominator in ratios), default=1)
-    return [numerator * (scale // denominator) for numerator, denominator in ratios]
+    weights = [clause.weight for clause in cnf.clauses]
+    ratios = {weight: weight.as_integer_ratio() for weight in set(weights)}
+    scale = max((denominator for _, denominator in ratios.values()), default=1)
+    scaled = {weight: numerator * (scale // denominator) << shift
+              for weight, (numerator, denominator) in ratios.items()}
+    return list(map(scaled.__getitem__, weights))
 
 
 def solve_brute(cnf: WeightedCnf) -> Assignment:
@@ -184,7 +189,9 @@ class _Search:
 
     def branch(self) -> _Search:
         """A copy to search one branch in; the clauses and occurrence lists stay shared."""
-        other = copy.copy(self)
+        other = object.__new__(_Search)
+        other.clauses, other.occurs = self.clauses, self.occurs
+        other.undecided, other.banked = self.undecided, self.banked
         other.incident, other.unit = self.incident[:], self.unit[:]
         other.left, other.values = self.left[:], self.values[:]
         return other
@@ -250,17 +257,46 @@ def _optimize(search: _Search, best: dict) -> None:
             best["weight"], best["values"] = search.banked, search.values
         return
     incident, unit = search.incident, search.unit
-    lost = sum(min(unit[2 * pos], unit[2 * pos + 1])
-               for pos, value in enumerate(search.values) if value is None)
+    # one pass over the unassigned variables: what their unit clauses must
+    # lose, and the one with the most incident weight (the lowest on a tie)
+    lost, pos, most = 0, -1, -1
+    for at, value in enumerate(search.values):
+        if value is None:
+            negative, positive = 2 * at, 2 * at + 1
+            lost += min(unit[negative], unit[positive])
+            if incident[negative] + incident[positive] > most:
+                pos, most = at, incident[negative] + incident[positive]
     if search.banked + search.undecided - lost <= best["weight"]:
         return
-    pos = max((pos for pos, value in enumerate(search.values) if value is None),
-              key=lambda pos: incident[2 * pos] + incident[2 * pos + 1])
     first = incident[2 * pos + 1] > incident[2 * pos]
     # the second branch takes this node's own state: nothing reads it after
     for value, child in ((first, search.branch()), (not first, search)):
         child.assign(pos, value)
         _optimize(child, best)
+
+
+# trees of up to 19 nodes hold about 600 distinct literal tuples at most
+_MAX_CODES = 1 << 12
+
+
+class _Codes(dict):
+    """The literal codes of a clause over variables 1..n, by its literals:
+    variable ``var`` sits at position ``var - 1`` whatever n is, so every
+    such instance shares them, and a process answering many trees
+    encodes each recurring clause once. Emptied when it holds
+    ``_MAX_CODES`` clauses, so that its memory stays bounded."""
+
+    def __missing__(self, literals: tuple[Literal, ...]) -> tuple[int, ...]:
+        if len(self) >= _MAX_CODES:
+            self.clear()
+        for var, _ in literals:
+            if var < 1:
+                raise KeyError(var)
+        codes = self[literals] = tuple([2 * var - 2 + polarity for var, polarity in literals])
+        return codes
+
+
+_CODES = _Codes()
 
 
 def solve(cnf: WeightedCnf) -> Assignment:
@@ -282,17 +318,31 @@ def solve(cnf: WeightedCnf) -> Assignment:
     ``solve_brute``. The search state (:class:`_Search`) holds an
     occurrence list per literal and running totals of incident, unit,
     undecided and banked weight, so an assignment touches only the
-    clauses that hold its variable.
+    clauses that hold its variable. The literal codes of an instance
+    over the ids 1..n, which every compiled tree has, are shared across
+    calls (:class:`_Codes`); other ids are encoded through a map of
+    their positions. A clause appended after the clause set was built
+    that names an undeclared variable raises ``UnassignedVariable``.
     """
     ids = sorted(cnf.variables)
     count = len(ids)
-    code = {(var, polarity): 2 * pos + polarity
-            for pos, var in enumerate(ids) for polarity in (False, True)}
-    clauses = [(tuple(map(code.__getitem__, clause.literals)), weight << count)
-               for clause, weight in zip(cnf.clauses, _integer_weights(cnf))]
-    clauses += [((2 * pos,), 1 << (count - 1 - pos)) for pos in range(count)]
+    if count and ids[0] == 1 and ids[-1] == count:  # ids 1..n, as a compiled tree has them
+        encode = _CODES.__getitem__
+    else:
+        position = {var: 2 * pos for pos, var in enumerate(ids)}
+
+        def encode(literals: Sequence[Literal]) -> tuple[int, ...]:
+            return tuple([position[var] + polarity for var, polarity in literals])
+    try:
+        clauses = list(zip(map(encode, [clause.literals for clause in cnf.clauses]),
+                           _integer_weights(cnf, count)))
+        clauses += [((2 * pos,), 1 << (count - 1 - pos)) for pos in range(count)]
+        search = _Search(clauses, count)
+    except (KeyError, IndexError):  # a clause appended after the set was built
+        raise UnassignedVariable("a clause names a variable the clause set does not "
+                                 "declare") from None
     best = {"weight": -1, "values": None}  # weights are >= 0: the first leaf is kept
-    _optimize(_Search(clauses, count), best)
+    _optimize(search, best)
     return _finish(cnf, dict(zip(ids, best["values"])))
 
 

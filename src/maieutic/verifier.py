@@ -12,11 +12,14 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import permutations
+from math import isqrt
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
-from .core import ClauseOrigin, Literal, MaieuticTree, WeightedClause, parse_json, variable_map
+from .core import (ClauseOrigin, Literal, MaieuticTree, WeightedClause, parse_json, read_text,
+                   tree_nodes)
 from .errors import MalformedResponse, MissingFixture
 
 PROB_ORDER = ("entail", "contradict", "neutral")
@@ -109,11 +112,12 @@ class NliVerifier(ModelClient):
         """Judgments of independent pairs in request order, as one batch."""
         return self._requests("nli", pairs)
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+    def _batch(self, primitive: str, arguments: Sequence[tuple],
+               timed: bool = False) -> Iterator[Any]:
         # the in-process loop calls ``nli``, which here is the batch of one
         if type(self).nli is NliVerifier.nli:
             raise NotImplementedError(f"{type(self).__name__} implements neither nli nor _batch")
-        return super()._batch(primitive, arguments)
+        return super()._batch(primitive, arguments, timed)
 
 
 class ScriptedNliVerifier(NliVerifier):
@@ -136,8 +140,7 @@ class ScriptedNliVerifier(NliVerifier):
     def __init__(self, fixtures: Union[str, Path, Iterable[Mapping], None] = None,
                  strict: bool = True):
         if isinstance(fixtures, (str, Path)):
-            with open(fixtures, "r", encoding="utf-8") as handle:
-                records = parse_json(handle.read())
+            records = parse_json(read_text(fixtures))
             if not isinstance(records, list):
                 raise ValueError(f"NLI fixture file {fixtures} is not a JSON list of records")
         else:
@@ -156,12 +159,14 @@ class ScriptedNliVerifier(NliVerifier):
         self.strict = strict
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
+        entry = self._table.get((premise, hypothesis))
+        # a judgment is kept only after its sentences passed this check
+        if type(entry) is NliJudgment:
+            return entry
         if not premise.strip() or not hypothesis.strip():
             raise ValueError("premise and hypothesis must be non-empty")
-        entry = self._table.get((premise, hypothesis))
-        if entry is not None:
-            if type(entry) is not NliJudgment:  # threads racing here keep equal judgments
-                entry = self._table[premise, hypothesis] = _judgment_from_record(entry)
+        if entry is not None:  # threads racing here keep equal judgments
+            entry = self._table[premise, hypothesis] = _judgment_from_record(entry)
             return entry
         if premise == hypothesis:
             return _CERTAIN[NliLabel.ENTAIL]
@@ -210,11 +215,41 @@ class CachedVerifier(NliVerifier):
         return self.cached.served(self.verifier_id, self.inner, primitive, arguments)
 
 
+def _clause_key(first: Literal, second: Literal) -> int:
+    """One integer per NLI clause: its literals' codes ``2 * var + polarity``,
+    smaller code ``low`` and larger ``high``, paired as ``high * high + low``,
+    which no other pair of codes maps to."""
+    low, high = sorted((2 * first[0] + first[1], 2 * second[0] + second[1]))
+    return high * high + low
+
+
 @cache
-def _nli_clause(literals: tuple[Literal, Literal]) -> WeightedClause:
-    """The NLI clause over a literal pair, built and checked on first use.
-    Clauses are frozen, so one per pair serves every tree in the process."""
-    return WeightedClause(literals, 1.0, ClauseOrigin.NLI)
+def _pair_keys(count: int) -> tuple[tuple[int, int], ...]:
+    """For each ordered pair of the variables 1..count, in ``permutations``
+    order: the keys of its contradiction clause (premise implies
+    not-hypothesis) and of its entailment clause (premise implies
+    hypothesis). A pair judged in both orders yields one contradiction
+    key."""
+    return tuple((_clause_key((first, False), (second, False)),
+                  _clause_key((first, False), (second, True)))
+                 for first, second in permutations(range(1, count + 1), 2))
+
+
+class _NliClauses(dict):
+    """The NLI clause of each key (``_clause_key``), built and checked on
+    first use. Clauses are frozen, so one per key serves every tree in the
+    process."""
+
+    def __missing__(self, key: int) -> WeightedClause:
+        high = isqrt(key)
+        low = key - high * high
+        # the two variables differ, so the smaller code holds the smaller variable
+        clause = self[key] = WeightedClause(
+            ((low >> 1, bool(low & 1)), (high >> 1, bool(high & 1))), 1.0, ClauseOrigin.NLI)
+        return clause
+
+
+_NLI_CLAUSES = _NliClauses()
 
 
 def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[WeightedClause]:
@@ -222,22 +257,14 @@ def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[Weighted
 
     All pairs are judged as one batch and visited in pre-order; clauses
     with an identical literal set (for instance a contradiction judged
-    in both orders) merge into one, keeping the first. Each clause is
-    the shared one of its literal pair (``_nli_clause``).
+    in both orders) merge into one, keeping the first, by the integer
+    key of their literal pair (``_clause_key``). Each clause is the
+    shared one of its key (``_NliClauses``).
     """
-    texts = {var: tree.nodes[node_id].text for var, node_id in variable_map(tree).items()}
-    pairs = [(first, second) for first in texts for second in texts if first != second]
-    judgments = verifier.nli_batch([(texts[first], texts[second]) for first, second in pairs])
+    # variable ``var`` is the node at position ``var - 1`` of this list (``variable_map``)
+    texts = [node.text for node in tree_nodes(tree)]
+    judgments = verifier.nli_batch(list(permutations(texts, 2)))
     entail, neutral = NliLabel.ENTAIL, NliLabel.NEUTRAL
-    merged: dict[tuple, WeightedClause] = {}
-    for (first, second), judgment in zip(pairs, judgments):
-        label = judgment.label
-        if label is neutral:
-            continue
-        premise, hypothesis = (first, False), (second, label is entail)
-        # literals in ascending variable order, so a pair judged in both
-        # orders yields one key
-        literals = (premise, hypothesis) if first < second else (hypothesis, premise)
-        if literals not in merged:
-            merged[literals] = _nli_clause(literals)
-    return list(merged.values())
+    keys = [pair[label is entail] for pair, judgment in zip(_pair_keys(len(texts)), judgments)
+            if (label := judgment.label) is not neutral]
+    return list(map(_NLI_CLAUSES.__getitem__, dict.fromkeys(keys)))

@@ -292,6 +292,17 @@ def test_response_cache_names_an_unparsable_line(tmp_path, line):
         ResponseCache(tmp_path)
 
 
+@pytest.mark.parametrize("entry", [{"key": 1, "response": {}},
+                                   {"key": "k2", "response": 5},
+                                   {"key": "k2", "response": None}])
+def test_response_cache_names_a_line_whose_key_or_response_has_the_wrong_type(tmp_path, entry):
+    ResponseCache(tmp_path).put({"k1": {"logprob": -1.0}})
+    with open(tmp_path / "responses.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(entry) + "\n")
+    with pytest.raises(CacheCorrupt, match="line 2 "):
+        ResponseCache(tmp_path)
+
+
 def test_two_caches_on_one_directory_both_append(tmp_path):
     first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
     first.put({"a": {"logprob": -1.0}, "shared": {"logprob": -1.5}})
@@ -346,6 +357,49 @@ def _truth_world():
     builder = FixtureBuilder()
     builder.truth("Ice floats on water", TRUTH_PROMPTS, 0.8, 0.2)
     return builder.backend()
+
+
+def _counted_clock(monkeypatch) -> list:
+    """Count ``time.monotonic`` calls; each call reads half a second later."""
+    calls = []
+
+    def monotonic():
+        calls.append(None)
+        return len(calls) / 2
+
+    monkeypatch.setattr(backend_module.time, "monotonic", monotonic)
+    return calls
+
+
+def _ask_lm_and_nli(lm, nli) -> None:
+    lm.true_probs(["Ice floats on water", "Ice floats on water"], TRUTH_PROMPTS)
+    nli.nli_batch([("a", "b"), ("b", "a"), ("a", "b")])
+
+
+_NLI_RECORDS = [{"premise": "a", "hypothesis": "b", "label": "entail"},
+                {"premise": "b", "hypothesis": "a", "label": "neutral"}]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["bare", "cache-only"])
+def test_an_untraced_in_process_batch_reads_no_clock(tmp_path, monkeypatch, cached):
+    lm, nli = _truth_world(), ScriptedNliVerifier(_NLI_RECORDS)
+    if cached:
+        lm = CachedBackend(lm, ResponseCache(tmp_path))
+        nli = CachedVerifier(nli, lm)
+    calls = _counted_clock(monkeypatch)
+    _ask_lm_and_nli(lm, nli)
+    assert calls == []
+
+
+def test_a_traced_batch_times_each_request_it_sends(tmp_path, monkeypatch):
+    trace = TraceRecorder(tmp_path / "trace.jsonl")
+    lm = CachedBackend(_truth_world(), ResponseCache(tmp_path), trace=trace)
+    calls = _counted_clock(monkeypatch)
+    _ask_lm_and_nli(lm, CachedVerifier(ScriptedNliVerifier(_NLI_RECORDS), lm))
+    # one miss of each batch repeats an earlier one: a hit, neither sent nor timed
+    assert [(entry["cache_hit"], entry["latency_s"]) for entry in read_trace(trace.path)] == [
+        (False, 0.5), (True, 0.0), (False, 0.5), (False, 0.5), (True, 0.0)]
+    assert len(calls) == 6
 
 
 def test_cached_backend_serves_repeats_from_cache(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,23 @@ def test_build_engine_rejects_an_unusable_timeout(eval_fixture_file, section, ti
                        "timeout": timeout}
     with pytest.raises(ValueError, match=re.escape(f"not {timeout!r}")):
         build_engine(EngineConfig.from_dict(config))
+
+
+@pytest.mark.parametrize("timeout,usable", [(10 ** 400, False), (threading.TIMEOUT_MAX * 2, False),
+                                            (threading.TIMEOUT_MAX, True)],
+                         ids=["10**400", "twice-TIMEOUT_MAX", "TIMEOUT_MAX"])
+@pytest.mark.parametrize("section", ["backend", "verifier"])
+def test_build_engine_refuses_a_timeout_a_socket_cannot_hold(eval_fixture_file, section,
+                                                              timeout, usable):
+    config = {"backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},
+              "verifier": {"kind": "http", "endpoint": "http://127.0.0.1:9/nli"}}
+    config[section] = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1",
+                       "timeout": timeout}
+    if usable:
+        assert getattr(build_engine(EngineConfig.from_dict(config)), section).timeout == timeout
+    else:
+        with pytest.raises(ValueError, match=f"at most {threading.TIMEOUT_MAX}"):
+            build_engine(EngineConfig.from_dict(config))
 
 
 def test_build_engine_verifier_mode_needs_a_verifier(eval_fixture_file):
@@ -614,6 +632,21 @@ def test_each_json_reader_raises_its_own_error_on_nesting_too_deep_to_parse(tmp_
                                                                            error):
     with pytest.raises(error):
         read(tmp_path)
+
+
+@pytest.mark.parametrize("read,name", [
+    (EngineConfig.from_file, "c.json"),
+    (EngineConfig.from_file, "c.toml"),
+    (load_dataset, "d.jsonl"),
+    (ScriptedBackend, "f.json"),
+    (ScriptedNliVerifier, "n.json"),
+    (load_prompt_set, "p.json"),
+], ids=["config-json", "config-toml", "dataset", "lm-fixtures", "nli-fixtures", "prompt-set"])
+def test_each_file_reader_names_the_file_and_line_that_is_not_utf8(tmp_path, read, name):
+    path = tmp_path / name
+    path.write_bytes(b'{"question": "a?",\n "label": "\xff"}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: not UTF-8 text")):
+        read(path)
 
 
 def test_cli_tree_reports_nesting_too_deep_to_parse_without_a_traceback(capsys, tmp_path):

@@ -57,6 +57,22 @@ def test_evaluate_requires_every_variable():
         evaluate(cnf, {1: True})
 
 
+@pytest.mark.parametrize("variables", [{1: "a", 2: "b"}, {5: "a", 9: "b"}],
+                         ids=["ids-1-to-n", "sparse-ids"])
+@pytest.mark.parametrize("undeclared", [0, -1, 3, 7])
+def test_a_clause_appended_on_an_undeclared_variable_is_unassigned(variables, undeclared):
+    first, second = variables
+    cnf = WeightedCnf(variables=variables, clauses=[
+        WeightedClause(((first, True), (second, False)), 1.0, ClauseOrigin.EXTERNAL)])
+    # the clause set checks its variables when built, not when a clause is appended
+    cnf.clauses.append(WeightedClause(((first, False), (undeclared, True)), 0.5,
+                                      ClauseOrigin.EXTERNAL))
+    with pytest.raises(UnassignedVariable, match=str(undeclared)):
+        evaluate(cnf, {first: True, second: True})
+    with pytest.raises(UnassignedVariable):
+        solve(cnf)
+
+
 def test_assignment_lookup_by_node():
     cnf = _cnf([([(1, True)], 1.0)], n_vars=2)
     result = solve(cnf)

@@ -1,8 +1,9 @@
 """Property-based checks of the core invariants: the solver equals the
-exhaustive oracle at every weight scale and at tree scale, and ignores
-clause order; the tree check accepts exactly the node and edge maps
-that a walk from the root accepts; pruning is idempotent, NLI clauses
-match a reference loop, the WCNF exchange format round-trips, and the
+exhaustive oracle at every weight scale and at tree scale, on sparse
+variable ids too, and ignores clause order; the tree check accepts
+exactly the node and edge maps that a walk from the root accepts;
+pruning is idempotent, NLI clauses match a reference loop and the merge
+by literal tuples, the WCNF exchange format round-trips, and the
 response cache reads back what it stored. Digests, cache lines and trace lines are
 the text ``json.dumps`` writes, and each prompt renderer equals the join of its blocks.
 The readers of outside input (the HTTP reply reader, the tree readers, the WCNF reader,
@@ -17,6 +18,7 @@ import json
 import math
 import types
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +147,30 @@ def unit_bound_cnfs(draw) -> WeightedCnf:
 @given(cnf=unit_bound_cnfs())
 def test_solve_matches_the_oracle_where_the_unit_bound_prunes(cnf):
     assert solve(cnf) == solve_brute(cnf)
+
+
+def relabelled(cnf: WeightedCnf, ids: list[int]) -> WeightedCnf:
+    """The instance with its variables, in id order, renamed to ``ids``."""
+    new = dict(zip(sorted(cnf.variables), ids))
+    return WeightedCnf(
+        variables={new[var]: name for var, name in cnf.variables.items()},
+        clauses=[dataclasses.replace(clause, literals=tuple((new[var], polarity)
+                                                            for var, polarity in clause.literals))
+                 for clause in cnf.clauses])
+
+
+@PROPERTY
+@pytest.mark.parametrize("instances", [mixed_scale_cnfs(), tree_scale_cnfs(), unit_bound_cnfs()],
+                         ids=["mixed-scale", "tree-scale", "unit-bound"])
+@given(data=st.data())
+def test_solve_matches_the_oracle_on_sparse_variable_ids(instances, data):
+    cnf = data.draw(instances)
+    # ids 3k + 2 in drawn order: never 1..n, with gaps, below zero too, and
+    # in another order than the original ids
+    drawn = data.draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=len(cnf.variables),
+                               max_size=len(cnf.variables), unique=True))
+    sparse = relabelled(cnf, [3 * value + 2 for value in drawn])
+    assert solve(sparse) == solve_brute(sparse)
 
 
 @PROPERTY
@@ -365,6 +391,44 @@ def test_relation_clauses_match_the_reference_loop(tree, data):
                         {"premise": hypothesis, "hypothesis": premise, "label": back.value}]
     verifier = ScriptedNliVerifier(fixtures=records)
     assert relation_clauses(tree, verifier) == reference_relation_clauses(tree, verifier)
+
+
+def merged_relation_clauses(tree, verifier):
+    """Reference for relation_clauses: its merge before integer keys, which
+    keyed each clause by its tuple of literals in ascending variable order."""
+    texts = {var: tree.nodes[node_id].text for var, node_id in variable_map(tree).items()}
+    pairs = [(first, second) for first in texts for second in texts if first != second]
+    judgments = verifier.nli_batch([(texts[first], texts[second]) for first, second in pairs])
+    merged: dict[tuple, WeightedClause] = {}
+    for (first, second), judgment in zip(pairs, judgments):
+        label = judgment.label
+        if label is NliLabel.NEUTRAL:
+            continue
+        premise, hypothesis = (first, False), (second, label is NliLabel.ENTAIL)
+        literals = (premise, hypothesis) if first < second else (hypothesis, premise)
+        if literals not in merged:
+            merged[literals] = WeightedClause(literals, 1.0, ClauseOrigin.NLI)
+    return list(merged.values())
+
+
+@PROPERTY
+@given(tree=shaped_trees(), data=st.data())
+def test_relation_clauses_equal_the_merge_by_literal_tuples(tree, data):
+    # sentences drawn from a pool, so that nodes may share one: pairs are
+    # judged by position, and identical sentences entail without a record
+    pool = data.draw(st.integers(1, len(tree.nodes)))
+    nodes = {node_id: dataclasses.replace(node, text=f"S{data.draw(st.integers(0, pool - 1))}.")
+             for node_id, node in tree.nodes.items()}
+    tree = MaieuticTree(nodes=nodes, children=tree.children)
+    sentences = sorted({node.text for node in nodes.values()})
+    records = []
+    for first, premise in enumerate(sentences):
+        for hypothesis in sentences[first + 1:]:
+            ahead, back = data.draw(st.sampled_from(LABEL_PAIRS))
+            records += [{"premise": premise, "hypothesis": hypothesis, "label": ahead.value},
+                        {"premise": hypothesis, "hypothesis": premise, "label": back.value}]
+    verifier = ScriptedNliVerifier(fixtures=records)
+    assert relation_clauses(tree, verifier) == merged_relation_clauses(tree, verifier)
 
 
 RESPONSES = st.one_of(

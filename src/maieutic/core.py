@@ -492,12 +492,13 @@ def canonical_json(data: Any) -> str:
 def read_text(path: Union[str, Path]) -> str:
     """The text of a UTF-8 file. A file that is not UTF-8 raises
     ``ValueError`` naming it and the line of its first byte that does not
-    decode."""
+    decode, lines ending at ``\\n``, ``\\r`` or ``\\r\\n`` as ``open`` splits them."""
     blob = Path(path).read_bytes()
     try:
         return blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = blob.count(b"\n", 0, exc.start) + 1
+        head = blob[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
 
 

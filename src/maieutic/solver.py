@@ -275,30 +275,6 @@ def _optimize(search: _Search, best: dict) -> None:
         _optimize(child, best)
 
 
-# trees of up to 19 nodes hold about 600 distinct literal tuples at most
-_MAX_CODES = 1 << 12
-
-
-class _Codes(dict):
-    """The literal codes of a clause over variables 1..n, by its literals:
-    variable ``var`` sits at position ``var - 1`` whatever n is, so every
-    such instance shares them, and a process answering many trees
-    encodes each recurring clause once. Emptied when it holds
-    ``_MAX_CODES`` clauses, so that its memory stays bounded."""
-
-    def __missing__(self, literals: tuple[Literal, ...]) -> tuple[int, ...]:
-        if len(self) >= _MAX_CODES:
-            self.clear()
-        for var, _ in literals:
-            if var < 1:
-                raise KeyError(var)
-        codes = self[literals] = tuple([2 * var - 2 + polarity for var, polarity in literals])
-        return codes
-
-
-_CODES = _Codes()
-
-
 def solve(cnf: WeightedCnf) -> Assignment:
     """Exact optimum by branch and bound over integer weights.
 
@@ -318,29 +294,21 @@ def solve(cnf: WeightedCnf) -> Assignment:
     ``solve_brute``. The search state (:class:`_Search`) holds an
     occurrence list per literal and running totals of incident, unit,
     undecided and banked weight, so an assignment touches only the
-    clauses that hold its variable. The literal codes of an instance
-    over the ids 1..n, which every compiled tree has, are shared across
-    calls (:class:`_Codes`); other ids are encoded through a map of
-    their positions. A clause appended after the clause set was built
-    that names an undeclared variable raises ``UnassignedVariable``.
+    clauses that hold its variable. A clause appended after the clause
+    set was built that names an undeclared variable raises
+    ``UnassignedVariable``.
     """
     ids = sorted(cnf.variables)
     count = len(ids)
-    if count and ids[0] == 1 and ids[-1] == count:  # ids 1..n, as a compiled tree has them
-        encode = _CODES.__getitem__
-    else:
-        position = {var: 2 * pos for pos, var in enumerate(ids)}
-
-        def encode(literals: Sequence[Literal]) -> tuple[int, ...]:
-            return tuple([position[var] + polarity for var, polarity in literals])
+    position = {var: 2 * pos for pos, var in enumerate(ids)}
     try:
-        clauses = list(zip(map(encode, [clause.literals for clause in cnf.clauses]),
-                           _integer_weights(cnf, count)))
-        clauses += [((2 * pos,), 1 << (count - 1 - pos)) for pos in range(count)]
-        search = _Search(clauses, count)
-    except (KeyError, IndexError):  # a clause appended after the set was built
+        clauses = [(tuple([position[var] + polarity for var, polarity in clause.literals]), weight)
+                   for clause, weight in zip(cnf.clauses, _integer_weights(cnf, count))]
+    except KeyError:  # a clause appended after the set was built
         raise UnassignedVariable("a clause names a variable the clause set does not "
                                  "declare") from None
+    clauses += [((2 * pos,), 1 << (count - 1 - pos)) for pos in range(count)]
+    search = _Search(clauses, count)
     best = {"weight": -1, "values": None}  # weights are >= 0: the first leaf is kept
     _optimize(search, best)
     return _finish(cnf, dict(zip(ids, best["values"])))

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import permutations
-from math import isqrt
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
 from .core import (ClauseOrigin, Literal, MaieuticTree, WeightedClause, parse_json, read_text,
-                   tree_nodes)
+                   variable_map)
 from .errors import MalformedResponse, MissingFixture
 
 PROB_ORDER = ("entail", "contradict", "neutral")
@@ -215,41 +214,25 @@ class CachedVerifier(NliVerifier):
         return self.cached.served(self.verifier_id, self.inner, primitive, arguments)
 
 
-def _clause_key(first: Literal, second: Literal) -> int:
-    """One integer per NLI clause: its literals' codes ``2 * var + polarity``,
-    smaller code ``low`` and larger ``high``, paired as ``high * high + low``,
-    which no other pair of codes maps to."""
-    low, high = sorted((2 * first[0] + first[1], 2 * second[0] + second[1]))
-    return high * high + low
+@cache
+def _nli_clause(literals: tuple[Literal, Literal]) -> WeightedClause:
+    """The NLI clause over a literal pair, built and checked on first use.
+    Clauses are frozen, so one per pair serves every tree in the process."""
+    return WeightedClause(literals, 1.0, ClauseOrigin.NLI)
 
 
 @cache
-def _pair_keys(count: int) -> tuple[tuple[int, int], ...]:
-    """For each ordered pair of the variables 1..count, in ``permutations``
-    order: the keys of its contradiction clause (premise implies
-    not-hypothesis) and of its entailment clause (premise implies
-    hypothesis). A pair judged in both orders yields one contradiction
-    key."""
-    return tuple((_clause_key((first, False), (second, False)),
-                  _clause_key((first, False), (second, True)))
-                 for first, second in permutations(range(1, count + 1), 2))
-
-
-class _NliClauses(dict):
-    """The NLI clause of each key (``_clause_key``), built and checked on
-    first use. Clauses are frozen, so one per key serves every tree in the
-    process."""
-
-    def __missing__(self, key: int) -> WeightedClause:
-        high = isqrt(key)
-        low = key - high * high
-        # the two variables differ, so the smaller code holds the smaller variable
-        clause = self[key] = WeightedClause(
-            ((low >> 1, bool(low & 1)), (high >> 1, bool(high & 1))), 1.0, ClauseOrigin.NLI)
-        return clause
-
-
-_NLI_CLAUSES = _NliClauses()
+def _pair_clauses(variables: tuple[int, ...]) -> tuple[tuple[WeightedClause, WeightedClause], ...]:
+    """For each ordered pair of ``variables``, in ``permutations`` order:
+    its contradiction clause (premise implies not-hypothesis) and its
+    entailment clause (premise implies hypothesis), literals in ascending
+    variable order, so a pair judged in both orders yields the same
+    contradiction clause (``_nli_clause``)."""
+    def clause(premise: Literal, hypothesis: Literal) -> WeightedClause:
+        return _nli_clause((premise, hypothesis) if premise[0] < hypothesis[0]
+                           else (hypothesis, premise))
+    return tuple((clause((first, False), (second, False)), clause((first, False), (second, True)))
+                 for first, second in permutations(variables, 2))
 
 
 def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[WeightedClause]:
@@ -257,14 +240,15 @@ def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[Weighted
 
     All pairs are judged as one batch and visited in pre-order; clauses
     with an identical literal set (for instance a contradiction judged
-    in both orders) merge into one, keeping the first, by the integer
-    key of their literal pair (``_clause_key``). Each clause is the
-    shared one of its key (``_NliClauses``).
+    in both orders) merge into one, keeping the first. Each clause is
+    the shared one of its literal pair (``_nli_clause``), so clauses
+    merge by identity.
     """
-    # variable ``var`` is the node at position ``var - 1`` of this list (``variable_map``)
-    texts = [node.text for node in tree_nodes(tree)]
+    variables = variable_map(tree)
+    texts = [tree.nodes[node_id].text for node_id in variables.values()]
     judgments = verifier.nli_batch(list(permutations(texts, 2)))
     entail, neutral = NliLabel.ENTAIL, NliLabel.NEUTRAL
-    keys = [pair[label is entail] for pair, judgment in zip(_pair_keys(len(texts)), judgments)
+    kept = [pair[label is entail]
+            for pair, judgment in zip(_pair_clauses(tuple(variables)), judgments)
             if (label := judgment.label) is not neutral]
-    return list(map(_NLI_CLAUSES.__getitem__, dict.fromkeys(keys)))
+    return list({id(clause): clause for clause in kept}.values())

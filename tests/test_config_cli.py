@@ -24,7 +24,7 @@ from maieutic.core import (
     tree_from_json,
     tree_to_json,
 )
-from maieutic.errors import CacheCorrupt, ParseError
+from maieutic.errors import BackendUnavailable, CacheCorrupt, ParseError
 from maieutic.prompts import default_prompt_set
 from maieutic.solver import import_wcnf
 from maieutic.harness import Method, evaluate, load_dataset
@@ -277,9 +277,14 @@ def test_build_engine_refuses_a_timeout_a_socket_cannot_hold(eval_fixture_file, 
     config = {"backend": {"kind": "scripted", "fixtures": str(eval_fixture_file)},
               "verifier": {"kind": "http", "endpoint": "http://127.0.0.1:9/nli"}}
     config[section] = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1",
-                       "timeout": timeout}
+                       "timeout": timeout, "retries": 1}
     if usable:
-        assert getattr(build_engine(EngineConfig.from_dict(config)), section).timeout == timeout
+        client = getattr(build_engine(EngineConfig.from_dict(config)), section)
+        assert client.timeout == timeout
+        # the first request hands the timeout to the socket: the port refuses
+        # it, and no clock overflows
+        with pytest.raises(BackendUnavailable, match="refused"):
+            client.lm_negations(["x"]) if section == "backend" else client.nli("a", "b")
     else:
         with pytest.raises(ValueError, match=f"at most {threading.TIMEOUT_MAX}"):
             build_engine(EngineConfig.from_dict(config))
@@ -642,9 +647,11 @@ def test_each_json_reader_raises_its_own_error_on_nesting_too_deep_to_parse(tmp_
     (ScriptedNliVerifier, "n.json"),
     (load_prompt_set, "p.json"),
 ], ids=["config-json", "config-toml", "dataset", "lm-fixtures", "nli-fixtures", "prompt-set"])
-def test_each_file_reader_names_the_file_and_line_that_is_not_utf8(tmp_path, read, name):
+@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
+def test_each_file_reader_names_the_file_and_line_that_is_not_utf8(tmp_path, read, name,
+                                                                    newline):
     path = tmp_path / name
-    path.write_bytes(b'{"question": "a?",\n "label": "\xff"}\n')
+    path.write_bytes(b'{"question": "a?",' + newline + b' "label": "\xff"}' + newline)
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: not UTF-8 text")):
         read(path)
 

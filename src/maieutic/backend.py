@@ -31,7 +31,7 @@ from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
 from .core import (DecodingParams, DecodingStrategy, NegationStrategy, PromptSet,
-                   parse_json, read_text)
+                   json_digest, parse_json, read_text, sorted_json)
 from .errors import (
     BackendUnavailable,
     CacheCorrupt,
@@ -46,10 +46,6 @@ DEFAULT_EXPLANATION_DECODING = DecodingParams(
     DecodingStrategy.GREEDY, stop_sequences=prompt_templates.EXPLANATION_STOP_SEQUENCES)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def truth_request(prompt: str) -> dict:
     return {"kind": "truth", "prompt": prompt}
 
@@ -62,25 +58,14 @@ def logprob_request(prompt: str, completion: str) -> dict:
     return {"kind": "logprob", "prompt": prompt, "completion": completion}
 
 
-def _sorted_json(item_separator: str, key_separator: str) -> Callable[[Any, int], Sequence[str]]:
-    """The C encoder that ``json.dumps(value, sort_keys=True, separators=...)``
-    builds anew on every call, built once: ``"".join(encode(value, 0))`` is
-    that call's text. It checks no cycles, as no value it writes has any,
-    so it keeps no state between calls and serves every thread at once."""
-    return json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-        key_separator, item_separator, True, False, True)
-
-
-# the text a request digest hashes, and the text of a cache or trace line
-_DIGEST_JSON = _sorted_json(",", ":")
-_LINE_JSON = _sorted_json(", ", ": ")
+# the text of a cache or trace line
+_LINE_JSON = sorted_json(", ", ": ")
 
 
 def request_digest(request: dict) -> str:
     """Stable identifier of one backend request: the SHA-256 of its JSON
-    with sorted keys and no spaces."""
-    return _sha256("".join(_DIGEST_JSON(request, 0)))
+    with sorted keys and no spaces (``core.json_digest``)."""
+    return json_digest(request)
 
 
 def cache_key(backend_id: str, digest: str, seed: Optional[int] = None) -> str:
@@ -89,7 +74,7 @@ def cache_key(backend_id: str, digest: str, seed: Optional[int] = None) -> str:
     The digest has a fixed length and the seed no newline, so the joined
     text splits back into its three parts in one way only.
     """
-    return _sha256(f"{backend_id}\n{digest}\n{seed}")
+    return hashlib.sha256(f"{backend_id}\n{digest}\n{seed}".encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

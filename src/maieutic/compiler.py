@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from . import backend as backend_ops
 from .core import (
@@ -26,8 +26,6 @@ from .core import (
     WeightedClause,
     WeightedCnf,
     belief_from_probs,  # re-exported: callers import it from here
-    canonical_json,
-    tree_leaves,
     variable_map,
 )
 from .errors import EmptyTree
@@ -75,41 +73,46 @@ def _sorted_literals(*literals: tuple[int, bool]) -> tuple[tuple[int, bool], ...
     return tuple(sorted(literals))
 
 
-def compile_belief_clauses(tree: MaieuticTree) -> list[WeightedClause]:
-    """One unary clause per integral non-root leaf.
+def compile_belief_clauses(tree: MaieuticTree,
+                           variables: Mapping[int, str]) -> list[WeightedClause]:
+    """One unary clause per integral non-root leaf, in the order of
+    ``variables``, the tree's :func:`~maieutic.core.variable_map`.
 
     The literal is positive for an integral-true leaf and negative for
     an integral-false one; the weight is the belief magnitude. Clauses
     below ``MIN_CLAUSE_WEIGHT`` are dropped as noise. The root never
     receives a belief clause, even when it is a leaf.
     """
-    variables = {node_id: var for var, node_id in variable_map(tree).items()}
     clauses: list[WeightedClause] = []
-    for leaf in tree_leaves(tree):
-        if leaf.id == tree.root_id:
+    for var, node_id in variables.items():
+        if node_id == tree.root_id or tree.children_of(node_id):
             continue
+        leaf = tree.nodes[node_id]
         if not leaf.integrity.is_integral:
             raise ValueError(f"leaf {leaf.id!r} is not integral; prune the tree first")
         weight = abs(leaf.belief)
         if weight < MIN_CLAUSE_WEIGHT:
             continue
         polarity = leaf.integrity is Integrity.INTEGRAL_TRUE
-        clauses.append(WeightedClause(literals=((variables[leaf.id], polarity),),
+        clauses.append(WeightedClause(literals=((var, polarity),),
                                       weight=weight, origin=ClauseOrigin.BELIEF))
     return clauses
 
 
-def compile_consistency_clauses(tree: MaieuticTree, backend: backend_ops.LmBackend,
+def compile_consistency_clauses(tree: MaieuticTree, variables: Mapping[int, str],
+                                backend: backend_ops.LmBackend,
                                 prompts: PromptSet) -> list[WeightedClause]:
-    """One implication clause per edge.
+    """One implication clause per edge, parents in the order of
+    ``variables``, the tree's :func:`~maieutic.core.variable_map`.
 
     A True-labeled edge compiles child implies parent, a False-labeled
     edge compiles child implies not-parent; in clause form the child
     literal is negative and the parent literal carries the label. The
     log-likelihoods of every edge are asked as one batch.
     """
-    variables = {node_id: var for var, node_id in variable_map(tree).items()}
-    edges = list(tree.edges())
+    var_of = {node_id: var for var, node_id in variables.items()}
+    edges = [(parent_id, label, child_id) for parent_id in variables.values()
+             for label, child_id in tree.children_of(parent_id)]
     logprobs = backend.sequence_logprobs(
         [query for parent_id, label, child_id in edges
          for query in _edge_queries(tree.node(child_id), tree.node(parent_id), label)],
@@ -119,8 +122,7 @@ def compile_consistency_clauses(tree: MaieuticTree, backend: backend_ops.LmBacke
         weight = _sigmoid(logprobs[2 * index] - logprobs[2 * index + 1])
         if weight < MIN_CLAUSE_WEIGHT:
             continue
-        literals = _sorted_literals((variables[child_id], False),
-                                    (variables[parent_id], label))
+        literals = _sorted_literals((var_of[child_id], False), (var_of[parent_id], label))
         clauses.append(WeightedClause(literals=literals, weight=weight,
                                       origin=ClauseOrigin.CONSISTENCY))
     return clauses
@@ -132,25 +134,26 @@ def compile(tree: MaieuticTree, mode: CompileMode,
             prompts: Optional[PromptSet] = None) -> WeightedCnf:
     """Full clause set for a pruned tree.
 
-    Likelihood mode needs the backend and the abductive prompt set for
-    the edge clauses; verifier mode needs the NLI verifier. A root-only
-    tree raises ``EmptyTree`` so the caller can fall back to direct
-    prompting.
+    The tree is numbered once (:func:`~maieutic.core.variable_map`), and
+    every clause builder reads that numbering. Likelihood mode needs the
+    backend and the abductive prompt set for the edge clauses; verifier
+    mode needs the NLI verifier. A root-only tree raises ``EmptyTree`` so
+    the caller can fall back to direct prompting.
     """
     if tree.is_root_only():
         raise EmptyTree("nothing left to compile; answer by direct prompting")
     variables = variable_map(tree)
-    clauses = compile_belief_clauses(tree)
+    clauses = compile_belief_clauses(tree, variables)
     if mode is CompileMode.LIKELIHOOD:
         if backend is None or prompts is None:
             raise ValueError("likelihood mode needs a backend and abductive prompts")
-        clauses.extend(compile_consistency_clauses(tree, backend, prompts))
+        clauses.extend(compile_consistency_clauses(tree, variables, backend, prompts))
     else:
         if verifier is None:
             raise ValueError("verifier mode needs an NLI verifier")
         from .verifier import relation_clauses
 
-        clauses.extend(relation_clauses(tree, verifier))
+        clauses.extend(relation_clauses(tree, variables, verifier))
     return WeightedCnf(variables=variables, clauses=clauses)
 
 
@@ -170,7 +173,3 @@ def cnf_to_dict(cnf: WeightedCnf) -> dict:
             for clause in cnf.clauses
         ],
     }
-
-
-def cnf_to_json(cnf: WeightedCnf) -> str:
-    return canonical_json(cnf_to_dict(cnf))

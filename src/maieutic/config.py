@@ -24,6 +24,7 @@ from .backend import CachedBackend, HttpLmBackend, ResponseCache, ScriptedBacken
 from .compiler import CompileMode
 from .core import TreeConfig, check_fields, check_keys, field_types, parse_json, read_text
 from .prompts import load_or_default
+from .solver import MAX_WCNF_VARIABLES
 from .verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
 
 # Per (section, kind): the client it builds, and the type each key's value
@@ -63,6 +64,10 @@ class EngineConfig:
         check_keys("prompts", data.get("prompts", {}), harness.PROMPT_FIELDS)
         config = cls(**{key: _READ[key](value) if key in _READ else value
                         for key, value in data.items()})
+        nodes = config.tree.max_nodes_excluding_root() + 1  # one WCNF variable each
+        if nodes > MAX_WCNF_VARIABLES:
+            raise ValueError(f"tree allows {nodes} nodes, more than the "
+                             f"{MAX_WCNF_VARIABLES} variables of a WCNF file")
         if base_dir is not None:
             config._resolve_paths(base_dir)
         return config

@@ -14,8 +14,9 @@ from enum import Enum
 from functools import cache
 from inspect import Parameter, signature
 from pathlib import Path
-from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Union, get_args,
-                    get_origin, get_type_hints)
+from types import MappingProxyType
+from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+                    get_args, get_origin, get_type_hints)
 
 from .errors import DegenerateBelief
 
@@ -165,8 +166,7 @@ class PromptSet:
                 raise ValueError(f"{self.mode.value} examples require an explanation")
 
     def content_hash(self) -> str:
-        blob = json.dumps(prompt_set_to_dict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return json_digest(prompt_set_to_dict(self))
 
 
 @dataclass(frozen=True)
@@ -458,24 +458,29 @@ class WeightedClause:
             raise ValueError("clause weight must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightedCnf:
     """Clause collection plus the variable-to-node binding.
 
     Every tree node, the root included, owns exactly one boolean
     variable; the root variable is declared even when no clause
-    mentions it.
+    mentions it. The set is sealed when built: it keeps its clauses as
+    a tuple and a read-only copy of the variable map, so every clause it
+    will ever hold was checked to name only declared variables.
     """
 
-    variables: dict[int, str]
-    clauses: list[WeightedClause] = field(default_factory=list)
+    variables: Mapping[int, str]
+    clauses: tuple[WeightedClause, ...] = ()
 
     def __post_init__(self):
-        declared = set(self.variables)
-        for clause in self.clauses:
+        variables = MappingProxyType(dict(self.variables))
+        clauses = tuple(self.clauses)
+        for clause in clauses:
             for var, _ in clause.literals:
-                if var not in declared:
+                if var not in variables:
                     raise ValueError(f"clause references undeclared variable {var}")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "clauses", clauses)
 
     def total_weight(self) -> float:
         return sum(c.weight for c in self.clauses)
@@ -487,6 +492,25 @@ def canonical_json(data: Any) -> str:
     """The one JSON form of every dump a user reads (tree, clauses, result):
     keys in insertion order, indented by two, ending in a newline."""
     return json.dumps(data, sort_keys=False, separators=(",", ": "), indent=2) + "\n"
+
+
+def sorted_json(item_separator: str, key_separator: str) -> Callable[[Any, int], Sequence[str]]:
+    """The C encoder that ``json.dumps(value, sort_keys=True, separators=...)``
+    builds anew on every call, built once: ``"".join(encode(value, 0))`` is
+    that call's text. It checks no cycles, as no value it writes has any,
+    so it keeps no state between calls and serves every thread at once."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        key_separator, item_separator, True, False, True)
+
+
+_DIGEST_JSON = sorted_json(",", ":")
+
+
+def json_digest(value: Any) -> str:
+    """The SHA-256 of ``value``'s JSON with sorted keys and no spaces: the
+    stable identifier of a backend request, a prompt set and a run's config."""
+    return hashlib.sha256("".join(_DIGEST_JSON(value, 0)).encode("utf-8")).hexdigest()
 
 
 def read_text(path: Union[str, Path]) -> str:

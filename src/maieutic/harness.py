@@ -8,7 +8,6 @@ pairwise accuracy.
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from dataclasses import dataclass, field, replace
@@ -27,6 +26,7 @@ from .core import (
     TreeConfig,
     WeightedCnf,
     canonical_json,
+    json_digest,
     label_word,
     parse_json,
     read_text,
@@ -180,8 +180,9 @@ def infer_maieutic(question: str, engine: Engine) -> InferenceResult:
                                method=Method.MAIEUTIC, fallback_used=True, tree=pruned)
     assignment = solve(cnf)
     by_node = assignment_by_node(cnf, assignment)
-    true_propositions = [node.text for node in tree_nodes(pruned)
-                         if node.id != pruned.root_id and by_node[node.id]]
+    # the clause set's variables are in pre-order, root first
+    true_propositions = [pruned.nodes[node_id].text for node_id in cnf.variables.values()
+                         if node_id != pruned.root_id and by_node[node_id]]
     return InferenceResult(question=question, answer=by_node[pruned.root_id],
                            method=Method.MAIEUTIC, tree=pruned, cnf=cnf,
                            assignment=assignment, true_propositions=true_propositions)
@@ -377,8 +378,7 @@ def _config_hash(engine: Engine, method: Method) -> str:
         "tree": engine.tree_config.to_dict(),
         "seed": engine.seed,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return json_digest(payload)
 
 
 def run_manifest(engine: Engine, method: Method, record_count: int) -> dict:

@@ -56,32 +56,25 @@ class Assignment:
     satisfied_weight: float
     violated: list[int] = field(default_factory=list)
 
-    def value_for(self, var: int) -> bool:
-        return self.values[var]
-
 
 def evaluate(cnf: WeightedCnf, values: Mapping[int, bool]) -> tuple[float, list[int]]:
     """Satisfied weight plus the indices of falsified clauses.
 
-    Raises ``UnassignedVariable`` when a declared variable has no value,
-    and when evaluation reaches a variable without one in a clause
-    appended after the clause set was built.
+    Raises ``UnassignedVariable`` when a declared variable has no value;
+    a clause set names no other variable.
     """
     for var in cnf.variables:
         if var not in values:
             raise UnassignedVariable(f"variable {var} has no value")
     satisfied = 0.0
     violated: list[int] = []
-    try:
-        for index, clause in enumerate(cnf.clauses):
-            for var, polarity in clause.literals:
-                if values[var] == polarity:
-                    satisfied += clause.weight
-                    break
-            else:
-                violated.append(index)
-    except KeyError as exc:
-        raise UnassignedVariable(f"variable {exc.args[0]} has no value") from None
+    for index, clause in enumerate(cnf.clauses):
+        for var, polarity in clause.literals:
+            if values[var] == polarity:
+                satisfied += clause.weight
+                break
+        else:
+            violated.append(index)
     return satisfied, violated
 
 
@@ -294,19 +287,13 @@ def solve(cnf: WeightedCnf) -> Assignment:
     ``solve_brute``. The search state (:class:`_Search`) holds an
     occurrence list per literal and running totals of incident, unit,
     undecided and banked weight, so an assignment touches only the
-    clauses that hold its variable. A clause appended after the clause
-    set was built that names an undeclared variable raises
-    ``UnassignedVariable``.
+    clauses that hold its variable.
     """
     ids = sorted(cnf.variables)
     count = len(ids)
     position = {var: 2 * pos for pos, var in enumerate(ids)}
-    try:
-        clauses = [(tuple([position[var] + polarity for var, polarity in clause.literals]), weight)
-                   for clause, weight in zip(cnf.clauses, _integer_weights(cnf, count))]
-    except KeyError:  # a clause appended after the set was built
-        raise UnassignedVariable("a clause names a variable the clause set does not "
-                                 "declare") from None
+    clauses = [(tuple([position[var] + polarity for var, polarity in clause.literals]), weight)
+               for clause, weight in zip(cnf.clauses, _integer_weights(cnf, count))]
     clauses += [((2 * pos,), 1 << (count - 1 - pos)) for pos in range(count)]
     search = _Search(clauses, count)
     best = {"weight": -1, "values": None}  # weights are >= 0: the first leaf is kept
@@ -380,12 +367,11 @@ def _parse_header(tokens: list[str], line_no: int) -> tuple[int, int, int]:
     return nvars, nclauses, top
 
 
-def import_wcnf(path: Union[str, Path],
-                sidecar: Optional[Union[str, Path]] = None) -> WeightedCnf:
+def import_wcnf(path: Union[str, Path]) -> WeightedCnf:
     """Read a DIMACS WCNF file back into a clause set.
 
-    The sidecar map written by :func:`export_wcnf` is picked up
-    automatically when present; without it, variables get synthetic
+    The sidecar map that :func:`export_wcnf` writes next to the file is
+    read when present; without it, variables get synthetic
     names and every clause is tagged with the external origin. Clauses
     at or above the header's top value (hard clauses elsewhere) are
     kept as very heavy soft clauses. Every fault of the input is a
@@ -395,14 +381,13 @@ def import_wcnf(path: Union[str, Path],
     ``MAX_WCNF_VARIABLES`` variables among them.
     """
     path = Path(path)
-    if sidecar is None and _sidecar_path(path).exists():
-        sidecar = _sidecar_path(path)
+    sidecar = _sidecar_path(path)
     scale = WCNF_SCALE
     names: dict[int, str] = {}
     origins: list[ClauseOrigin] = []
-    if sidecar is not None:
+    if sidecar.exists():
         try:
-            mapping = parse_json(Path(sidecar).read_text(encoding="utf-8"))
+            mapping = parse_json(sidecar.read_text(encoding="utf-8"))
             scale = mapping.get("scale", WCNF_SCALE)
             names = {int(key): str(value)
                      for key, value in mapping.get("variables", {}).items()}

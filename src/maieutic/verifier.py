@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
-from .core import (ClauseOrigin, Literal, MaieuticTree, WeightedClause, parse_json, read_text,
-                   variable_map)
+from .core import ClauseOrigin, Literal, MaieuticTree, WeightedClause, parse_json, read_text
 from .errors import MalformedResponse, MissingFixture
 
 PROB_ORDER = ("entail", "contradict", "neutral")
@@ -62,9 +61,6 @@ class NliJudgment:
             raise ValueError("label probabilities must sum to 1")
         if _LABEL_ORDER[probs.index(max(probs))] is not self.label:
             raise ValueError(f"label {self.label.value!r} is not the argmax")
-
-    def label_prob(self) -> float:
-        return self.label_probs[_LABEL_ORDER.index(self.label)]
 
 
 # each label's certain judgment, checked once and shared by every reply
@@ -235,16 +231,17 @@ def _pair_clauses(variables: tuple[int, ...]) -> tuple[tuple[WeightedClause, Wei
                  for first, second in permutations(variables, 2))
 
 
-def relation_clauses(tree: MaieuticTree, verifier: NliVerifier) -> list[WeightedClause]:
+def relation_clauses(tree: MaieuticTree, variables: Mapping[int, str],
+                     verifier: NliVerifier) -> list[WeightedClause]:
     """Implication clauses of weight 1 from NLI judgments over all ordered node pairs.
 
-    All pairs are judged as one batch and visited in pre-order; clauses
-    with an identical literal set (for instance a contradiction judged
-    in both orders) merge into one, keeping the first. Each clause is
-    the shared one of its literal pair (``_nli_clause``), so clauses
+    ``variables`` is the tree's :func:`~maieutic.core.variable_map`. All
+    pairs are judged as one batch and visited in its order, pre-order;
+    clauses with an identical literal set (for instance a contradiction
+    judged in both orders) merge into one, keeping the first. Each clause
+    is the shared one of its literal pair (``_nli_clause``), so clauses
     merge by identity.
     """
-    variables = variable_map(tree)
     texts = [tree.nodes[node_id].text for node_id in variables.values()]
     judgments = verifier.nli_batch(list(permutations(texts, 2)))
     entail, neutral = NliLabel.ENTAIL, NliLabel.NEUTRAL

@@ -15,7 +15,6 @@ from maieutic.compiler import (
     compile_belief_clauses,
     compile_consistency_clauses,
     cnf_to_dict,
-    cnf_to_json,
     consistency_weight,
 )
 from maieutic.core import (
@@ -24,6 +23,7 @@ from maieutic.core import (
     MaieuticTree,
     Proposition,
     TreeConfig,
+    canonical_json,
     variable_map,
 )
 from maieutic.errors import DegenerateBelief, EmptyTree
@@ -65,7 +65,8 @@ def test_belief_clause_weight_reads_stored_probabilities():
     expected = (0.9 - 0.15) / (0.9 + 0.15)
     assert tree.node("T.0.T.0").belief == pytest.approx(expected)
     variables = {node_id: var for var, node_id in variable_map(tree).items()}
-    weights = {clause.literals[0][0]: clause.weight for clause in compile_belief_clauses(tree)}
+    weights = {clause.literals[0][0]: clause.weight
+               for clause in compile_belief_clauses(tree, variable_map(tree))}
     assert weights[variables["T.0.T.0"]] == pytest.approx(expected)
     bare = Proposition(id="x", text="claim without probabilities")
     assert bare.belief is None
@@ -118,7 +119,8 @@ def test_consistency_weight_survives_extreme_differences():
 # --- belief clauses ---
 
 def test_belief_clauses_for_the_fixed_tree():
-    clauses = compile_belief_clauses(fixed_tree())
+    tree = fixed_tree()
+    clauses = compile_belief_clauses(tree, variable_map(tree))
     assert [(c.literals, c.origin) for c in clauses] == [
         (((3, True),), ClauseOrigin.BELIEF),
         (((4, True),), ClauseOrigin.BELIEF),
@@ -137,7 +139,7 @@ def test_belief_clause_polarity_follows_integrity():
     tree = MaieuticTree(nodes={"root": root, "F.0": doubter},
                         children={"root": [(False, "F.0")]},
                         config=NARROW_CONFIG)
-    (clause,) = compile_belief_clauses(tree)
+    (clause,) = compile_belief_clauses(tree, variable_map(tree))
     assert clause.literals == ((2, False),)
     assert clause.weight == pytest.approx(0.5)
 
@@ -154,7 +156,7 @@ def test_belief_clauses_reject_unpruned_trees():
     broken = MaieuticTree(nodes=nodes, children=dict(tree.children),
                           config=tree.config)
     with pytest.raises(ValueError, match="prune"):
-        compile_belief_clauses(broken)
+        compile_belief_clauses(broken, variable_map(broken))
 
 
 def test_negligible_belief_clauses_are_dropped():
@@ -169,13 +171,14 @@ def test_negligible_belief_clauses_are_dropped():
                         children={"root": [(True, "T.0")]},
                         config=NARROW_CONFIG)
     assert abs(faint.belief) < MIN_CLAUSE_WEIGHT
-    assert compile_belief_clauses(tree) == []
+    assert compile_belief_clauses(tree, variable_map(tree)) == []
 
 
 # --- consistency clauses ---
 
 def test_consistency_clauses_for_the_fixed_tree():
-    clauses = compile_consistency_clauses(fixed_tree(), _war_logprob_backend(),
+    tree = fixed_tree()
+    clauses = compile_consistency_clauses(tree, variable_map(tree), _war_logprob_backend(),
                                           ABDUCTIVE_PROMPTS)
     expected_weights = [
         1.0 / (1.0 + math.exp(-2.0)),    # root -True-> T.0
@@ -237,6 +240,6 @@ def test_every_node_owns_a_variable():
 def test_cnf_json_round_trips_through_the_dict_form():
     cnf = compile(fixed_tree(), CompileMode.LIKELIHOOD,
                   backend=_war_logprob_backend(), prompts=ABDUCTIVE_PROMPTS)
-    text = cnf_to_json(cnf)
+    text = canonical_json(cnf_to_dict(cnf))
     assert text.endswith("\n")
     assert json.loads(text) == cnf_to_dict(cnf)

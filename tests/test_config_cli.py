@@ -26,7 +26,7 @@ from maieutic.core import (
 )
 from maieutic.errors import BackendUnavailable, CacheCorrupt, ParseError
 from maieutic.prompts import default_prompt_set
-from maieutic.solver import import_wcnf
+from maieutic.solver import MAX_WCNF_VARIABLES, import_wcnf
 from maieutic.harness import Method, evaluate, load_dataset
 from maieutic.verifier import CachedVerifier, HttpNliVerifier, NliLabel, ScriptedNliVerifier
 from worlds import (
@@ -81,6 +81,33 @@ def test_config_defaults():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: colour"):
         EngineConfig.from_dict({"colour": "blue"})
+
+
+def _deep_tree(depth: int, first_samples: int) -> dict:
+    """A tree config ``depth`` levels deep, ``first_samples`` wide at depth 1
+    and one wide below."""
+    first = {"strategy": "nucleus", "sample_count": first_samples}
+    return {"depth_limit": depth,
+            "decoding_schedule": [first] + [{"strategy": "greedy"}] * (depth - 1)}
+
+
+@pytest.mark.parametrize("depth, first_samples, nodes", [
+    (16, 3, 393_211),    # 393,210 generated nodes and the root
+    (16, 1, 131_071),
+], ids=["three-wide-first-level", "one-wide"])
+def test_config_refuses_a_tree_whose_wcnf_file_could_not_be_read(depth, first_samples, nodes):
+    tree = _deep_tree(depth, first_samples)
+    assert TreeConfig.from_dict(tree).max_nodes_excluding_root() + 1 == nodes
+    with pytest.raises(ValueError, match=f"tree allows {nodes} nodes, more than the "
+                                         f"{MAX_WCNF_VARIABLES} variables"):
+        EngineConfig.from_dict({"tree": tree})
+
+
+def test_config_takes_a_tree_just_under_the_wcnf_variable_bound():
+    # 2**16 - 1 nodes, the root included: a layer holds an even number,
+    # so no tree config allows exactly the bound
+    config = EngineConfig.from_dict({"tree": _deep_tree(15, 1)})
+    assert config.tree.max_nodes_excluding_root() + 1 == MAX_WCNF_VARIABLES - 1
 
 
 def test_config_round_trips_through_dict():
@@ -617,6 +644,12 @@ def _written(path: Path, text: str) -> Path:
     return path
 
 
+def _beside_its_sidecar(directory: Path, sidecar: str) -> Path:
+    """A one-clause WCNF file, with ``sidecar`` as the map written next to it."""
+    _written(directory / "i.wcnf.map.json", sidecar)
+    return _written(directory / "i.wcnf", "p wcnf 1 1 2\n1 1 0\n")
+
+
 @pytest.mark.parametrize("read,error", [
     (lambda tmp: tree_from_json(DEEP), ValueError),
     (lambda tmp: tree_from_dot(f"digraph t {{\n  // tree-json: {DEEP}\n}}\n"), ValueError),
@@ -628,8 +661,7 @@ def _written(path: Path, text: str) -> Path:
     (lambda tmp: load_prompt_set(_written(tmp / "p.json", DEEP)), ValueError),
     (lambda tmp: ResponseCache(_written(tmp / "responses.jsonl", DEEP + "\n").parent),
      CacheCorrupt),
-    (lambda tmp: import_wcnf(_written(tmp / "i.wcnf", "p wcnf 1 1 2\n1 1 0\n"),
-                             _written(tmp / "i.map.json", DEEP)), ParseError),
+    (lambda tmp: import_wcnf(_beside_its_sidecar(tmp, DEEP)), ParseError),
     (lambda tmp: read_trace(_written(tmp / "t.jsonl", DEEP + "\n")), ValueError),
 ], ids=["tree-json", "tree-dot", "config-json", "config-toml", "dataset", "lm-fixtures",
         "nli-fixtures", "prompt-set", "cache", "wcnf-sidecar", "trace"])

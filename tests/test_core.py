@@ -1,6 +1,7 @@
 """Data-model tests: validation, traversal order, serialization round-trips."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -20,6 +21,7 @@ from maieutic.core import (
     WeightedClause,
     WeightedCnf,
     child_id,
+    json_digest,
     label_word,
     tree_from_dict,
     tree_from_dot,
@@ -181,6 +183,18 @@ def test_prompt_set_content_hash_tracks_content():
     other = PromptSet(PromptMode.QA_PAIRS, (PromptExample("Water is dry?", False),))
     assert one.content_hash() == same.content_hash()
     assert one.content_hash() != other.content_hash()
+
+
+@pytest.mark.parametrize("value", [
+    {"b": [1, 2.5, None], "a": {"z": True, "é": "naïve ✓"}},
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, 2 ** 80, -(2 ** 70)],
+    TreeConfig().to_dict(),
+    "\u2028 \x00 \ud800 text",
+    {},
+], ids=["nested", "numbers", "tree-config", "string", "empty"])
+def test_json_digest_hashes_the_text_of_sorted_compact_json_dumps(value):
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert json_digest(value) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_tree_nodes_pre_order():

@@ -30,7 +30,8 @@ from maieutic.backend import (
     TraceRecorder,
     read_trace,
 )
-from maieutic.compiler import CompileMode, cnf_to_json
+from maieutic.compiler import CompileMode, cnf_to_dict
+from maieutic.core import canonical_json
 from maieutic.errors import BackendUnavailable, MissingFixture
 from maieutic.verifier import HttpNliVerifier, ScriptedNliVerifier
 from worlds import TRUTH_PROMPTS, random_world
@@ -189,7 +190,8 @@ def test_fan_out_answers_byte_identical_to_the_scripted_backend(stub, tmp_path, 
         records = [(entry["digest"], entry["purpose"], entry["cache_hit"])
                    for entry in read_trace(trace.path)]
         return ([harness.result_to_json(result) for result in results],
-                [cnf_to_json(result.cnf) for result in results if result.cnf is not None],
+                [canonical_json(cnf_to_dict(result.cnf))
+                 for result in results if result.cnf is not None],
                 records, _cache_files(tmp_path / tag))
 
     over_http = run(HttpLmBackend(stub.base + "/v1/completions"),

@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import pytest
 
+from maieutic import core, harness, tree_builder
 from maieutic.backend import CachedBackend, FixtureBuilder
+from maieutic.compiler import CompileMode
 from maieutic.core import (
     NegationStrategy,
     PromptExample,
@@ -36,12 +38,15 @@ from maieutic.harness import (
     run_manifest,
 )
 from maieutic.prompts import prefix_negation
+from maieutic.solver import assignment_by_node
+from maieutic.verifier import ScriptedNliVerifier
 from worlds import (
     EXPLANATION_PROMPTS,
     WAR_E_F,
     WAR_E_T,
     WAR_E_TF,
     WAR_E_TT,
+    WAR_NLI_RECORDS,
     WAR_QUESTION,
     NARROW_CONFIG,
     TRUTH_PROMPTS,
@@ -149,6 +154,29 @@ def test_maieutic_full_pipeline_on_the_golden_scenario():
     expected_total = expected + belief_f + _sigmoid(-20.0 + 13.0)
     assert result.assignment.satisfied_weight == pytest.approx(expected, rel=1e-12)
     assert result.cnf.total_weight() == pytest.approx(expected_total, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(CompileMode))
+def test_a_compiled_question_walks_its_tree_twice(monkeypatch, mode):
+    # once to prune the grown tree, once to number the pruned one; every
+    # clause builder and the true propositions read that numbering
+    walks = []
+    walk = core.tree_nodes
+
+    def counted(tree):
+        walks.append(len(tree.nodes))
+        return walk(tree)
+    for module in (core, tree_builder, harness):
+        monkeypatch.setattr(module, "tree_nodes", counted)
+    engine = Engine(backend=war_world(include_logprobs=True).backend(),
+                    tree_config=NARROW_CONFIG, mode=mode,
+                    verifier=ScriptedNliVerifier(WAR_NLI_RECORDS, strict=False))
+    result = infer_maieutic(WAR_QUESTION, engine)
+    assert result.cnf is not None
+    assert walks == [len(result.tree.nodes)] * 2
+    by_node = assignment_by_node(result.cnf, result.assignment)
+    assert result.true_propositions == [node.text for node in walk(result.tree)[1:]
+                                        if by_node[node.id]]
 
 
 def test_maieutic_repeat_runs_serialize_identically():

@@ -1,6 +1,8 @@
 """Solver tests: evaluation, optimality, tie-breaking, the exchange format."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,23 +62,31 @@ def test_evaluate_requires_every_variable():
 @pytest.mark.parametrize("variables", [{1: "a", 2: "b"}, {5: "a", 9: "b"}],
                          ids=["ids-1-to-n", "sparse-ids"])
 @pytest.mark.parametrize("undeclared", [0, -1, 3, 7])
-def test_a_clause_appended_on_an_undeclared_variable_is_unassigned(variables, undeclared):
+def test_a_built_clause_set_takes_no_clause_on_an_undeclared_variable(variables, undeclared):
     first, second = variables
-    cnf = WeightedCnf(variables=variables, clauses=[
+    stray = WeightedClause(((first, False), (undeclared, True)), 0.5, ClauseOrigin.EXTERNAL)
+    with pytest.raises(ValueError, match=f"undeclared variable {undeclared}"):
+        WeightedCnf(variables=variables, clauses=[stray])
+    given = dict(variables)
+    cnf = WeightedCnf(variables=given, clauses=[
         WeightedClause(((first, True), (second, False)), 1.0, ClauseOrigin.EXTERNAL)])
-    # the clause set checks its variables when built, not when a clause is appended
-    cnf.clauses.append(WeightedClause(((first, False), (undeclared, True)), 0.5,
-                                      ClauseOrigin.EXTERNAL))
-    with pytest.raises(UnassignedVariable, match=str(undeclared)):
-        evaluate(cnf, {first: True, second: True})
-    with pytest.raises(UnassignedVariable):
-        solve(cnf)
+    # sealed: no clause and no variable gets in after the check
+    with pytest.raises(AttributeError):
+        cnf.clauses.append(stray)
+    with pytest.raises(TypeError):
+        cnf.variables[undeclared] = "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cnf.clauses = [stray]
+    given[undeclared] = "x"  # the set keeps its own copy of the map
+    assert cnf.variables == variables
+    assert evaluate(cnf, {first: True, second: True}) == (1.0, [])
+    assert solve(cnf).values == {first: False, second: False}
 
 
 def test_assignment_lookup_by_node():
     cnf = _cnf([([(1, True)], 1.0)], n_vars=2)
     result = solve(cnf)
-    assert result.value_for(1) is True
+    assert result.values[1] is True
     mapped = assignment_by_node(cnf, result)
     assert mapped == {"n1": True, "n2": False}
 

@@ -390,7 +390,8 @@ def test_relation_clauses_match_the_reference_loop(tree, data):
             records += [{"premise": premise, "hypothesis": hypothesis, "label": ahead.value},
                         {"premise": hypothesis, "hypothesis": premise, "label": back.value}]
     verifier = ScriptedNliVerifier(fixtures=records)
-    assert relation_clauses(tree, verifier) == reference_relation_clauses(tree, verifier)
+    assert relation_clauses(tree, variable_map(tree), verifier) == \
+        reference_relation_clauses(tree, verifier)
 
 
 def merged_relation_clauses(tree, verifier):
@@ -428,7 +429,8 @@ def test_relation_clauses_equal_the_merge_by_literal_tuples(tree, data):
             records += [{"premise": premise, "hypothesis": hypothesis, "label": ahead.value},
                         {"premise": hypothesis, "hypothesis": premise, "label": back.value}]
     verifier = ScriptedNliVerifier(fixtures=records)
-    assert relation_clauses(tree, verifier) == merged_relation_clauses(tree, verifier)
+    assert relation_clauses(tree, variable_map(tree), verifier) == \
+        merged_relation_clauses(tree, verifier)
 
 
 RESPONSES = st.one_of(

@@ -23,6 +23,7 @@ from maieutic.core import (
     Proposition,
     WeightedClause,
     tree_nodes,
+    variable_map,
 )
 from maieutic.errors import BackendUnavailable, MalformedResponse, MissingFixture
 from maieutic.verifier import (
@@ -53,7 +54,7 @@ def _pair_tree():
 
 def test_judgment_accepts_consistent_probabilities():
     judgment = NliJudgment(NliLabel.CONTRADICT, (0.2, 0.7, 0.1))
-    assert judgment.label_prob() == pytest.approx(0.7)
+    assert judgment.label_probs[1] == pytest.approx(0.7)
 
 
 @pytest.mark.parametrize("probs", [
@@ -88,7 +89,7 @@ def test_judgment_stores_a_list_as_a_tuple(label, probs, expected):
     judgment = NliJudgment(label, probs)
     assert type(judgment.label_probs) is tuple
     assert judgment.label_probs == tuple(probs)
-    assert judgment.label_prob() == expected
+    assert judgment.label_probs[PROB_ORDER.index(label.value)] == expected
 
 
 def test_judgment_holds_only_the_label_and_its_probabilities():
@@ -177,7 +178,7 @@ def test_scripted_record_probabilities_pass_through():
     records = [{"premise": "a", "hypothesis": "b", "label": "entail",
                 "probs": [0.8, 0.05, 0.15]}]
     verifier = ScriptedNliVerifier(fixtures=records)
-    assert verifier.nli("a", "b").label_prob() == pytest.approx(0.8)
+    assert verifier.nli("a", "b").label_probs[0] == pytest.approx(0.8)
 
 
 def _certain(label):
@@ -196,7 +197,7 @@ def test_certain_judgments_are_shared(label, premise, hypothesis, records):
     judgment = verifier.nli(premise, hypothesis)
     assert judgment is verifier.nli(premise, hypothesis) is _certain(label)
     assert judgment.label is label
-    assert judgment.label_prob() == 1.0
+    assert judgment.label_probs[PROB_ORDER.index(label.value)] == 1.0
 
 
 def test_record_probabilities_hold_on_every_call():
@@ -306,9 +307,9 @@ def test_a_strict_miss_in_a_cached_verifier_batch_keeps_only_the_pairs_before_it
 def test_entailment_points_at_the_hypothesis():
     records = [{"premise": "A supporting fact.", "hypothesis": "The question",
                 "label": "entail"}]
-    clauses = relation_clauses(_pair_tree(),
-                               ScriptedNliVerifier(fixtures=records,
-                                                   strict=False))
+    tree = _pair_tree()
+    clauses = relation_clauses(tree, variable_map(tree),
+                               ScriptedNliVerifier(fixtures=records, strict=False))
     # not-premise or hypothesis; variable 1 is the root, 2 the leaf
     assert [c.literals for c in clauses] == [((1, True), (2, False))]
     assert clauses[0].origin is ClauseOrigin.NLI
@@ -318,21 +319,23 @@ def test_entailment_points_at_the_hypothesis():
 def test_contradiction_negates_the_hypothesis():
     records = [{"premise": "The question", "hypothesis": "A supporting fact.",
                 "label": "contradict"}]
-    clauses = relation_clauses(_pair_tree(),
-                               ScriptedNliVerifier(fixtures=records,
-                                                   strict=False))
+    tree = _pair_tree()
+    clauses = relation_clauses(tree, variable_map(tree),
+                               ScriptedNliVerifier(fixtures=records, strict=False))
     assert [c.literals for c in clauses] == [((1, False), (2, False))]
 
 
 def test_neutral_pairs_produce_no_clauses():
-    clauses = relation_clauses(_pair_tree(), ScriptedNliVerifier(strict=False))
+    tree = _pair_tree()
+    clauses = relation_clauses(tree, variable_map(tree), ScriptedNliVerifier(strict=False))
     assert clauses == []
 
 
 def test_symmetric_contradictions_merge_into_one_clause():
+    tree = fixed_tree()
     clauses = relation_clauses(
-        fixed_tree(), ScriptedNliVerifier(fixtures=WAR_NLI_RECORDS,
-                                          strict=False))
+        tree, variable_map(tree), ScriptedNliVerifier(fixtures=WAR_NLI_RECORDS,
+                                                      strict=False))
     # six non-neutral judgments, five clauses: the contradiction judged
     # in both orders collapses to a single literal set
     assert len(clauses) == 5
@@ -352,7 +355,7 @@ def test_relation_clauses_asks_once_per_ordered_pair():
         calls.append((premise, hypothesis))
         return original(premise, hypothesis)
     verifier.nli = counted
-    relation_clauses(tree, verifier)
+    relation_clauses(tree, variable_map(tree), verifier)
     texts = [node.text for node in tree_nodes(tree)]
     count = len(texts)
     assert len(calls) == count * (count - 1) == 20
@@ -384,9 +387,10 @@ def test_recompiling_a_tree_builds_no_clause(monkeypatch):
         built.append(clause.literals)
         checked(clause)
     monkeypatch.setattr(WeightedClause, "__post_init__", counted)
-    first = relation_clauses(tree, verifier)
+    variables = variable_map(tree)
+    first = relation_clauses(tree, variables, verifier)
     first_built = len(built)
-    second = relation_clauses(tree, verifier)
+    second = relation_clauses(tree, variables, verifier)
     assert len(first) > 150
     assert first_built <= len(first)
     assert len(built) == first_built
@@ -396,7 +400,8 @@ def test_recompiling_a_tree_builds_no_clause(monkeypatch):
 
 def test_strict_verifier_requires_full_coverage():
     with pytest.raises(MissingFixture):
-        relation_clauses(fixed_tree(),
+        tree = fixed_tree()
+        relation_clauses(tree, variable_map(tree),
                          ScriptedNliVerifier(fixtures=WAR_NLI_RECORDS))
 
 
@@ -446,7 +451,7 @@ def test_http_verifier_round_trip(nli_stub):
     verifier = HttpNliVerifier(nli_stub.endpoint)
     judgment = verifier.nli("A supporting fact.", "The question")
     assert judgment.label is NliLabel.ENTAIL
-    assert judgment.label_prob() == pytest.approx(0.9)
+    assert judgment.label_probs[0] == pytest.approx(0.9)
     assert nli_stub.requests[0] == {"premise": "A supporting fact.",
                                     "hypothesis": "The question"}
 

@@ -944,12 +944,9 @@ class TraceRecorder:
 
 
 def read_trace(path: Union[str, Path]) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(parse_json(line))
-    return records
+    # lines split as ``open`` splits them, at "\n", "\r\n" and "\r"
+    return [parse_json(line) for line in io.StringIO(read_text(path), newline=None)
+            if line.strip()]
 
 
 class CachedBackend(LmBackend):

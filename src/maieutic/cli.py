@@ -10,7 +10,8 @@ from typing import Optional
 from . import harness, solver
 from .compiler import CompileMode
 from .config import EngineConfig, build_engine
-from .core import label_word, tree_from_dot, tree_from_json, tree_to_dot, tree_to_json
+from .core import (label_word, read_text, tree_from_dot, tree_from_json, tree_to_dot,
+                   tree_to_json)
 from .errors import MaieuticError
 from .harness import Method
 
@@ -76,7 +77,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = read_text(args.input)
     from_dot = text.lstrip().startswith("digraph")
     tree = tree_from_dot(text) if from_dot else tree_from_json(text)
     target = args.to or ("json" if from_dot else "dot")

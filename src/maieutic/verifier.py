@@ -12,12 +12,12 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import permutations
+from itertools import permutations, starmap
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backend import CachedBackend, HttpClient, ModelClient
-from .core import ClauseOrigin, Literal, MaieuticTree, WeightedClause, parse_json, read_text
+from .core import ClauseOrigin, MaieuticTree, WeightedClause, parse_json, read_text
 from .errors import MalformedResponse, MissingFixture
 
 PROB_ORDER = ("entail", "contradict", "neutral")
@@ -211,24 +211,14 @@ class CachedVerifier(NliVerifier):
 
 
 @cache
-def _nli_clause(literals: tuple[Literal, Literal]) -> WeightedClause:
-    """The NLI clause over a literal pair, built and checked on first use.
-    Clauses are frozen, so one per pair serves every tree in the process."""
-    return WeightedClause(literals, 1.0, ClauseOrigin.NLI)
-
-
-@cache
-def _pair_clauses(variables: tuple[int, ...]) -> tuple[tuple[WeightedClause, WeightedClause], ...]:
-    """For each ordered pair of ``variables``, in ``permutations`` order:
-    its contradiction clause (premise implies not-hypothesis) and its
-    entailment clause (premise implies hypothesis), literals in ascending
-    variable order, so a pair judged in both orders yields the same
-    contradiction clause (``_nli_clause``)."""
-    def clause(premise: Literal, hypothesis: Literal) -> WeightedClause:
-        return _nli_clause((premise, hypothesis) if premise[0] < hypothesis[0]
-                           else (hypothesis, premise))
-    return tuple((clause((first, False), (second, False)), clause((first, False), (second, True)))
-                 for first, second in permutations(variables, 2))
+def _nli_clause(premise: int, hypothesis: int, entails: bool) -> WeightedClause:
+    """Premise implies hypothesis (``entails``) or not-hypothesis: a clause
+    of weight 1, literals in ascending variable order, built the first
+    time any tree keeps it. The cache only saves work: trees merge their
+    clauses by key, so threads that each build one keep equal copies."""
+    literals = ((premise, False), (hypothesis, entails))
+    return WeightedClause(literals if premise < hypothesis else literals[::-1], 1.0,
+                          ClauseOrigin.NLI)
 
 
 def relation_clauses(tree: MaieuticTree, variables: Mapping[int, str],
@@ -237,15 +227,20 @@ def relation_clauses(tree: MaieuticTree, variables: Mapping[int, str],
 
     ``variables`` is the tree's :func:`~maieutic.core.variable_map`. All
     pairs are judged as one batch and visited in its order, pre-order;
-    clauses with an identical literal set (for instance a contradiction
-    judged in both orders) merge into one, keeping the first. Each clause
-    is the shared one of its literal pair (``_nli_clause``), so clauses
-    merge by identity.
+    clauses with an identical literal set (a contradiction judged in both
+    orders) merge into one, keeping the first. They merge by value, on one
+    key per judgment: (premise, hypothesis, True) for an entailment and,
+    for a contradiction, (premise, hypothesis, False) with the smaller
+    variable first. Each clause comes from ``_nli_clause``, whose cache
+    only saves work.
     """
     texts = [tree.nodes[node_id].text for node_id in variables.values()]
     judgments = verifier.nli_batch(list(permutations(texts, 2)))
     entail, neutral = NliLabel.ENTAIL, NliLabel.NEUTRAL
-    kept = [pair[label is entail]
-            for pair, judgment in zip(_pair_clauses(tuple(variables)), judgments)
-            if (label := judgment.label) is not neutral]
-    return list({id(clause): clause for clause in kept}.values())
+    keys = dict.fromkeys([
+        (premise, hypothesis, True) if label is entail
+        else (premise, hypothesis, False) if premise < hypothesis
+        else (hypothesis, premise, False)
+        for (premise, hypothesis), judgment in zip(permutations(variables, 2), judgments)
+        if (label := judgment.label) is not neutral])
+    return list(starmap(_nli_clause, keys))

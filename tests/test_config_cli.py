@@ -678,7 +678,9 @@ def test_each_json_reader_raises_its_own_error_on_nesting_too_deep_to_parse(tmp_
     (ScriptedBackend, "f.json"),
     (ScriptedNliVerifier, "n.json"),
     (load_prompt_set, "p.json"),
-], ids=["config-json", "config-toml", "dataset", "lm-fixtures", "nli-fixtures", "prompt-set"])
+    (read_trace, "t.jsonl"),
+], ids=["config-json", "config-toml", "dataset", "lm-fixtures", "nli-fixtures", "prompt-set",
+        "trace"])
 @pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
 def test_each_file_reader_names_the_file_and_line_that_is_not_utf8(tmp_path, read, name,
                                                                     newline):
@@ -694,6 +696,13 @@ def test_cli_tree_reports_nesting_too_deep_to_parse_without_a_traceback(capsys, 
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_cli_tree_names_the_file_and_line_that_is_not_utf8(capsys, tmp_path):
+    source = tmp_path / "tree.json"
+    source.write_bytes(b'{"root_id": "root",\n "nodes": "\xff"}\n')
+    assert cli.main(["tree", str(source), "--to", "dot"]) == 1
+    assert capsys.readouterr().err == f"error: {source}: line 2: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("text,message", [

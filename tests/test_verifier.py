@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -396,6 +399,57 @@ def test_recompiling_a_tree_builds_no_clause(monkeypatch):
     assert len(built) == first_built
     assert second == first
     assert all(again is clause for again, clause in zip(second, first))
+
+
+# variable ids of the racing trees, a million apart per round and far
+# above any tree another test numbers, so each round starts cold
+_RACE_OFFSETS = itertools.count(10 ** 9, 10 ** 6)
+
+
+def test_threads_compiling_one_tree_each_keep_one_copy_of_each_clause(monkeypatch):
+    tree, verifier = _dense_scene()
+    node_ids = list(variable_map(tree).values())
+    relation_clauses(tree, variable_map(tree), verifier)  # parses every judgment
+    checked = WeightedClause.__post_init__
+
+    def yielding(clause):
+        time.sleep(0)  # another thread may build the same clause meanwhile
+        checked(clause)
+    monkeypatch.setattr(WeightedClause, "__post_init__", yielding)
+
+    def shifted(offset):
+        return {offset + index: node_id for index, node_id in enumerate(node_ids)}
+
+    def compile_tree(barrier, variables, results, slot):
+        barrier.wait()
+        results[slot] = relation_clauses(tree, variables, verifier)
+
+    base = next(_RACE_OFFSETS)
+    alone = relation_clauses(tree, shifted(base), verifier)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # threads trade the interpreter lock often
+    try:
+        for _ in range(20):
+            offset = next(_RACE_OFFSETS)
+            barrier = threading.Barrier(4, timeout=10)
+            variables, results = shifted(offset), [None] * 4
+            threads = [threading.Thread(target=compile_tree,
+                                        args=(barrier, variables, results, slot))
+                       for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert not any(thread.is_alive() for thread in threads)
+            expected = [dataclasses.replace(clause, literals=tuple(
+                (variable - base + offset, positive) for variable, positive in clause.literals))
+                for clause in alone]
+            for clauses in results:
+                copies = len(clauses) - len({frozenset(clause.literals) for clause in clauses})
+                assert copies == 0
+                assert clauses == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_strict_verifier_requires_full_coverage():

@@ -389,7 +389,8 @@ class FixtureBuilder:
 
 # --- HTTP transport and backend ---
 
-# Seconds before the second attempt of a request; each later wait doubles.
+# Seconds before the second attempt of a request; each later wait doubles,
+# up to the client's timeout.
 BACKOFF_S = 1.0
 
 # Requests this process keeps in flight at most, over every HTTP client;
@@ -541,7 +542,7 @@ class HttpClient(ModelClient):
     (a malformed reply among them), a 5xx or a 429 leaves its request
     pending, within ``retries`` attempts one wait apart: the longest that a
     pending request asks for, its exponential backoff from ``BACKOFF_S`` or
-    its 429's ``Retry-After`` (at most ``timeout``). A client sends only
+    its 429's ``Retry-After``, either at most ``timeout``. A client sends only
     through :meth:`_batch` and implements no primitive: a single request is
     its interface's batch of one.
     """
@@ -591,12 +592,13 @@ class HttpClient(ModelClient):
         requests = [self._request(build(self, *args)) for args in arguments]
         answers, seconds, began = [None] * len(requests), [0.0] * len(requests), {}
         pending, failed, failure = list(range(len(requests))), len(requests), None
+        backoff = min(BACKOFF_S, self.timeout)
         for attempt in range(self.retries):
             if not pending:
                 break
             if attempt:  # one wait, the longest that a pending request asks for
-                time.sleep(max(BACKOFF_S * 2 ** (attempt - 1) if wait is None else wait
-                               for _, wait in retried.values()))
+                time.sleep(max(backoff if wait is None else wait for _, wait in retried.values()))
+                backoff = min(2 * backoff, self.timeout)
             sent: list[tuple[_Outcome, float, float]] = []
             while len(sent) < len(pending):
                 sent += self._wave([requests[index] for index in pending[len(sent):]])

@@ -135,9 +135,6 @@ def build_engine(config: EngineConfig):
     verifier = None if config.verifier is None else _client("verifier", config.verifier)
     if verifier is not None and backend is not inner:
         verifier = CachedVerifier(verifier, backend)
-    if config.mode is CompileMode.VERIFIER and verifier is None:
-        raise ValueError("verifier mode needs a verifier section in the config")
-
     return harness.Engine(
         backend=backend,
         tree_config=config.tree,

@@ -1,8 +1,8 @@
 """Domain types: propositions, explanation trees, weighted clauses, configuration.
 
-Values are treated as immutable once constructed; tree construction goes
-through a builder that assembles the node and edge maps before the tree
-object is created.
+Values are frozen and checked once, when they are built: a
+``MaieuticTree`` or ``WeightedCnf`` that exists keeps the rules of its
+kind, and no later caller checks it again.
 """
 from __future__ import annotations
 
@@ -348,14 +348,51 @@ def child_id(parent_id: str, label: bool, index: int) -> str:
 Edge = tuple[bool, str]  # (branch label, child node id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaieuticTree:
-    """Rooted tree of propositions with True/False labeled edges."""
+    """Rooted tree of propositions with True/False labeled edges, checked
+    when built (``ValueError`` names the rule a map breaks) and sealed like
+    :class:`WeightedCnf`: it keeps read-only copies of its maps, edge lists
+    as tuples. Each edge extends its parent's path label, so no cycle passes."""
 
-    nodes: dict[str, Proposition]
-    children: dict[str, list[Edge]]
+    nodes: Mapping[str, Proposition]
+    children: Mapping[str, tuple[Edge, ...]]
     config: TreeConfig = field(default_factory=TreeConfig)
     root_id: str = ROOT_ID
+
+    def __post_init__(self):
+        nodes = MappingProxyType(dict(self.nodes))
+        children = MappingProxyType({parent: tuple(edges)
+                                     for parent, edges in self.children.items()})
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "children", children)
+        if self.root_id not in nodes:
+            raise ValueError("root node missing from node map")
+        if self.root.path_label != "":
+            raise ValueError("root must have an empty path label")
+        parents: dict[str, str] = {}
+        for parent_id, edges in children.items():
+            if parent_id not in nodes:
+                raise ValueError(f"unknown parent {parent_id!r}")
+            for label, cid in edges:
+                if cid not in nodes:
+                    raise ValueError(f"unknown child {cid!r}")
+                if cid in parents:
+                    raise ValueError(f"{cid!r} has more than one parent")
+                parents[cid] = parent_id
+                expected = nodes[parent_id].path_label + ("T" if label else "F")
+                if nodes[cid].path_label != expected:
+                    raise ValueError(
+                        f"{cid!r} path label {nodes[cid].path_label!r} does not extend its parent")
+        for node_id in nodes:
+            if node_id != self.root_id and node_id not in parents:
+                raise ValueError(f"{node_id!r} is disconnected from the root")
+        bound = self.config.max_nodes_excluding_root()
+        if len(nodes) - 1 > bound:
+            raise ValueError(f"{len(nodes) - 1} generated nodes exceed the bound {bound}")
+        for node in nodes.values():
+            if node.depth > self.config.depth_limit:
+                raise ValueError(f"{node.id!r} exceeds the depth limit")
 
     @property
     def root(self) -> Proposition:
@@ -364,8 +401,8 @@ class MaieuticTree:
     def node(self, node_id: str) -> Proposition:
         return self.nodes[node_id]
 
-    def children_of(self, node_id: str) -> list[Edge]:
-        return self.children.get(node_id, [])
+    def children_of(self, node_id: str) -> tuple[Edge, ...]:
+        return self.children.get(node_id, ())
 
     def edges(self) -> Iterator[tuple[str, bool, str]]:
         """(parent id, branch label, child id) triples, parents in pre-order."""
@@ -378,38 +415,6 @@ class MaieuticTree:
 
     def is_root_only(self) -> bool:
         return len(self.nodes) == 1
-
-    def validate(self) -> None:
-        """Raise ValueError unless the structure is a well-formed single-rooted tree."""
-        if self.root_id not in self.nodes:
-            raise ValueError("root node missing from node map")
-        if self.root.path_label != "":
-            raise ValueError("root must have an empty path label")
-        parents: dict[str, str] = {}
-        for parent_id, edges in self.children.items():
-            if parent_id not in self.nodes:
-                raise ValueError(f"unknown parent {parent_id!r}")
-            for label, cid in edges:
-                if cid not in self.nodes:
-                    raise ValueError(f"unknown child {cid!r}")
-                if cid in parents:
-                    raise ValueError(f"{cid!r} has more than one parent")
-                parents[cid] = parent_id
-                child = self.nodes[cid]
-                expected = self.nodes[parent_id].path_label + ("T" if label else "F")
-                if child.path_label != expected:
-                    raise ValueError(
-                        f"{cid!r} path label {child.path_label!r} does not extend its parent")
-        for node_id in self.nodes:
-            if node_id != self.root_id and node_id not in parents:
-                raise ValueError(f"{node_id!r} is disconnected from the root")
-        bound = self.config.max_nodes_excluding_root()
-        if self.node_count() - 1 > bound:
-            raise ValueError(
-                f"{self.node_count() - 1} generated nodes exceed the bound {bound}")
-        for node in self.nodes.values():
-            if node.depth > self.config.depth_limit:
-                raise ValueError(f"{node.id!r} exceeds the depth limit")
 
 
 def tree_nodes(tree: MaieuticTree) -> list[Proposition]:
@@ -585,14 +590,8 @@ def tree_from_dict(data: Any) -> MaieuticTree:
         check_fields("tree edge", edge, {"parent": str, "label": bool, "child": str},
                      _edge_keys)
         children.setdefault(edge["parent"], []).append((edge["label"], edge["child"]))
-    tree = MaieuticTree(
-        nodes=nodes,
-        children=children,
-        config=TreeConfig.from_dict(data.get("config", {})),
-        root_id=data["root"],
-    )
-    tree.validate()
-    return tree
+    return MaieuticTree(nodes=nodes, children=children,
+                        config=TreeConfig.from_dict(data.get("config", {})), root_id=data["root"])
 
 
 def tree_to_json(tree: MaieuticTree) -> str:

@@ -110,6 +110,8 @@ class Engine:
     seed: int = 0
 
     def __post_init__(self):
+        if self.mode is CompileMode.VERIFIER and self.verifier is None:
+            raise ValueError("verifier mode needs an NLI verifier")
         for name, mode in PROMPT_FIELDS.values():
             if getattr(self, name) is None:
                 setattr(self, name, prompt_templates.default_prompt_set(mode))

@@ -134,9 +134,7 @@ def build_tree(question: str, config: TreeConfig, backend: backend_ops.LmBackend
         for proposition in _checked_propositions(checked, config, backend, truth_prompts):
             nodes[proposition.id] = proposition
         parents = [node for node in pending if not nodes[node.id].integrity.is_integral]
-    tree = MaieuticTree(nodes=nodes, children=children, config=config)
-    tree.validate()
-    return tree
+    return MaieuticTree(nodes=nodes, children=children, config=config)
 
 
 def prune(tree: MaieuticTree) -> MaieuticTree:
@@ -146,10 +144,9 @@ def prune(tree: MaieuticTree) -> MaieuticTree:
     child, so a node with an integral descendant is never removed. One
     walk in reverse pre-order decides each node after its children,
     without recursion, since a tree read from a file may be deeper than
-    Python's recursion limit. The input is validated first; a subtree of
-    a valid tree that keeps every kept node's parent is valid too.
+    Python's recursion limit. Each tree is checked once, when it is built:
+    the input was, and the subtree is checked as it is made.
     """
-    tree.validate()
     kept: set[str] = set()
     for node in reversed(tree_nodes(tree)):
         if (node.id == tree.root_id or node.integrity.is_integral

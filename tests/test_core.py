@@ -1,6 +1,7 @@
 """Data-model tests: validation, traversal order, serialization round-trips."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -226,10 +227,8 @@ def test_validate_rejects_second_parent():
     tree = fixed_tree()
     children = {key: list(value) for key, value in tree.children.items()}
     children["F.0"] = [(True, "T.0.T.0")]
-    broken = MaieuticTree(nodes=dict(tree.nodes), children=children,
-                          config=tree.config)
     with pytest.raises(ValueError, match="more than one parent"):
-        broken.validate()
+        MaieuticTree(nodes=dict(tree.nodes), children=children, config=tree.config)
 
 
 def test_validate_rejects_disconnected_node():
@@ -237,10 +236,8 @@ def test_validate_rejects_disconnected_node():
     nodes = dict(tree.nodes)
     nodes["stray"] = Proposition(id="stray", text="unattached claim",
                                  path_label="F")
-    broken = MaieuticTree(nodes=nodes, children=dict(tree.children),
-                          config=tree.config)
     with pytest.raises(ValueError, match="disconnected"):
-        broken.validate()
+        MaieuticTree(nodes=nodes, children=dict(tree.children), config=tree.config)
 
 
 def test_validate_rejects_path_label_mismatch():
@@ -248,20 +245,36 @@ def test_validate_rejects_path_label_mismatch():
     nodes = dict(tree.nodes)
     nodes["F.0"] = Proposition(id="F.0", text="claim", negated_text="not claim",
                                path_label="T", integrity=Integrity.NOT_INTEGRAL)
-    broken = MaieuticTree(nodes=nodes, children=dict(tree.children),
-                          config=tree.config)
     with pytest.raises(ValueError, match="path label"):
-        broken.validate()
+        MaieuticTree(nodes=nodes, children=dict(tree.children), config=tree.config)
 
 
 def test_validate_rejects_root_as_child():
     tree = fixed_tree()
     children = {key: list(value) for key, value in tree.children.items()}
     children["T.0.T.0"] = [(True, "root")]
-    broken = MaieuticTree(nodes=dict(tree.nodes), children=children,
-                          config=tree.config)
     with pytest.raises(ValueError, match="root"):
-        broken.validate()
+        MaieuticTree(nodes=dict(tree.nodes), children=children, config=tree.config)
+
+
+def test_a_built_tree_is_sealed_and_keeps_its_own_copy_of_the_maps():
+    nodes, children = dict(fixed_tree().nodes), dict(fixed_tree().children)
+    children["root"] = list(children["root"])
+    tree = MaieuticTree(nodes=nodes, children=children, config=NARROW_CONFIG)
+    nodes.pop("F.0")
+    children["root"].pop()
+    assert tree_to_dict(tree) == tree_to_dict(fixed_tree())
+    with pytest.raises(TypeError):
+        tree.nodes["stray"] = tree.root
+    with pytest.raises(TypeError):
+        tree.children["F.0"] = [(True, "T.0.T.0")]
+    with pytest.raises(AttributeError):
+        tree.children["root"].append((True, "T.0.T.0"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.children = {}
+    with pytest.raises(ValueError, match="4 generated nodes exceed the bound 2"):
+        dataclasses.replace(tree, config=TreeConfig(
+            depth_limit=1, decoding_schedule=(DecodingParams(DecodingStrategy.GREEDY),)))
 
 
 def test_tree_dict_round_trip():

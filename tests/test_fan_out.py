@@ -343,6 +343,19 @@ def _recorded_sleeps(monkeypatch) -> list:
     return slept
 
 
+def test_every_retry_wait_is_at_most_the_timeout_for_any_number_of_attempts(monkeypatch):
+    # each attempt opens one connection, which a closed loopback port refuses at once
+    slept = _recorded_sleeps(monkeypatch)
+    with socket.create_server(("127.0.0.1", 0)) as closed:
+        endpoint = f"http://127.0.0.1:{closed.getsockname()[1]}/nli"
+    verifier = HttpNliVerifier(endpoint, timeout=0.5, retries=1100)
+    with pytest.raises(BackendUnavailable, match="after 1100 attempts"):
+        verifier.nli_batch([("premise", "hypothesis")])
+    assert len(slept) == 1099
+    assert slept[:7] == [0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.5]
+    assert max(slept) == 0.5
+
+
 def test_rate_limited_requests_of_a_batch_wait_out_their_retry_after_together(stub):
     pairs = [(f"premise {index}", "hypothesis") for index in range(8)]
     stub.respond = _refused_once({premise: (429, {"Retry-After": "0.2"})

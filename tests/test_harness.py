@@ -179,6 +179,40 @@ def test_a_compiled_question_walks_its_tree_twice(monkeypatch, mode):
                                         if by_node[node.id]]
 
 
+@pytest.mark.parametrize("mode", list(CompileMode))
+def test_a_question_checks_its_grown_and_its_pruned_tree_once_each(monkeypatch, mode):
+    checked = []
+    check = core.MaieuticTree.__post_init__
+
+    def counted(tree):
+        check(tree)
+        checked.append(tree)
+    monkeypatch.setattr(core.MaieuticTree, "__post_init__", counted)
+    engine = Engine(backend=war_world(include_logprobs=True).backend(),
+                    tree_config=NARROW_CONFIG, mode=mode,
+                    verifier=ScriptedNliVerifier(WAR_NLI_RECORDS, strict=False))
+    result = infer_maieutic(WAR_QUESTION, engine)
+    assert len(checked) == 2 and checked[1] is result.tree
+
+
+@pytest.mark.parametrize("mode", list(CompileMode))
+def test_the_war_scenario_writes_its_golden_result_json(data_dir, mode):
+    likelihood = mode is CompileMode.LIKELIHOOD
+    engine = Engine(backend=war_world(include_logprobs=likelihood).backend(),
+                    tree_config=NARROW_CONFIG, mode=mode,
+                    verifier=None if likelihood else ScriptedNliVerifier(WAR_NLI_RECORDS,
+                                                                         strict=False))
+    written = result_to_json(infer(WAR_QUESTION, Method.MAIEUTIC, engine)).encode("utf-8")
+    assert written == (data_dir / f"result_war_{mode.value}.json").read_bytes()
+
+
+def test_an_engine_in_verifier_mode_without_a_verifier_is_refused_before_any_request():
+    backend = CachedBackend(war_world().backend(), None)
+    with pytest.raises(ValueError, match="verifier mode needs an NLI verifier"):
+        Engine(backend=backend, tree_config=NARROW_CONFIG, mode=CompileMode.VERIFIER)
+    assert backend.trace.backend_call_count() == 0
+
+
 def test_maieutic_repeat_runs_serialize_identically():
     first = result_to_json(infer(WAR_QUESTION, Method.MAIEUTIC, _war_engine()))
     second = result_to_json(infer(WAR_QUESTION, Method.MAIEUTIC, _war_engine()))

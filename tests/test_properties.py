@@ -242,9 +242,7 @@ def trees(draw) -> MaieuticTree:
                 grow(child, path + letter, label, 1 if width > 1 else 0)
 
     grow(ROOT_ID, "", None, 3)
-    tree = MaieuticTree(nodes=nodes, children=children)
-    tree.validate()
-    return tree
+    return MaieuticTree(nodes=nodes, children=children)
 
 
 @PROPERTY
@@ -266,12 +264,12 @@ SHAPES = [TreeConfig()] + [
 
 
 @st.composite
-def node_edge_maps(draw) -> MaieuticTree:
-    """A tree of up to six nodes, each under an earlier one (the root at
-    least half the time), then up to two changes that may break it: an
-    edge added between any two ends, either perhaps a missing node; an
-    edge copied to a drawn parent; an edge dropped; a path label redrawn;
-    or a node removed."""
+def node_edge_maps(draw) -> dict:
+    """The node and edge maps and the config of a tree of up to six nodes,
+    each under an earlier one (the root at least half the time), then up to
+    two changes that may break it: an edge added between any two ends,
+    either perhaps a missing node; an edge copied to a drawn parent; an edge
+    dropped; a path label redrawn; or a node removed."""
     ids = [ROOT_ID] + draw(st.lists(st.sampled_from("abcde"), max_size=5, unique=True))
     labels, edges = {ROOT_ID: ""}, []
     for index, node_id in enumerate(ids[1:], start=1):
@@ -297,46 +295,49 @@ def node_edge_maps(draw) -> MaieuticTree:
         children.setdefault(parent, []).append((label, child))
     nodes = {node_id: Proposition(id=node_id, text=f"Statement {node_id}.", path_label=label)
              for node_id, label in labels.items()}
-    return MaieuticTree(nodes=nodes, children=children, config=draw(st.sampled_from(SHAPES)))
+    return {"nodes": nodes, "children": children, "config": draw(st.sampled_from(SHAPES))}
 
 
-def accepted_by_walk(tree: MaieuticTree) -> bool:
-    """Oracle for validate: a walk from the root reaches each node exactly
-    once along edges that extend the path label by one letter, the keys of
-    the children map are all reached, and the map keeps within the node
-    and depth bounds."""
-    if tree.root_id not in tree.nodes or tree.root.path_label != "":
+def accepted_by_walk(nodes: dict, children: dict, config: TreeConfig) -> bool:
+    """Oracle for the check a tree makes when built: a walk from the root
+    reaches each node exactly once along edges that extend the path label by
+    one letter, the keys of the children map are all reached, and the map
+    keeps within the node and depth bounds."""
+    if ROOT_ID not in nodes or nodes[ROOT_ID].path_label != "":
         return False
-    reached, stack = set(), [tree.root_id]
+    reached, stack = set(), [ROOT_ID]
     while stack:
         current = stack.pop()
         if current in reached:
             return False
         reached.add(current)
-        for label, cid in tree.children.get(current, []):
-            if (cid not in tree.nodes or tree.nodes[cid].path_label
-                    != tree.nodes[current].path_label + ("T" if label else "F")):
+        for label, cid in children.get(current, []):
+            if (cid not in nodes or nodes[cid].path_label
+                    != nodes[current].path_label + ("T" if label else "F")):
                 return False
             stack.append(cid)
-    return (reached == set(tree.nodes) and reached.issuperset(tree.children)
-            and len(tree.nodes) - 1 <= tree.config.max_nodes_excluding_root()
-            and all(len(node.path_label) <= tree.config.depth_limit
-                    for node in tree.nodes.values()))
+    return (reached == set(nodes) and reached.issuperset(children)
+            and len(nodes) - 1 <= config.max_nodes_excluding_root()
+            and all(len(node.path_label) <= config.depth_limit for node in nodes.values()))
 
 
 @settings(PROPERTY, max_examples=400)
-@given(tree=node_edge_maps())
-@example(tree=MaieuticTree(  # a child under a parent that is no node
-    nodes={ROOT_ID: Proposition(id=ROOT_ID, text="Statement root."),
-           "a": Proposition(id="a", text="Statement a.", path_label="T")},
-    children={"ghost": [(True, "a")]}))
-def test_validate_accepts_exactly_the_maps_a_walk_from_the_root_accepts(tree):
+@given(maps=node_edge_maps())
+@example(maps={  # a child under a parent that is no node
+    "nodes": {ROOT_ID: Proposition(id=ROOT_ID, text="Statement root."),
+              "a": Proposition(id="a", text="Statement a.", path_label="T")},
+    "children": {"ghost": [(True, "a")]}, "config": TreeConfig()})
+@example(maps={  # a cycle through the root, which a walk in pre-order would never leave
+    "nodes": {ROOT_ID: Proposition(id=ROOT_ID, text="Statement root."),
+              "a": Proposition(id="a", text="Statement a.", path_label="T")},
+    "children": {ROOT_ID: [(True, "a")], "a": [(True, ROOT_ID)]}, "config": TreeConfig()})
+def test_validate_accepts_exactly_the_maps_a_walk_from_the_root_accepts(maps):
     try:
-        tree.validate()
+        MaieuticTree(**maps)
     except ValueError:
-        assert not accepted_by_walk(tree)
+        assert not accepted_by_walk(**maps)
     else:
-        assert accepted_by_walk(tree)
+        assert accepted_by_walk(**maps)
 
 
 def reference_relation_clauses(tree, verifier):
@@ -368,15 +369,20 @@ LABEL_PAIRS = [(ahead, back) for ahead in NliLabel for back in NliLabel]
 @st.composite
 def shaped_trees(draw, max_nodes: int = 19) -> MaieuticTree:
     """Any rooted shape of up to ``max_nodes`` nodes, each node under an
-    earlier one, so that pre-order differs from the order of drawing."""
+    earlier one, so that pre-order differs from the order of drawing; its
+    config is as deep as the tree and as wide as its node count."""
     nodes = {ROOT_ID: Proposition(id=ROOT_ID, text="Statement 0.")}
     children: dict[str, list] = {}
     for index in range(1, draw(st.integers(1, max_nodes))):
         node_id = f"N.{index}"
-        nodes[node_id] = Proposition(id=node_id, text=f"Statement {index}.")
-        parent = draw(st.sampled_from(list(nodes)[:-1]))
-        children.setdefault(parent, []).append((draw(st.booleans()), node_id))
-    return MaieuticTree(nodes=nodes, children=children)
+        parent, label = draw(st.sampled_from(list(nodes))), draw(st.booleans())
+        nodes[node_id] = Proposition(id=node_id, text=f"Statement {index}.",
+                                     path_label=nodes[parent].path_label + "FT"[label])
+        children.setdefault(parent, []).append((label, node_id))
+    depth = max(1, *(node.depth for node in nodes.values()))
+    wide = DecodingParams(DecodingStrategy.NUCLEUS, sample_count=len(nodes))
+    return MaieuticTree(nodes=nodes, children=children,
+                        config=TreeConfig(depth_limit=depth, decoding_schedule=(wide,) * depth))
 
 
 @PROPERTY
@@ -420,7 +426,7 @@ def test_relation_clauses_equal_the_merge_by_literal_tuples(tree, data):
     pool = data.draw(st.integers(1, len(tree.nodes)))
     nodes = {node_id: dataclasses.replace(node, text=f"S{data.draw(st.integers(0, pool - 1))}.")
              for node_id, node in tree.nodes.items()}
-    tree = MaieuticTree(nodes=nodes, children=tree.children)
+    tree = MaieuticTree(nodes=nodes, children=tree.children, config=tree.config)
     sentences = sorted({node.text for node in nodes.values()})
     records = []
     for first, premise in enumerate(sentences):

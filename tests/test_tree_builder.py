@@ -112,7 +112,7 @@ def test_build_tree_fixed_scenario_shape():
     assert tree.node("F.0").source_answer is False
     assert tree.node("T.0.F.0").path_label == "TF"
     # the integral False-branch child was not expanded further
-    assert tree.children_of("F.0") == []
+    assert tree.children_of("F.0") == ()
 
 
 def test_build_tree_negates_with_the_model_in_rounds(tmp_path):

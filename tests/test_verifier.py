@@ -21,9 +21,12 @@ from maieutic.backend import (
 )
 from maieutic.core import (
     ClauseOrigin,
+    DecodingParams,
+    DecodingStrategy,
     Integrity,
     MaieuticTree,
     Proposition,
+    TreeConfig,
     WeightedClause,
     tree_nodes,
     variable_map,
@@ -367,14 +370,18 @@ def test_relation_clauses_asks_once_per_ordered_pair():
 
 
 def _dense_scene(count: int = 19):
-    """A flat tree of ``count`` nodes and a verifier that judges every
-    ordered pair, two thirds of them entail or contradict."""
+    """A flat tree of ``count`` nodes, under a config one level deep and
+    ``count`` wide, and a verifier that judges every ordered pair, two
+    thirds of them entail or contradict."""
     texts = [f"Statement {index}." for index in range(count)]
     nodes = {"root": Proposition(id="root", text=texts[0])}
-    nodes.update((f"N.{index}", Proposition(id=f"N.{index}", text=texts[index]))
-                  for index in range(1, count))
+    nodes.update((f"N.{index}", Proposition(id=f"N.{index}", text=texts[index],
+                                            path_label="FT"[index % 2]))
+                 for index in range(1, count))
+    wide = DecodingParams(DecodingStrategy.NUCLEUS, sample_count=count)
     tree = MaieuticTree(nodes=nodes, children={
-        "root": [(index % 2 == 1, f"N.{index}") for index in range(1, count)]})
+        "root": [(index % 2 == 1, f"N.{index}") for index in range(1, count)]},
+        config=TreeConfig(depth_limit=1, decoding_schedule=(wide,)))
     records = [{"premise": texts[first], "hypothesis": texts[second],
                 "label": PROB_ORDER[(7 * first + second) % 3]}
                for first in range(count) for second in range(count) if first != second]

@@ -301,6 +301,4 @@ def fixed_tree() -> MaieuticTree:
         "root": [(True, "T.0"), (False, "F.0")],
         "T.0": [(True, "T.0.T.0"), (False, "T.0.F.0")],
     }
-    tree = MaieuticTree(nodes=nodes, children=children, config=NARROW_CONFIG)
-    tree.validate()
-    return tree
+    return MaieuticTree(nodes=nodes, children=children, config=NARROW_CONFIG)

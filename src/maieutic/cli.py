@@ -24,17 +24,17 @@ _METHODS = {
 
 def _load_config(args: argparse.Namespace) -> EngineConfig:
     config = EngineConfig.from_file(args.config) if args.config else EngineConfig()
-    if getattr(args, "backend", None):
+    if args.backend:
         config.backend = {"kind": "scripted", "fixtures": args.backend}
-    if getattr(args, "nli", None):
+    if args.nli:
         config.verifier = {"kind": "scripted", "fixtures": args.nli}
-    if getattr(args, "mode", None):
+    if args.mode:
         config.mode = CompileMode(args.mode)
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         config.cache_dir = args.cache_dir
-    if getattr(args, "trace", None):
+    if args.trace:
         config.trace_path = args.trace
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.seed = args.seed
     return config
 

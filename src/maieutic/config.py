@@ -22,7 +22,7 @@ except ModuleNotFoundError:  # Python 3.10
 from . import harness
 from .backend import CachedBackend, HttpLmBackend, ResponseCache, ScriptedBackend, TraceRecorder
 from .compiler import CompileMode
-from .core import TreeConfig, check_fields, check_keys, field_types, parse_json, read_text
+from .core import TreeConfig, check_fields, field_types, parse_json, read_text
 from .prompts import load_or_default
 from .solver import MAX_WCNF_VARIABLES
 from .verifier import CachedVerifier, HttpNliVerifier, ScriptedNliVerifier
@@ -39,9 +39,9 @@ _CLIENTS: dict[tuple[str, str], tuple[type, dict[str, type]]] = {
                                              "retries": int}),
 }
 
-# How the value of each top-level key that is not kept as given is read.
-_READ = {"backend": dict, "verifier": lambda table: None if table is None else dict(table),
-         "mode": CompileMode, "tree": TreeConfig.from_dict, "prompts": dict}
+
+def _prompt_keys(truth=None, abductive=None, explanation=None):
+    """A ``prompts`` table's keys, each a prompt-file path; never called."""
 
 
 @dataclass
@@ -61,30 +61,31 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, data: dict, base_dir: Optional[Path] = None) -> EngineConfig:
         check_fields("config", data, field_types(cls), cls)
-        check_keys("prompts", data.get("prompts", {}), harness.PROMPT_FIELDS)
-        config = cls(**{key: _READ[key](value) if key in _READ else value
+
+        def path(value: Any) -> Any:
+            # pathlib keeps an absolute path as it is; a value that is not a
+            # string is left for its section's ``check_fields`` to name
+            return str(base_dir / value) if base_dir is not None and type(value) is str else value
+
+        def section(table: Optional[dict]) -> Optional[dict]:
+            return None if table is None else {
+                key: path(value) if key == "fixtures" else value for key, value in table.items()}
+
+        def prompts(table: dict) -> dict:
+            check_fields("prompts", table, dict.fromkeys(harness.PROMPT_FIELDS, str), _prompt_keys)
+            return {key: path(value) for key, value in table.items()}
+
+        # how each key's value is read, with its paths resolved for a config file
+        read = {"backend": section, "verifier": section, "mode": CompileMode,
+                "tree": TreeConfig.from_dict, "prompts": prompts, "cache_dir": path,
+                "trace_path": path}
+        config = cls(**{key: read[key](value) if key in read else value
                         for key, value in data.items()})
         nodes = config.tree.max_nodes_excluding_root() + 1  # one WCNF variable each
         if nodes > MAX_WCNF_VARIABLES:
             raise ValueError(f"tree allows {nodes} nodes, more than the "
                              f"{MAX_WCNF_VARIABLES} variables of a WCNF file")
-        if base_dir is not None:
-            config._resolve_paths(base_dir)
         return config
-
-    def _resolve_paths(self, base_dir: Path) -> None:
-        def resolved(value: Optional[str]) -> Optional[str]:
-            if value is None:
-                return None
-            path = Path(value)
-            return str(path if path.is_absolute() else base_dir / path)
-
-        for table in (self.backend, self.verifier or {}):
-            if "fixtures" in table:
-                table["fixtures"] = resolved(table["fixtures"])
-        self.prompts = {key: resolved(value) for key, value in self.prompts.items()}
-        self.cache_dir = resolved(self.cache_dir)
-        self.trace_path = resolved(self.trace_path)
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> EngineConfig:
@@ -97,19 +98,6 @@ class EngineConfig:
         else:
             data = parse_json(read_text(path))
         return cls.from_dict(data, base_dir=path.parent)
-
-    def to_dict(self) -> dict:
-        return {
-            "backend": dict(self.backend),
-            "verifier": None if self.verifier is None else dict(self.verifier),
-            "mode": self.mode.value,
-            "tree": self.tree.to_dict(),
-            "prompts": dict(self.prompts),
-            "cache_dir": self.cache_dir,
-            "trace_path": self.trace_path,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
 
 
 def _client(section: str, table: dict) -> Any:

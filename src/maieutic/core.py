@@ -15,7 +15,7 @@ from functools import cache
 from inspect import Parameter, signature
 from pathlib import Path
 from types import MappingProxyType
-from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+from typing import (Any, Callable, Iterator, Mapping, Optional, Sequence, Union,
                     get_args, get_origin, get_type_hints)
 
 from .errors import DegenerateBelief
@@ -61,13 +61,6 @@ class ClauseOrigin(str, Enum):
     EXTERNAL = "external"
 
 
-def check_keys(what: str, data: Mapping, known: Iterable[str]) -> None:
-    """Raise ``ValueError`` naming each key of ``data`` that is not ``known``."""
-    unknown = set(data).difference(known)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
-
-
 def check_fields(what: str, data: Any, types: Mapping[str, Any], owner: Callable) -> None:
     """Raise ``ValueError`` if ``data`` is not a mapping; else one naming
     the keys of ``data`` that are not in ``types``, a key whose value is
@@ -78,7 +71,9 @@ def check_fields(what: str, data: Any, types: Mapping[str, Any], owner: Callable
     None takes any value."""
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be an object, not {type(data).__name__}")
-    check_keys(what, data, types)
+    unknown = set(data).difference(types)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
     defaults = _defaults(owner)
     for key, value in data.items():
         want = types[key]
@@ -384,7 +379,9 @@ class MaieuticTree:
                 if nodes[cid].path_label != expected:
                     raise ValueError(
                         f"{cid!r} path label {nodes[cid].path_label!r} does not extend its parent")
-        for node_id in nodes:
+        for node_id, node in nodes.items():
+            if node.id != node_id:
+                raise ValueError(f"node key {node_id!r} holds the node of id {node.id!r}")
             if node_id != self.root_id and node_id not in parents:
                 raise ValueError(f"{node_id!r} is disconnected from the root")
         bound = self.config.max_nodes_excluding_root()
@@ -556,7 +553,9 @@ def _proposition_to_dict(node: Proposition) -> dict:
 
 
 def _proposition_from_dict(data: dict) -> Proposition:
-    check_fields("tree node", data, {**field_types(Proposition), "belief": None}, Proposition)
+    types = {**field_types(Proposition), "belief": None}
+    del types["direct_answer"]  # not serialized
+    check_fields("tree node", data, types, Proposition)
     data = {key: value for key, value in data.items() if key != "belief"}  # derived
     return Proposition(**{**data, "integrity": Integrity(data.get("integrity", "unchecked"))})
 
@@ -666,15 +665,9 @@ def prompt_set_from_dict(data: Any) -> PromptSet:
                  _prompt_set_keys)
     for example in data["examples"]:
         check_fields("prompt example", example,
-                     {"question": str, "answer": None, "explanation": str}, PromptExample)
-    return PromptSet(
-        mode=PromptMode(data["mode"]),
-        examples=tuple(
-            PromptExample(question=e["question"], answer=bool(e["answer"]),
-                          explanation=e.get("explanation"))
-            for e in data["examples"]
-        ),
-    )
+                     {"question": str, "answer": bool, "explanation": str}, PromptExample)
+    return PromptSet(mode=PromptMode(data["mode"]),
+                     examples=tuple(PromptExample(**e) for e in data["examples"]))
 
 
 def load_prompt_set(path) -> PromptSet:

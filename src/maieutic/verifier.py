@@ -107,12 +107,11 @@ class NliVerifier(ModelClient):
         """Judgments of independent pairs in request order, as one batch."""
         return self._requests("nli", pairs)
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple],
-               timed: bool = False) -> Iterator[Any]:
+    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
         # the in-process loop calls ``nli``, which here is the batch of one
         if type(self).nli is NliVerifier.nli:
             raise NotImplementedError(f"{type(self).__name__} implements neither nli nor _batch")
-        return super()._batch(primitive, arguments, timed)
+        return super()._batch(primitive, arguments)
 
 
 class ScriptedNliVerifier(NliVerifier):

@@ -380,17 +380,6 @@ _NLI_RECORDS = [{"premise": "a", "hypothesis": "b", "label": "entail"},
                 {"premise": "b", "hypothesis": "a", "label": "neutral"}]
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["bare", "cache-only"])
-def test_an_untraced_in_process_batch_reads_no_clock(tmp_path, monkeypatch, cached):
-    lm, nli = _truth_world(), ScriptedNliVerifier(_NLI_RECORDS)
-    if cached:
-        lm = CachedBackend(lm, ResponseCache(tmp_path))
-        nli = CachedVerifier(nli, lm)
-    calls = _counted_clock(monkeypatch)
-    _ask_lm_and_nli(lm, nli)
-    assert calls == []
-
-
 def test_a_traced_batch_times_each_request_it_sends(tmp_path, monkeypatch):
     trace = TraceRecorder(tmp_path / "trace.jsonl")
     lm = CachedBackend(_truth_world(), ResponseCache(tmp_path), trace=trace)

@@ -410,8 +410,12 @@ def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
     (its id, the error class and message) instead of a result row,
     counts as answered wrongly and is counted in ``error_count``; the
     other records are unaffected. Pairwise accuracy credits a pair
-    only when both members are answered correctly.
+    only when both members are answered correctly. A ``workers`` that is
+    not an int of at least 1 (a bool included) raises ``ValueError``
+    before any record runs.
     """
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"workers must be an int of at least 1, not {workers!r}")
     if not records:
         raise ValueError("empty dataset")
     identifiers = [record.id for record in records]
@@ -426,7 +430,7 @@ def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
 
     from concurrent.futures import ThreadPoolExecutor  # here, so import maieutic stays light
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         lines = list(pool.map(attempt, records))
     warnings: list[str] = []
     correct_by_id = {line["id"]: line["correct"] for line in lines}

@@ -525,6 +525,21 @@ def test_cli_eval_prints_the_report(capsys, tmp_path, eval_fixture_file,
     assert (tmp_path / "results.jsonl.manifest.json").exists()
 
 
+@pytest.mark.parametrize("flags, config", [(["--workers", "0"], {}), ([], {"workers": -7})],
+                         ids=["flag-zero", "config-negative"])
+def test_cli_eval_refuses_a_workers_value_below_one(capsys, tmp_path, eval_fixture_file,
+                                                    data_dir, flags, config):
+    path = _written(tmp_path / "c.json", json.dumps(config))
+    results = tmp_path / "results.jsonl"
+    rc = cli.main(["eval", str(data_dir / "eval_records.jsonl"), "--method", "standard",
+                   "--config", str(path), "--backend", str(eval_fixture_file),
+                   "--results", str(results), *flags])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: workers must be an int of at least 1")
+    assert not results.exists()
+
+
 def test_cli_eval_isolates_a_failing_record(capsys, tmp_path, eval_fixture_file):
     dataset = tmp_path / "mixed.jsonl"
     dataset.write_text(

@@ -508,6 +508,18 @@ def test_evaluate_rejects_bad_record_sets():
         evaluate(twice, Method.STANDARD, engine)
 
 
+@pytest.mark.parametrize("workers", [0, -7, True, 2.0, "4", None])
+def test_evaluate_refuses_a_workers_value_before_any_record_runs(tmp_path, workers):
+    asked = []
+    backend = eval_backend()
+    backend._score_answer = lambda prompt: asked.append(prompt)
+    results = tmp_path / "results.jsonl"
+    with pytest.raises(ValueError, match=r"workers must be an int of at least 1"):
+        evaluate([DatasetRecord("r01", "Trains run on rails?", True)], Method.STANDARD,
+                 Engine(backend=backend), workers=workers, results_path=results)
+    assert asked == [] and not results.exists()
+
+
 def test_run_manifest_hash_tracks_the_configuration():
     first = run_manifest(Engine(backend=eval_backend()), Method.STANDARD, 12)
     again = run_manifest(Engine(backend=eval_backend()), Method.STANDARD, 12)

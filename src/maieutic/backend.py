@@ -30,7 +30,7 @@ from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
 from .core import (DecodingParams, DecodingStrategy, NegationStrategy, PromptSet,
-                   json_digest, parse_json, read_text, sorted_json)
+                   json_digest, json_lines, parse_json, read_text, sorted_json)
 from .errors import (
     BackendUnavailable,
     CacheCorrupt,
@@ -935,9 +935,9 @@ class TraceRecorder:
 
 
 def read_trace(path: Union[str, Path]) -> list[dict]:
-    # lines split as ``open`` splits them, at "\n", "\r\n" and "\r"
-    return [parse_json(line) for line in io.StringIO(read_text(path), newline=None)
-            if line.strip()]
+    """The records of a trace file (:func:`maieutic.core.json_lines`): a line
+    that is not a JSON object raises ``ValueError`` naming the file and line."""
+    return [record for _, record in json_lines(path)]
 
 
 class CachedBackend(LmBackend):

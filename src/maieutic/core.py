@@ -7,6 +7,7 @@ kind, and no later caller checks it again.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -536,6 +537,23 @@ def parse_json(source: Any, parse: Callable[[Any], Any] = json.loads) -> Any:
         return parse(source)
     except RecursionError:
         raise ValueError("input nested too deeply to parse") from None
+
+
+def json_lines(path: Union[str, Path]) -> Iterator[tuple[int, dict]]:
+    """Each line of a JSON-lines file that is not blank, as an object, with
+    its number; lines split as ``open`` splits them, at ``\n``, ``\r\n``
+    and ``\r``. A line that is not JSON or not an object raises
+    ``ValueError`` naming the file and the line."""
+    for number, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            value = parse_json(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: not valid JSON: {exc}") from exc
+        if type(value) is not dict:
+            raise ValueError(f"{path}: line {number}: not a JSON object")
+        yield number, value
 
 
 def _proposition_to_dict(node: Proposition) -> dict:

@@ -8,7 +8,6 @@ pairwise accuracy.
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -27,9 +26,8 @@ from .core import (
     WeightedCnf,
     canonical_json,
     json_digest,
+    json_lines,
     label_word,
-    parse_json,
-    read_text,
     tree_nodes,
     tree_to_dict,
     tree_to_dot,
@@ -277,19 +275,7 @@ def load_dataset(path: Union[str, Path], adapter: str = "native") -> list[Datase
         raise ValueError(f"unknown adapter {adapter!r}; "
                          f"available: {', '.join(sorted(DATASET_ADAPTERS))}")
     fields = DATASET_ADAPTERS[adapter]
-    records: list[DatasetRecord] = []
-    # lines split as ``open`` splits them, at "\n", "\r\n" and "\r"
-    for line_no, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = parse_json(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: line {line_no}: not a JSON object")
-        records.append(_adapt(data, fields, path, line_no))
-    return records
+    return [_adapt(data, fields, path, line_no) for line_no, data in json_lines(path)]
 
 
 # --- evaluation ---

@@ -466,6 +466,18 @@ def test_trace_only_wrapper_never_caches(tmp_path):
     assert {entry["purpose"] for entry in replayed} == {"truth"}
 
 
+@pytest.mark.parametrize("second, message", [
+    ('{"digest": "b"', "line 2: not valid JSON"),
+    ("[1, 2]", "line 2: not a JSON object"),
+    ('"latency_s"', "line 2: not a JSON object"),
+], ids=["cut-short", "list", "string"])
+def test_read_trace_names_the_file_and_line_it_refuses(tmp_path, second, message):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"digest": "a"}\n' + second + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        read_trace(path)
+
+
 def test_fixture_entries_are_the_stored_form_the_cache_writes(tmp_path):
     """The builder and the cache take each primitive's stored form from one
     table, so what the cache writes for a request is the builder's entry."""

@@ -35,6 +35,7 @@ from maieutic.backend import (
     _Connection,
     completion_request,
     logprob_request,
+    read_trace,
     request_digest,
     truth_request,
 )
@@ -784,6 +785,46 @@ def test_load_dataset_returns_text_records_or_raises_a_documented_error(tmp_path
         for name, value in (("id", record.id), ("pair_id", record.pair_id)):
             if row.get(name) is not None:
                 assert type(row[name]) in (str, int) and value == str(row[name])
+
+
+TRACE_RECORDS = st.fixed_dictionaries(
+    {"digest": TEXTS, "purpose": st.sampled_from(["truth", "nli"]) | JSON,
+     "latency_s": FLOATS, "cache_hit": st.booleans() | JSON})
+
+
+@PROPERTY
+@given(lines=st.lists(TRACE_RECORDS.map(json.dumps) | JSON.map(json.dumps) | TEXTS,
+                      max_size=4))
+def test_read_trace_returns_its_records_or_names_the_line_it_refuses(tmp_path_factory,
+                                                                     lines):
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_text("".join(line.replace("\n", " ") + "\n" for line in lines),
+                    encoding="utf-8", errors="surrogatepass")
+    try:
+        records = read_trace(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: line ")
+        try:
+            with open(path, encoding="utf-8") as handle:
+                numbered = list(enumerate(handle, start=1))
+        except UnicodeDecodeError:  # the line named is the first that is not UTF-8
+            return
+        # the first line that is not blank and not a JSON object is named
+        for number, line in numbered:
+            if line.strip():
+                try:
+                    is_object = type(json.loads(line)) is dict
+                except ValueError:
+                    is_object = False
+                if not is_object:
+                    assert str(exc).startswith(f"{path}: line {number}: not ")
+                    return
+        raise AssertionError(f"{exc} names no line that is refused")
+    with open(path, encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle if line.strip()]
+    # compared as text, where a NaN equals itself
+    assert json.dumps(records) == json.dumps(rows)
+    assert all(type(record) is dict for record in records)
 
 
 # --- the command line, on mutated input files ---

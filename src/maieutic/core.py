@@ -541,8 +541,8 @@ def parse_json(source: Any, parse: Callable[[Any], Any] = json.loads) -> Any:
 
 def json_lines(path: Union[str, Path]) -> Iterator[tuple[int, dict]]:
     """Each line of a JSON-lines file that is not blank, as an object, with
-    its number; lines split as ``open`` splits them, at ``\n``, ``\r\n``
-    and ``\r``. A line that is not JSON or not an object raises
+    its number; lines split as ``open`` splits them, at ``\\n``, ``\\r\\n``
+    and ``\\r``. A line that is not JSON or not an object raises
     ``ValueError`` naming the file and the line."""
     for number, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
         if not line.strip():

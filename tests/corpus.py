@@ -193,8 +193,8 @@ def build_world(seed: int) -> CorpusWorld:
     return world
 
 
-def worlds(count: int = WORLD_COUNT) -> list[CorpusWorld]:
-    return [build_world(seed) for seed in range(count)]
+def worlds() -> list[CorpusWorld]:
+    return [build_world(seed) for seed in range(WORLD_COUNT)]
 
 
 def cached_engine(world: CorpusWorld, directory: Path, backend=None,
@@ -240,16 +240,13 @@ def artefacts(world: CorpusWorld, directory: Path) -> dict[str, str]:
     return out
 
 
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def hashes(world: CorpusWorld, directory: Path) -> dict[str, str]:
     made = artefacts(world, directory)
-    return {name: digest(made[name]) for name in ARTEFACTS}
+    return {name: hashlib.sha256(made[name].encode("utf-8")).hexdigest()
+            for name in ARTEFACTS}
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
@@ -263,4 +260,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

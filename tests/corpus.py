@@ -249,9 +249,9 @@ def hashes(world: CorpusWorld, directory: Path) -> dict[str, str]:
 def main() -> int:
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as directory:
         entries = [{"seed": world.seed, "world": world.name,
-                    "sha256": hashes(world, Path(scratch) / str(world.seed))}
+                    "sha256": hashes(world, Path(directory) / str(world.seed))}
                    for world in worlds()]
     CORPUS_PATH.write_text(json.dumps({"worlds": entries}, indent=1) + "\n",
                            encoding="utf-8")

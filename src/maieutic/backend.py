@@ -6,9 +6,11 @@ completion, completion log-likelihood); the public query operations
 render prompts, delegate to the primitives and validate what comes
 back. Requests are identified by a digest over the rendered prompt and
 decoding parameters, which is also the fixture key of the scripted
-backend. The caching wrapper digests each request once and derives its
-cache key from that digest. Digests, cache lines and trace lines are
-written by two JSON encoders built once, at import.
+backend. The caching wrapper digests each request once, derives its
+cache key from that digest and hands the digests of its misses on, so
+the scripted backend looks them up without digesting them again. A
+request's digested JSON is written from its parts, and cache and trace
+lines from templates; each is the text ``json.dumps`` writes.
 """
 from __future__ import annotations
 
@@ -24,8 +26,9 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partialmethod
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 from urllib.parse import SplitResult, urlsplit
 
 from . import prompts as prompt_templates
@@ -57,13 +60,40 @@ def logprob_request(prompt: str, completion: str) -> dict:
     return {"kind": "logprob", "prompt": prompt, "completion": completion}
 
 
-# the text of a cache or trace line
-_LINE_JSON = sorted_json(", ", ": ")
+# Each request's JSON with sorted keys and no spaces, written from its parts:
+# the text that ``json_digest`` writes for the request the builder above makes.
+
+def _truth_text(prompt: str) -> str:
+    return '{"kind":"truth","prompt":%s}' % _json_string(prompt)
 
 
-def request_digest(request: dict) -> str:
+def _decoding_text(decoding: DecodingParams) -> str:
+    """The JSON of ``decoding.to_dict()``, written once per instance and kept
+    in its own ``__dict__``, as ``prompts._prefix`` keeps a prompt set's prefix."""
+    try:
+        return vars(decoding)["_json"]
+    except KeyError:
+        text = vars(decoding)["_json"] = json.dumps(
+            decoding.to_dict(), sort_keys=True, separators=(",", ":"))
+        return text
+
+
+def _completion_text(prompt: str, decoding: DecodingParams) -> str:
+    return '{"decoding":%s,"kind":"completion","prompt":%s}' % (
+        _decoding_text(decoding), _json_string(prompt))
+
+
+def _logprob_text(prompt: str, completion: str) -> str:
+    return '{"completion":%s,"kind":"logprob","prompt":%s}' % (
+        _json_string(completion), _json_string(prompt))
+
+
+def request_digest(request: Union[dict, str]) -> str:
     """Stable identifier of one backend request: the SHA-256 of its JSON
-    with sorted keys and no spaces (``core.json_digest``)."""
+    with sorted keys and no spaces (``core.json_digest``). The request is
+    given as a dict, or as that JSON already written (``Form.text``)."""
+    if type(request) is str:
+        return hashlib.sha256(request.encode("utf-8")).hexdigest()
     return json_digest(request)
 
 
@@ -91,27 +121,40 @@ class TruthResponse:
         return self.true_prob > self.false_prob
 
 
+class Form(NamedTuple):
+    """How one primitive's requests and answers are written down."""
+
+    request: Callable[..., dict]  # the request, from the primitive's arguments
+    stored: Callable[[Any], Any]  # an answer as the response cache and fixtures store it
+    answer: Callable[[Any], Any]  # a stored answer back in the primitive's form
+    kind: str  # the request's "kind", the purpose its trace record names
+    text: Callable[..., str]  # the request's JSON as its digest hashes it, from the arguments
+    # whether the answer depends on the run seed, from the arguments
+    seeded: Callable[..., bool] = lambda *args: False
+
+
 class ModelClient:
     """What the LM backend and the NLI verifier share: sending a batch of
     independent requests, and ``_FORMS``: per primitive (named by its method),
-    its request, and its answer as stored (in the response cache and the
-    scripted fixture table) and back."""
+    its :class:`Form`."""
 
-    _FORMS: dict[str, tuple[Callable[..., dict], Callable[[Any], dict], Callable[[Any], Any]]] = {}
+    _FORMS: dict[str, Form] = {}
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+    def _batch(self, primitive: str, arguments: Sequence[tuple],
+               digests: Optional[Sequence[str]] = None) -> Iterator[tuple[Any, float]]:
         """The answer of the primitive (named by its method) to each argument
         tuple, with the seconds it took: independent requests, answered in
-        request order.
+        request order. ``digests``, each request's :func:`request_digest`
+        where the caller made it, reach the primitive as its ``digest``.
 
         A plain loop in the calling thread that calls the primitive once per
         request and stops at the first failure. An :class:`HttpClient` sends
         the requests in waves instead, and retries together the ones pending.
         """
         call = getattr(self, primitive)
-        for args in arguments:
+        for index, args in enumerate(arguments):
             started = time.monotonic()
-            answer = call(*args)
+            answer = call(*args) if digests is None else call(*args, digest=digests[index])
             yield answer, time.monotonic() - started
 
     def _requests(self, primitive: str, arguments: Sequence[tuple]) -> list:
@@ -130,27 +173,34 @@ class LmBackend(ModelClient):
 
     backend_id: str = "lm"
     _FORMS = {
-        "_score_answer": (truth_request,
-                          lambda raw: dict(zip(("true_prob", "false_prob"), raw)),
-                          lambda stored: (stored["true_prob"], stored["false_prob"])),
-        "_complete": (completion_request,
-                      lambda raw: {"completions": raw},
-                      lambda stored: stored["completions"]),
-        "_completion_logprob": (logprob_request,
-                                lambda raw: {"logprob": raw},
-                                lambda stored: stored["logprob"]),
+        "_score_answer": Form(truth_request,
+                              lambda raw: dict(zip(("true_prob", "false_prob"), raw)),
+                              lambda stored: (stored["true_prob"], stored["false_prob"]),
+                              "truth", _truth_text),
+        "_complete": Form(completion_request,
+                          lambda raw: {"completions": raw},
+                          lambda stored: stored["completions"],
+                          "completion", _completion_text,
+                          lambda prompt, decoding: decoding.strategy is DecodingStrategy.NUCLEUS),
+        "_completion_logprob": Form(logprob_request,
+                                    lambda raw: {"logprob": raw},
+                                    lambda stored: stored["logprob"],
+                                    "logprob", _logprob_text),
     }
 
-    # --- primitives an in-process backend implements (HTTP clients have only _batch) ---
+    # --- primitives an in-process backend implements (HTTP clients have only _batch);
+    # each also takes its request's digest, where its caller made one ---
 
-    def _score_answer(self, prompt: str) -> tuple[float, float]:
+    def _score_answer(self, prompt: str, digest: Optional[str] = None) -> tuple[float, float]:
         """Raw (not necessarily normalized) probabilities of the answer tokens."""
         raise NotImplementedError
 
-    def _complete(self, prompt: str, decoding: DecodingParams) -> list[str]:
+    def _complete(self, prompt: str, decoding: DecodingParams,
+                  digest: Optional[str] = None) -> list[str]:
         raise NotImplementedError
 
-    def _completion_logprob(self, prompt: str, completion: str) -> float:
+    def _completion_logprob(self, prompt: str, completion: str,
+                            digest: Optional[str] = None) -> float:
         raise NotImplementedError
 
     # --- public operations ---
@@ -247,13 +297,13 @@ def _nonempty(kept: list[str]) -> list[str]:
     return kept
 
 
-def _answered(answer_form: Callable[[Any], Any], request: dict, stored: Any, source: str) -> Any:
+def _answered(form: Form, stored: Any, source: str) -> Any:
     """A stored answer in answer form; ``MalformedResponse`` names the
     request kind when it has the wrong shape."""
     try:
-        return answer_form(stored)
+        return form.answer(stored)
     except (KeyError, TypeError) as exc:
-        raise MalformedResponse(f"unusable {request['kind']} {source} {stored!r}: {exc!r}") from exc
+        raise MalformedResponse(f"unusable {form.kind} {source} {stored!r}: {exc!r}") from exc
 
 
 def negate_all(statements: Sequence[str], strategy: NegationStrategy,
@@ -279,7 +329,9 @@ class ScriptedBackend(LmBackend):
     The table maps request digests to response objects, each in the form
     the response cache stores, and is read-only after construction, so
     instances are safe to share across threads. A fixture file that holds
-    anything but a JSON object raises ``ValueError`` naming the file.
+    anything but a JSON object raises ``ValueError`` naming the file. A
+    lookup takes the digest its caller made (``CachedBackend.served``),
+    and makes it only when called without one.
     """
 
     backend_id = "scripted"
@@ -293,14 +345,13 @@ class ScriptedBackend(LmBackend):
             table = dict(fixtures)
         self._table: dict[str, dict] = table
 
-    def _lookup(self, primitive: str, *args) -> Any:
-        build, _, answer_form = self._FORMS[primitive]
-        request = build(*args)
-        digest = request_digest(request)
+    def _lookup(self, primitive: str, *args, digest: Optional[str] = None) -> Any:
+        form = self._FORMS[primitive]
+        if digest is None:
+            digest = request_digest(form.text(*args))
         if digest not in self._table:
-            raise MissingFixture(
-                f"no fixture for {request['kind']} request {digest[:12]}...")
-        return _answered(answer_form, request, self._table[digest], "fixture")
+            raise MissingFixture(f"no fixture for {form.kind} request {digest[:12]}...")
+        return _answered(form, self._table[digest], "fixture")
 
     _score_answer = partialmethod(_lookup, "_score_answer")
     _complete = partialmethod(_lookup, "_complete")
@@ -322,10 +373,10 @@ class FixtureBuilder:
     def _add(self, primitive: str, arguments: tuple, raw: Any) -> str:
         """Record ``raw`` as the primitive's answer to ``arguments``: its
         request and stored form come from ``LmBackend._FORMS``."""
-        build, stored_form, _ = LmBackend._FORMS[primitive]
-        request = build(*arguments)
+        form = LmBackend._FORMS[primitive]
+        request = form.request(*arguments)
         digest = request_digest(request)
-        self.responses[digest] = stored_form(raw)
+        self.responses[digest] = form.stored(raw)
         self.sidecar[digest] = request
         return digest
 
@@ -572,11 +623,13 @@ class HttpClient(ModelClient):
         self._context: Any = None  # the TLS context, made at the first https connection
         self._context_lock = threading.Lock()
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
+    def _batch(self, primitive: str, arguments: Sequence[tuple],
+               digests: Optional[Sequence[str]] = None) -> Iterator[tuple[Any, float]]:
         """Each request's answer, in request order, with the seconds from the
-        start of its first wave to its last reply. Every body is built before
-        any request is sent, and only the requests before the first failure
-        are retried, so every request is sent before that failure is raised."""
+        start of its first wave to its last reply; ``digests`` are not used.
+        Every body is built before any request is sent, and only the requests
+        before the first failure are retried, so every request is sent before
+        that failure is raised."""
         build, read = self._WIRE[primitive]
         requests = [self._request(build(self, *args)) for args in arguments]
         answers, seconds, began = [None] * len(requests), [0.0] * len(requests), {}
@@ -851,6 +904,13 @@ class HttpLmBackend(HttpClient, LmBackend):
 
 # --- response cache and call trace ---
 
+# A cache line and a trace line, each the text that ``json.dumps(...,
+# sort_keys=True)`` writes for its object, and the encoder of their values
+_CACHE_LINE = '{"key": %s, "response": %s}\n'
+_TRACE_LINE = '{"cache_hit": %s, "digest": %s, "latency_s": %s, "purpose": %s}\n'
+_LINE_JSON = sorted_json(", ", ": ")
+
+
 def _append(path: Path, lines: Sequence[str]) -> None:
     """Append lines in one ``O_APPEND`` write, which other appends never split."""
     blob = "".join(lines).encode("utf-8")
@@ -905,7 +965,7 @@ class ResponseCache:
 
     def put(self, entries: Mapping[str, dict]) -> None:
         """Store a batch of answers by key; their lines go out in one append."""
-        lines = ["".join(_LINE_JSON({"key": key, "response": response}, 0)) + "\n"
+        lines = [_CACHE_LINE % (_json_string(key), "".join(_LINE_JSON(response, 0)))
                  for key, response in entries.items()]
         with self._lock:
             _append(self.path, lines)
@@ -922,12 +982,16 @@ class TraceRecorder:
         self._lock = threading.Lock()
 
     def record(self, entries: Sequence[dict]) -> None:
-        """Count a batch of records; with a path, append them in one write."""
+        """Count a batch of records, each ``{"digest": str, "purpose": str,
+        "latency_s": float, "cache_hit": bool}``; with a path, append them in
+        one write."""
         with self._lock:
             self._calls += sum(not entry["cache_hit"] for entry in entries)
             if self.path is not None and entries:
-                _append(self.path, ["".join(_LINE_JSON(entry, 0)) + "\n"
-                                    for entry in entries])
+                _append(self.path, [_TRACE_LINE % (
+                    "true" if entry["cache_hit"] else "false", _json_string(entry["digest"]),
+                    "".join(_LINE_JSON(entry["latency_s"], 0)),
+                    _json_string(entry["purpose"])) for entry in entries])
 
     def backend_call_count(self) -> int:
         """Requests that actually reached the wrapped backend."""
@@ -967,60 +1031,62 @@ class CachedBackend(LmBackend):
         """The answers of ``inner``'s primitive (named by its method) to one
         batch of argument tuples, in request order.
 
-        Each request is built by the primitive's entry in ``inner._FORMS``
-        and digested once: the digest keys the trace, and with ``owner_id``
-        (and the seed, for a stochastic completion) the cache. Hits come
-        from the cache; the misses go on to ``inner._batch`` as one batch,
-        which times each; only a trace with a path writes the seconds.
-        A request repeating an earlier miss of the same batch is a hit on
-        that miss's answer, as it would be when asked after it. Trace and
-        cache entries are made in request order, up to the first request
-        that failed, and each goes out in one append per batch. Every
-        answer, hit or miss, passes through its stored form once, and a
-        stored answer of the wrong shape raises ``MalformedResponse``.
+        One pass over the batch digests each request once, from the JSON
+        its :class:`Form` in ``inner._FORMS`` writes, and settles it: the
+        digest keys the trace, and with ``owner_id`` (and the seed, for a
+        seeded request) the cache. Hits come from the cache; the misses go
+        on to ``inner._batch`` as one batch, with their digests, and it
+        times each; only a trace with a path writes the seconds. A request
+        repeating an earlier miss of the same batch is a hit on that miss's
+        answer, as it would be when asked after it. Trace and cache entries
+        are made in request order, up to the first request that failed, and
+        each goes out in one append per batch. Every answer, hit or miss,
+        passes through its stored form once, and a stored answer of the
+        wrong shape raises ``MalformedResponse``.
         """
-        build, stored_form, answer_form = inner._FORMS[primitive]
-        requests = [build(*args) for args in arguments]
-        digests = [request_digest(request) for request in requests]
-        stored: list[Optional[dict]] = [None] * len(requests)
-        # None for a cache hit, else the index of the miss that asks the model
-        answered_by: list[Optional[int]] = [None] * len(requests)
-        keys: list[Optional[str]] = [None] * len(requests)
+        form = inner._FORMS[primitive]
+        cache, seed = self.cache, self.seed
+        digests, keys = [], []
+        # per request, the stored answer: a hit's, else filled by its miss
+        stored: list[Optional[dict]] = []
+        # per request, None for a cache hit, else the index of the miss that asks the model
+        answered_by: list[Optional[int]] = []
         first_miss: dict[str, int] = {}
         misses = []
-        for index, (request, digest) in enumerate(zip(requests, digests)):
-            stochastic = (request.get("decoding", {}).get("strategy")
-                          == DecodingStrategy.NUCLEUS.value)
-            if self.cache is not None and (not stochastic or self.seed is not None):
-                key = keys[index] = cache_key(owner_id, digest,
-                                              self.seed if stochastic else None)
-                stored[index] = self.cache.get(key)
-                if stored[index] is not None:
-                    continue
-                if key in first_miss:
-                    answered_by[index] = first_miss[key]
-                    continue
-                first_miss[key] = index
-            answered_by[index] = index
-            misses.append(index)
-        latency = [0.0] * len(requests)
+        for index, args in enumerate(arguments):
+            digest = request_digest(form.text(*args))
+            seeded = form.seeded(*args)
+            key = hit = None
+            if cache is not None and (not seeded or seed is not None):
+                key = cache_key(owner_id, digest, seed if seeded else None)
+                hit = cache.get(key)
+            origin = None
+            if hit is None:
+                origin = index if key is None else first_miss.setdefault(key, index)
+                if origin == index:
+                    misses.append(index)
+            digests.append(digest)
+            keys.append(key)
+            stored.append(hit)
+            answered_by.append(origin)
+        latency = [0.0] * len(stored)
         try:
-            asked = inner._batch(primitive, [arguments[index] for index in misses])
+            asked = inner._batch(primitive, [arguments[index] for index in misses],
+                                 [digests[index] for index in misses])
             for index, (answer, latency[index]) in zip(misses, asked):
-                stored[index] = stored_form(answer)
+                stored[index] = form.stored(answer)
         finally:
             records, fresh = [], {}
             for index, origin in enumerate(answered_by):
                 if origin is not None and stored[origin] is None:
                     break  # this request, or the miss it repeats, failed
-                records.append({"digest": digests[index], "purpose": requests[index]["kind"],
+                records.append({"digest": digests[index], "purpose": form.kind,
                                 "latency_s": round(latency[index], 6),
                                 "cache_hit": origin != index})
                 if origin == index and keys[index] is not None:
                     fresh[keys[index]] = stored[index]
             self.trace.record(records)
             if fresh:
-                self.cache.put(fresh)
-        return [_answered(answer_form, request, stored[index if origin is None else origin],
-                          "cache entry")
-                for index, (request, origin) in enumerate(zip(requests, answered_by))]
+                cache.put(fresh)
+        return [_answered(form, stored[index if origin is None else origin], "cache entry")
+                for index, origin in enumerate(answered_by)]

@@ -390,10 +390,11 @@ def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
              manifest_path: Optional[Union[str, Path]] = None) -> MetricsReport:
     """Run inference over a dataset and score it.
 
-    Records are processed by a thread pool but reported strictly in
-    input order, so two runs over the same fixtures produce identical
-    JSONL bytes. A record whose inference raises gets an error row
-    (its id, the error class and message) instead of a result row,
+    Records are answered on a pool of ``workers`` threads, or with one
+    worker in the calling thread, with no pool; either way they are
+    reported strictly in input order, so two runs over the same fixtures
+    produce identical JSONL bytes. A record whose inference raises gets
+    an error row (its id, the error class and message) instead of a result row,
     counts as answered wrongly and is counted in ``error_count``; the
     other records are unaffected. Pairwise accuracy credits a pair
     only when both members are answered correctly. A ``workers`` that is
@@ -414,10 +415,13 @@ def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
         except Exception as exc:  # one failed record must not end the run
             return _error_line(record, exc)
 
-    from concurrent.futures import ThreadPoolExecutor  # here, so import maieutic stays light
+    if workers == 1:
+        lines = [attempt(record) for record in records]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so import maieutic stays light
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        lines = list(pool.map(attempt, records))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            lines = list(pool.map(attempt, records))
     warnings: list[str] = []
     correct_by_id = {line["id"]: line["correct"] for line in lines}
     correct = sum(1 for line in lines if line["correct"])

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import permutations, starmap
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .backend import CachedBackend, HttpClient, ModelClient
+from .backend import CachedBackend, Form, HttpClient, ModelClient
 from .core import ClauseOrigin, MaieuticTree, WeightedClause, parse_json, read_text
 from .errors import MalformedResponse, MissingFixture
 
@@ -88,15 +89,21 @@ def _judgment_from_record(record: Any) -> NliJudgment:
         raise MalformedResponse(f"unusable NLI record {record!r}: {exc}") from exc
 
 
+def _pair_text(premise: str, hypothesis: str) -> str:
+    """The JSON of a pair's request, with sorted keys and no spaces, as its digest hashes it."""
+    return '{"hypothesis":%s,"kind":"nli","premise":%s}' % (
+        encode_basestring_ascii(hypothesis), encode_basestring_ascii(premise))
+
+
 class NliVerifier(ModelClient):
     """Interface: judge one ordered (premise, hypothesis) pair, or many."""
 
     verifier_id: str = "nli"
-    _FORMS = {"nli": (lambda premise, hypothesis: {"kind": "nli", "premise": premise,
-                                                   "hypothesis": hypothesis},
-                      lambda judgment: {"label": judgment.label.value,
-                                        "probs": list(judgment.label_probs)},
-                      _judgment_from_record)}
+    _FORMS = {"nli": Form(lambda premise, hypothesis: {"kind": "nli", "premise": premise,
+                                                       "hypothesis": hypothesis},
+                          lambda judgment: {"label": judgment.label.value,
+                                            "probs": list(judgment.label_probs)},
+                          _judgment_from_record, "nli", _pair_text)}
 
     def nli(self, premise: str, hypothesis: str) -> NliJudgment:
         """One pair's judgment: a batch of one. An in-process verifier
@@ -107,8 +114,10 @@ class NliVerifier(ModelClient):
         """Judgments of independent pairs in request order, as one batch."""
         return self._requests("nli", pairs)
 
-    def _batch(self, primitive: str, arguments: Sequence[tuple]) -> Iterator[tuple[Any, float]]:
-        # the in-process loop calls ``nli``, which here is the batch of one
+    def _batch(self, primitive: str, arguments: Sequence[tuple],
+               digests: Optional[Sequence[str]] = None) -> Iterator[tuple[Any, float]]:
+        # the in-process loop calls ``nli``, which here is the batch of one;
+        # a verifier judges a pair by its sentences, not by its digest
         if type(self).nli is NliVerifier.nli:
             raise NotImplementedError(f"{type(self).__name__} implements neither nli nor _batch")
         return super()._batch(primitive, arguments)

@@ -1,6 +1,6 @@
 """No answer changed: every artefact of the corpus worlds hashes as
-committed in ``tests/data/corpus.json``, and a threaded evaluation of the
-corpus writes what a one-thread evaluation writes."""
+committed in ``tests/data/corpus.json``, and an evaluation of the corpus on
+a pool of threads writes what one in the calling thread writes."""
 from __future__ import annotations
 
 import json

@@ -3,14 +3,19 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from maieutic import backend as backend_module
 from maieutic import core, harness, tree_builder
-from maieutic.backend import CachedBackend, FixtureBuilder
+from maieutic.backend import (CachedBackend, FixtureBuilder, LmBackend, ResponseCache,
+                              TraceRecorder, read_trace)
 from maieutic.compiler import CompileMode
 from maieutic.core import (
+    DecodingStrategy,
     NegationStrategy,
     PromptExample,
     PromptMode,
@@ -497,6 +502,63 @@ def test_evaluate_is_byte_deterministic(data_dir, tmp_path):
                  workers=4, results_path=path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_one_worker_answers_every_record_on_the_calling_thread(data_dir, monkeypatch):
+    records = load_dataset(data_dir / "eval_records.jsonl")
+    threads, started = [], []
+    answer = harness.infer
+    monkeypatch.setattr(harness, "infer", lambda *args: threads.append(
+        threading.current_thread()) or answer(*args))
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread.name) or start(thread))
+    report = evaluate(records, Method.STANDARD, Engine(backend=eval_backend()), workers=1)
+    assert report.record_count == len(threads) == 12
+    assert set(threads) == {threading.current_thread()}
+    assert started == []
+
+
+@pytest.mark.parametrize("seed", [7, None], ids=["seeded", "unseeded"])
+def test_a_cached_evaluation_digests_each_request_once(tmp_path, monkeypatch, seed):
+    # the wrapper digests each request once and hands a miss's digest to the
+    # scripted lookup, which then makes none; a wrap on a scripted primitive,
+    # as the benchmark sets to count requests, still sees each miss once
+    fixtures, records = FixtureBuilder(), []
+    for world_seed in range(3):
+        world, question = random_world(world_seed)
+        fixtures.merge(world.builder)
+        records.append(DatasetRecord(f"r{world_seed}", question, gold=True))
+    inner = fixtures.backend()
+    calls, asked, unseeded = Counter(), Counter(), []
+    for name in ("request_digest", "cache_key"):
+        function = getattr(backend_module, name)
+        monkeypatch.setattr(backend_module, name, lambda *args, name=name, function=function:
+                            calls.update([name]) or function(*args))
+    for primitive, form in LmBackend._FORMS.items():
+        def wrapped(*args, kind=form.kind, lookup=getattr(inner, primitive), **kwargs):
+            asked.update([kind])
+            if kind == "completion" and args[1].strategy is DecodingStrategy.NUCLEUS \
+                    and seed is None:
+                unseeded.append(args)  # no cache key holds its answer
+            return lookup(*args, **kwargs)
+        setattr(inner, primitive, wrapped)
+    cached = CachedBackend(inner, ResponseCache(tmp_path), seed=seed,
+                           trace=TraceRecorder(tmp_path / "trace.jsonl"))
+    engine = Engine(backend=cached)
+    written = 0
+    for _ in ("cold", "warm"):
+        calls.clear()
+        asked.clear()
+        unseeded.clear()
+        assert evaluate(records, Method.MAIEUTIC, engine, workers=1).error_count == 0
+        trace = read_trace(tmp_path / "trace.jsonl")[written:]
+        written += len(trace)
+        assert calls["request_digest"] == len(trace)
+        assert calls["cache_key"] == len(trace) - len(unseeded)
+        assert Counter(record["purpose"] for record in trace if not record["cache_hit"]) == asked
+    # warm, only the requests that no cache key holds reach the model
+    assert asked.total() == len(unseeded) and (seed is None) == bool(unseeded)
 
 
 def test_evaluate_rejects_bad_record_sets():

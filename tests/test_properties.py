@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from maieutic import cli
 from maieutic.backend import (
+    LmBackend,
     ResponseCache,
     ScriptedBackend,
     TraceRecorder,
@@ -513,6 +514,29 @@ def test_digests_and_cache_and_trace_lines_are_the_text_json_dumps_writes(
     if records:
         assert (directory / "trace.jsonl").read_bytes() == "".join(
             json.dumps(record, sort_keys=True) + "\n" for record in records).encode("utf-8")
+
+
+# each form, with arguments for it
+FORM_CALLS = st.one_of(
+    st.tuples(st.just(LmBackend._FORMS["_score_answer"]), st.tuples(TEXTS)),
+    st.tuples(st.just(LmBackend._FORMS["_complete"]), st.tuples(TEXTS, DECODINGS)),
+    st.tuples(st.just(LmBackend._FORMS["_completion_logprob"]), st.tuples(TEXTS, TEXTS)),
+    st.tuples(st.just(NliVerifier._FORMS["nli"]), st.tuples(TEXTS, TEXTS)))
+
+
+@PROPERTY
+@given(calls=st.lists(FORM_CALLS, max_size=4))
+# a nucleus_p of 1 equals one of 1.0, but its JSON reads "1"
+@example(calls=[(LmBackend._FORMS["_complete"],
+                 ("p", DecodingParams(DecodingStrategy.NUCLEUS, nucleus_p=p)))
+                for p in (1.0, 1)])
+def test_a_form_writes_its_request_as_the_text_json_dumps_writes(calls):
+    for form, arguments in calls:
+        request = form.request(*arguments)
+        text = json.dumps(request, sort_keys=True, separators=(",", ":"))
+        assert form.text(*arguments) == form.text(*arguments) == text
+        assert request_digest(text) == request_digest(request)
+        assert request["kind"] == form.kind
 
 
 # --- prompt rendering ---

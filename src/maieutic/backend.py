@@ -9,8 +9,9 @@ decoding parameters, which is also the fixture key of the scripted
 backend. The caching wrapper digests each request once, derives its
 cache key from that digest and hands the digests of its misses on, so
 the scripted backend looks them up without digesting them again. A
-request's digested JSON is written from its parts, and cache and trace
-lines from templates; each is the text ``json.dumps`` writes.
+request's digested JSON is written from its parts, a prompt's
+demonstrations escaped once per prompt set, and cache and trace lines
+from templates; each is the text ``json.dumps`` writes.
 """
 from __future__ import annotations
 
@@ -62,9 +63,10 @@ def logprob_request(prompt: str, completion: str) -> dict:
 
 # Each request's JSON with sorted keys and no spaces, written from its parts:
 # the text that ``json_digest`` writes for the request the builder above makes.
+# A prompt's demonstrations are escaped once per prompt set (``prompts.json_prompt``).
 
 def _truth_text(prompt: str) -> str:
-    return '{"kind":"truth","prompt":%s}' % _json_string(prompt)
+    return '{"kind":"truth","prompt":%s}' % prompt_templates.json_prompt(prompt)
 
 
 def _decoding_text(decoding: DecodingParams) -> str:
@@ -80,12 +82,12 @@ def _decoding_text(decoding: DecodingParams) -> str:
 
 def _completion_text(prompt: str, decoding: DecodingParams) -> str:
     return '{"decoding":%s,"kind":"completion","prompt":%s}' % (
-        _decoding_text(decoding), _json_string(prompt))
+        _decoding_text(decoding), prompt_templates.json_prompt(prompt))
 
 
 def _logprob_text(prompt: str, completion: str) -> str:
     return '{"completion":%s,"kind":"logprob","prompt":%s}' % (
-        _json_string(completion), _json_string(prompt))
+        _json_string(completion), prompt_templates.json_prompt(prompt))
 
 
 def request_digest(request: Union[dict, str]) -> str:
@@ -904,11 +906,14 @@ class HttpLmBackend(HttpClient, LmBackend):
 
 # --- response cache and call trace ---
 
-# A cache line and a trace line, each the text that ``json.dumps(...,
-# sort_keys=True)`` writes for its object, and the encoder of their values
+# A cache line and, per purpose, a trace line of a hit and of a miss, each the
+# text that ``json.dumps(..., sort_keys=True)`` writes for its object (a digest
+# is hex and a purpose a fixed word; ``repr`` writes a float as JSON does), and
+# the encoder of a cache line's response
 _CACHE_LINE = '{"key": %s, "response": %s}\n'
-_TRACE_LINE = '{"cache_hit": %s, "digest": %s, "latency_s": %s, "purpose": %s}\n'
 _LINE_JSON = sorted_json(", ", ": ")
+_TRACE_HIT = '{"cache_hit": true, "digest": "%%s", "latency_s": 0.0, "purpose": "%s"}\n'
+_TRACE_MISS = '{"cache_hit": false, "digest": "%%s", "latency_s": %%r, "purpose": "%s"}\n'
 
 
 def _append(path: Path, lines: Sequence[str]) -> None:
@@ -981,17 +986,16 @@ class TraceRecorder:
         self._calls = 0
         self._lock = threading.Lock()
 
-    def record(self, entries: Sequence[dict]) -> None:
-        """Count a batch of records, each ``{"digest": str, "purpose": str,
-        "latency_s": float, "cache_hit": bool}``; with a path, append them in
-        one write."""
+    def record(self, lines: Sequence[str], misses: int) -> None:
+        """Count a batch's ``misses``, its requests that reached the model;
+        with a path, append its ``lines`` in one write. Each line is the
+        ``json.dumps(record, sort_keys=True)`` text of one request's record,
+        ``{"cache_hit": bool, "digest": str, "latency_s": float, "purpose":
+        str}``, and a newline (:meth:`CachedBackend.served` writes them)."""
         with self._lock:
-            self._calls += sum(not entry["cache_hit"] for entry in entries)
-            if self.path is not None and entries:
-                _append(self.path, [_TRACE_LINE % (
-                    "true" if entry["cache_hit"] else "false", _json_string(entry["digest"]),
-                    "".join(_LINE_JSON(entry["latency_s"], 0)),
-                    _json_string(entry["purpose"])) for entry in entries])
+            self._calls += misses
+            if self.path is not None and lines:
+                _append(self.path, lines)
 
     def backend_call_count(self) -> int:
         """Requests that actually reached the wrapped backend."""
@@ -1031,62 +1035,61 @@ class CachedBackend(LmBackend):
         """The answers of ``inner``'s primitive (named by its method) to one
         batch of argument tuples, in request order.
 
-        One pass over the batch digests each request once, from the JSON
-        its :class:`Form` in ``inner._FORMS`` writes, and settles it: the
-        digest keys the trace, and with ``owner_id`` (and the seed, for a
-        seeded request) the cache. Hits come from the cache; the misses go
-        on to ``inner._batch`` as one batch, with their digests, and it
-        times each; only a trace with a path writes the seconds. A request
-        repeating an earlier miss of the same batch is a hit on that miss's
-        answer, as it would be when asked after it. Trace and cache entries
-        are made in request order, up to the first request that failed, and
-        each goes out in one append per batch. Every answer, hit or miss,
-        passes through its stored form once, and a stored answer of the
-        wrong shape raises ``MalformedResponse``.
+        One loop settles each request: it digests it once, from the JSON
+        its :class:`Form` in ``inner._FORMS`` writes, and keys it with
+        ``owner_id`` (and the seed, for a seeded request). Hits come from
+        the cache; the misses go on to ``inner._batch`` as one batch, with
+        their digests, and it times each. A request repeating an earlier
+        miss of the same batch is a hit on that miss's answer. The pass that
+        closes the batch writes each request's trace line from a hit or a
+        miss template, in request order up to the first request that
+        failed; its trace lines and new cache entries each go out in one
+        append. Every answer passes through its stored form once, and a
+        stored answer of the wrong shape raises ``MalformedResponse``.
         """
         form = inner._FORMS[primitive]
         cache, seed = self.cache, self.seed
-        digests, keys = [], []
-        # per request, the stored answer: a hit's, else filled by its miss
-        stored: list[Optional[dict]] = []
-        # per request, None for a cache hit, else the index of the miss that asks the model
-        answered_by: list[Optional[int]] = []
+        hit_line, miss_line = _TRACE_HIT % form.kind, _TRACE_MISS % form.kind
+        # per request: its digest, its cache key, and None for a cache hit,
+        # else the index of the miss that asks the model
+        settled: list[tuple[str, Optional[str], Optional[int]]] = []
+        stored: list[Optional[dict]] = []  # per request, a hit's answer, else filled by its miss
         first_miss: dict[str, int] = {}
         misses = []
         for index, args in enumerate(arguments):
             digest = request_digest(form.text(*args))
             seeded = form.seeded(*args)
-            key = hit = None
+            key = hit = origin = None
             if cache is not None and (not seeded or seed is not None):
                 key = cache_key(owner_id, digest, seed if seeded else None)
                 hit = cache.get(key)
-            origin = None
             if hit is None:
                 origin = index if key is None else first_miss.setdefault(key, index)
                 if origin == index:
                     misses.append(index)
-            digests.append(digest)
-            keys.append(key)
+            settled.append((digest, key, origin))
             stored.append(hit)
-            answered_by.append(origin)
-        latency = [0.0] * len(stored)
+        seconds = {}
         try:
             asked = inner._batch(primitive, [arguments[index] for index in misses],
-                                 [digests[index] for index in misses])
-            for index, (answer, latency[index]) in zip(misses, asked):
+                                 [settled[index][0] for index in misses])
+            for index, (answer, took) in zip(misses, asked):
                 stored[index] = form.stored(answer)
+                seconds[index] = took
         finally:
-            records, fresh = [], {}
-            for index, origin in enumerate(answered_by):
-                if origin is not None and stored[origin] is None:
-                    break  # this request, or the miss it repeats, failed
-                records.append({"digest": digests[index], "purpose": form.kind,
-                                "latency_s": round(latency[index], 6),
-                                "cache_hit": origin != index})
-                if origin == index and keys[index] is not None:
-                    fresh[keys[index]] = stored[index]
-            self.trace.record(records)
+            lines, fresh = [], {}
+            for index, (digest, key, origin) in enumerate(settled):
+                if origin != index:
+                    if origin is not None:  # a repeat of an earlier miss, which was answered
+                        stored[index] = stored[origin]
+                    lines.append(hit_line % digest)
+                elif index not in seconds:
+                    break  # this miss failed, and the requests after it stay unsettled
+                else:
+                    lines.append(miss_line % (digest, round(seconds[index], 6)))
+                    if key is not None:
+                        fresh[key] = stored[index]
+            self.trace.record(lines, len(seconds))
             if fresh:
                 cache.put(fresh)
-        return [_answered(form, stored[index if origin is None else origin], "cache entry")
-                for index, origin in enumerate(answered_by)]
+        return [_answered(form, answer, "cache entry") for answer in stored]

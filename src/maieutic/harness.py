@@ -28,6 +28,7 @@ from .core import (
     json_digest,
     json_lines,
     label_word,
+    sorted_json,
     tree_nodes,
     tree_to_dict,
     tree_to_dot,
@@ -385,6 +386,9 @@ def run_manifest(engine: Engine, method: Method, record_count: int) -> dict:
     }
 
 
+_ROW_JSON = sorted_json(",", ":")  # one compact encoder for every results row
+
+
 def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
              workers: int = 4, results_path: Optional[Union[str, Path]] = None,
              manifest_path: Optional[Union[str, Path]] = None) -> MetricsReport:
@@ -440,8 +444,7 @@ def evaluate(records: Sequence[DatasetRecord], method: Method, engine: Engine,
     if results_path is not None:
         with open(results_path, "w", encoding="utf-8") as handle:
             for line in lines:
-                handle.write(json.dumps(line, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
+                handle.write("".join(_ROW_JSON(line, 0)) + "\n")
         if manifest_path is None:
             manifest_path = Path(str(results_path) + ".manifest.json")
     if manifest_path is not None:

@@ -3,13 +3,16 @@
 Rendering is deterministic: the same prompt set, question and label
 always produce the identical string. A prompt set's demonstrations are
 rendered once, on first use, and every later prompt of that set starts
-from that same prefix. The truth-scoring prompts end right after the
-question mark; the answer is read from the probability of the
-``" True"`` and ``" False"`` continuations at that position.
+from that same prefix, which is JSON-escaped once too (:func:`json_prompt`).
+The truth-scoring prompts end right after the question mark; the answer
+is read from the probability of the ``" True"`` and ``" False"``
+continuations at that position.
 """
 from __future__ import annotations
 
+import threading
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .core import (PromptMode, PromptSet, label_word, load_prompt_set, parse_json,
                    prompt_set_from_dict)
@@ -48,19 +51,39 @@ _BLOCKS = {
 }
 
 
+# The prefixes of the last 8 prompt sets rendered, newest first, each with its
+# JSON string less the closing quote; an older set's prompts escape whole
+_escaped: tuple[tuple[str, str], ...] = ()
+_escaped_lock = threading.Lock()
+
+
 def _prefix(prompts: PromptSet) -> str:
     """The demonstrations every prompt of the set's mode begins with, each
     block followed by the separator. Rendered on first use and kept in the
     frozen set's own ``__dict__``, as ``functools.cached_property`` keeps a
     value: a set renders its demonstrations once, and equal sets alike.
-    Threads racing to the first use each render the same text."""
+    Threads racing to the first use each render the same text. The first
+    use also keeps the text JSON-escaped, for :func:`json_prompt`."""
+    global _escaped
     try:
         return vars(prompts)["_prefix"]
     except KeyError:
         block = _BLOCKS[prompts.mode]
         prefix = vars(prompts)["_prefix"] = "".join(
             block(ex) + _EXAMPLE_SEPARATOR for ex in prompts.examples)
+        with _escaped_lock:
+            if all(known != prefix for known, _ in _escaped):
+                _escaped = ((prefix, _json_string(prefix)[:-1]),) + _escaped[:7]
         return prefix
+
+
+def json_prompt(prompt: str) -> str:
+    """The text ``json.dumps`` writes for the prompt. JSON escapes each
+    character alone, so only the part after a kept prefix is escaped here."""
+    for prefix, escaped in _escaped:
+        if prompt.startswith(prefix):
+            return escaped + _json_string(prompt[len(prefix):])[1:]
+    return _json_string(prompt)
 
 
 def render_truth_prompt(statement: str, prompts: PromptSet) -> str:

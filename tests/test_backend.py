@@ -323,8 +323,9 @@ def test_threads_sharing_one_cache_and_trace_lose_no_line(tmp_path):
         for batch in range(20):
             keys = [f"{worker}.{batch}.{index}" for index in range(3)]
             cache.put({key: {"logprob": -float(worker)} for key in keys})
-            trace.record([{"digest": key, "purpose": "logprob", "latency_s": 0.0,
-                           "cache_hit": False} for key in keys])
+            trace.record([json.dumps({"digest": key, "purpose": "logprob", "latency_s": 0.0,
+                                      "cache_hit": False}, sort_keys=True) + "\n"
+                          for key in keys], len(keys))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

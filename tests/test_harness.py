@@ -475,8 +475,11 @@ def test_evaluate_matches_hand_counts(data_dir, tmp_path):
     assert report.warnings == []
     assert report.to_dict()["accuracy"] == 0.75
 
-    lines = [json.loads(line) for line in
-             results_path.read_text(encoding="utf-8").splitlines()]
+    text = results_path.read_text(encoding="utf-8")
+    # each row is the text of compact sorted json.dumps
+    assert text == "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+                           for row in report.results)
+    lines = [json.loads(line) for line in text.splitlines()]
     assert [line["id"] for line in lines] == [f"r{n:02d}" for n in range(1, 13)]
     assert lines[0] == {"id": "r01", "question": "A dozen contains twelve items?",
                         "gold": True, "pair_id": "r02", "answer": True,

@@ -28,8 +28,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maieutic import cli
+from maieutic import prompts as prompt_module
 from maieutic.backend import (
+    CachedBackend,
     LmBackend,
+    ModelClient,
     ResponseCache,
     ScriptedBackend,
     TraceRecorder,
@@ -491,16 +494,44 @@ STORED = st.recursive(
     st.none() | st.booleans() | st.integers() | FLOATS | TEXTS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXTS, inner, max_size=3),
     max_leaves=8)
-TRACE_RECORDS = st.fixed_dictionaries({"digest": TEXTS, "purpose": TEXTS, "latency_s": FLOATS,
-                                       "cache_hit": st.booleans()})
+
+# each LM primitive's arguments, from the text of its prompt
+LM_ARGUMENTS = {"_score_answer": lambda text: (text,),
+                "_complete": lambda text: (text, DecodingParams(DecodingStrategy.GREEDY)),
+                "_completion_logprob": lambda text: (text, "so")}
+# batches of requests, some asking what an earlier one asked
+TRACED_BATCHES = st.lists(st.tuples(st.sampled_from(sorted(LM_ARGUMENTS)),
+                                    st.lists(st.sampled_from(["a", "b", 'é"\\\n']), max_size=4)),
+                          max_size=3)
+TRACED_REQUESTS = 3 * 4  # the most a draw asks the model: one latency drawn for each
+
+
+class TimedModel(ModelClient):
+    """Answers every request, each taking the next of the given seconds."""
+
+    _FORMS = LmBackend._FORMS
+    ANSWERS = {"_score_answer": (0.6, 0.4), "_complete": ["so"], "_completion_logprob": -1.5}
+
+    def __init__(self, seconds):
+        self.seconds = iter(seconds)
+
+    def _batch(self, primitive, arguments, digests=None):
+        for _ in arguments:
+            yield self.ANSWERS[primitive], next(self.seconds)
 
 
 @PROPERTY
 @given(requests=st.lists(REQUESTS, max_size=3),
        responses=st.dictionaries(TEXTS, STORED, max_size=3),
-       records=st.lists(TRACE_RECORDS, max_size=3))
+       batches=TRACED_BATCHES,
+       seconds=st.lists(st.floats(0.0, 1e4), min_size=TRACED_REQUESTS,
+                        max_size=TRACED_REQUESTS))
+# rounded latencies whose ``repr`` carries an exponent, and zero
+@example(requests=[], responses={}, batches=[("_score_answer", ["a", "b", "a"]),
+                                             ("_complete", ["a"])],
+         seconds=[5e-06, 1e-05, 0.0] + [0.0] * (TRACED_REQUESTS - 3))
 def test_digests_and_cache_and_trace_lines_are_the_text_json_dumps_writes(
-        tmp_path_factory, requests, responses, records):
+        tmp_path_factory, requests, responses, batches, seconds):
     for request in requests:
         text = json.dumps(request, sort_keys=True, separators=(",", ":"))
         assert request_digest(request) == hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -510,7 +541,22 @@ def test_digests_and_cache_and_trace_lines_are_the_text_json_dumps_writes(
         assert (directory / "responses.jsonl").read_bytes() == "".join(
             json.dumps({"key": key, "response": response}, sort_keys=True) + "\n"
             for key, response in responses.items()).encode("utf-8")
-    TraceRecorder(directory / "trace.jsonl").record(records)
+    # each batch served twice: a cold pass that asks the model, a warm one from the cache
+    trace = TraceRecorder(directory / "trace.jsonl")
+    cached = CachedBackend(ScriptedBackend({}), ResponseCache(directory / "cache"), trace=trace)
+    model, records, asked, clock = TimedModel(seconds), [], set(), iter(seconds)
+    for primitive, texts in batches + batches:
+        form = LmBackend._FORMS[primitive]
+        arguments = [LM_ARGUMENTS[primitive](text) for text in texts]
+        cached.served("lm", model, primitive, arguments)
+        for args in arguments:
+            digest = request_digest(form.request(*args))
+            hit = digest in asked
+            asked.add(digest)
+            records.append({"cache_hit": hit, "digest": digest,
+                            "latency_s": 0.0 if hit else round(next(clock), 6),
+                            "purpose": form.kind})
+    assert trace.backend_call_count() == len(asked)
     if records:
         assert (directory / "trace.jsonl").read_bytes() == "".join(
             json.dumps(record, sort_keys=True) + "\n" for record in records).encode("utf-8")
@@ -524,14 +570,64 @@ FORM_CALLS = st.one_of(
     st.tuples(st.just(NliVerifier._FORMS["nli"]), st.tuples(TEXTS, TEXTS)))
 
 
+# demonstration and statement text: quotes, backslashes, control
+# characters, non-ASCII text and lone surrogates
+PROMPT_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é", "€",
+                                       "😀", "\ud800", "\udfff", "a"]), max_size=6)
+
+
+@st.composite
+def surrogate_split_prompt_sets(draw) -> tuple[PromptSet, str]:
+    """A prompt set and a statement. The text of the set's last
+    demonstration ends in a high surrogate, near the end of the set's
+    prefix, and the statement, which starts the tail of every prompt
+    rendered from the set, starts with a low one: two halves of a pair that
+    are escaped apart."""
+    mode = draw(st.sampled_from(list(PromptMode)))
+    texts = PROMPT_TEXT.map(lambda text: f"x{text}")
+    examples = [PromptExample(draw(texts), draw(st.booleans()),
+                              None if mode is PromptMode.QA_PAIRS else draw(texts))
+                for _ in range(draw(st.integers(1, 3)))]
+    last = examples[-1]
+    examples[-1] = (dataclasses.replace(last, question=last.question + "\ud83d")
+                    if last.explanation is None
+                    else dataclasses.replace(last, explanation=last.explanation + "\ud83d"))
+    return PromptSet(mode, tuple(examples)), "\ude00" + draw(PROMPT_TEXT) + "y"
+
+
+def _rendered(prompts: PromptSet, statement: str) -> list[str]:
+    """Every prompt the set's mode renders for the statement."""
+    if prompts.mode is PromptMode.QA_PAIRS:
+        return [render_truth_prompt(statement, prompts)]
+    if prompts.mode is PromptMode.ABDUCTIVE_TRIPLES:
+        return [render_abductive_prompt(statement, label, prompts) for label in (True, False)]
+    return [render_explanation_prompt(statement, prompts),
+            render_explained_answer_prompt(statement, "\ude00why\ud83d", prompts)]
+
+
 @PROPERTY
-@given(calls=st.lists(FORM_CALLS, max_size=4))
+@given(calls=st.lists(FORM_CALLS, max_size=4), rendered=surrogate_split_prompt_sets())
 # a nucleus_p of 1 equals one of 1.0, but its JSON reads "1"
 @example(calls=[(LmBackend._FORMS["_complete"],
                  ("p", DecodingParams(DecodingStrategy.NUCLEUS, nucleus_p=p)))
-                for p in (1.0, 1)])
-def test_a_form_writes_its_request_as_the_text_json_dumps_writes(calls):
-    for form, arguments in calls:
+                for p in (1.0, 1)],
+         rendered=(ABDUCTIVE_PROMPTS, "\ude00\\n\"y"))
+def test_a_form_writes_its_request_as_the_text_json_dumps_writes(calls, rendered):
+    prompts, statement = rendered
+    texts = _rendered(prompts, statement)
+
+    def known(prompt: str) -> bool:
+        return any(prompt.startswith(prefix) for prefix, _ in prompt_module._escaped)
+
+    # the rendered prompts escape only their tails; the bare statement escapes whole
+    assert all(map(known, texts)) and not known(statement)
+    decoding = DecodingParams(DecodingStrategy.NUCLEUS, stop_sequences=('"\\',))
+    lm_calls = [(LmBackend._FORMS[primitive], arguments)
+                for text in texts + [statement]
+                for primitive, arguments in (("_score_answer", (text,)),
+                                             ("_complete", (text, decoding)),
+                                             ("_completion_logprob", (text, statement)))]
+    for form, arguments in calls + lm_calls:
         request = form.request(*arguments)
         text = json.dumps(request, sort_keys=True, separators=(",", ":"))
         assert form.text(*arguments) == form.text(*arguments) == text
